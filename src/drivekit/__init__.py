@@ -20,7 +20,7 @@ from .scene import (
     save_scene,
     save_scene_file,
 )
-from .geometry import FrenetCoord, lane_association, project_to_polyline
+from .geometry import FrenetCoord, project_to_polyline
 from .relations import (
     EgoLaneDecision,
     Homotopy,
@@ -62,7 +62,6 @@ from .metrics import (
     PlanSample,
     apply_frame_mask,
     classification_accuracy,
-    collision_rate,
     evaluate_plans,
     grounding_prf,
     heading_l2,

@@ -14,6 +14,17 @@ from dataclasses import dataclass
 from .errors import ParamError
 
 
+def _is_finite_number(value) -> bool:
+    """An int or float (not a bool) that converts to a finite float; an int
+    too large for a float does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Config:
     # degenerate-segment heading carry-forward
@@ -69,11 +80,27 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        """Config from a JSON object: integer fields take only ints (not
+        bools), float fields take finite numbers, and theta_turn must stay
+        below theta_uturn."""
+        defaults = cls()
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ParamError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**data)
+        for name, value in data.items():
+            if isinstance(getattr(defaults, name), int):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ParamError(f"config {name} must be an integer, got {value!r}")
+            elif not _is_finite_number(value):
+                raise ParamError(f"config {name} must be a finite number, got {value!r}")
+        config = cls(**data)
+        if not config.theta_turn < config.theta_uturn:
+            raise ParamError(
+                f"config theta_turn ({config.theta_turn}) must be below "
+                f"theta_uturn ({config.theta_uturn})"
+            )
+        return config
 
     @classmethod
     def from_file(cls, path) -> "Config":

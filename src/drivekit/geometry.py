@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .config import Config
-from .scene import AgentCategory, Lane, Pose2, wrap_angle
+from .scene import TWO_PI, AgentCategory, Pose2
 
 # categories whose headings are unreliable; they skip the alignment test
 POSITION_ONLY_CATEGORIES = frozenset(
@@ -38,35 +38,131 @@ def cumulative_lengths(pts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(seg)))
 
 
-def polyline_length(polyline) -> float:
-    pts = polyline_array(polyline)
-    return float(cumulative_lengths(pts)[-1])
+def _wrap_angles(a: np.ndarray) -> np.ndarray:
+    """scene.wrap_angle over an array: the same (-pi, pi] wrap, elementwise."""
+    a = np.fmod(a, TWO_PI)
+    return np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a))
+
+
+@dataclass(frozen=True, eq=False)
+class LaneIndex:
+    """Array view of a set of lanes for the batched projection and
+    association kernels, built once per scene pass and passed explicitly.
+
+    Lanes run in id order. Segment arrays stack every lane's centerline
+    segments back to back; lane k owns segments ``first[k]`` up to
+    ``first[k + 1]``. Each per-lane quantity is computed with the expression
+    the one-lane projection uses, so results do not depend on which other
+    lanes share the index.
+    """
+
+    ids: tuple  # lane ids, ascending
+    by_id: dict  # lane id -> Lane (None for a bare polyline)
+    lengths: dict  # lane id -> centerline length (cumulative_lengths)
+    half_widths: np.ndarray  # (L,)
+    first: np.ndarray  # (L,) index of each lane's first segment
+    lane_of: np.ndarray  # (S,) lane position of each segment
+    local: np.ndarray  # (S,) segment index within its lane
+    starts: np.ndarray  # (S, 2) segment start points
+    vectors: np.ndarray  # (S, 2) segment end minus start
+    len2: np.ndarray  # (S,) squared segment lengths
+    seg_len: np.ndarray  # (S,) segment lengths
+    cum: np.ndarray  # (S,) arc length at each segment start
+    tangents: np.ndarray  # (S,) segment headings
+
+    @classmethod
+    def build(cls, lanes) -> "LaneIndex":
+        lanes = sorted(lanes, key=lambda ln: ln.id)
+        return cls._stack(
+            {ln.id: ln for ln in lanes},
+            [ln.centerline for ln in lanes],
+            [ln.half_width for ln in lanes],
+        )
+
+    @classmethod
+    def _stack(cls, by_id: dict, centerlines, half_widths) -> "LaneIndex":
+        starts, vectors, len2, seg_len, cum, tangents, counts = [], [], [], [], [], [], []
+        lengths = {}
+        for lid, centerline in zip(by_id, centerlines):
+            pts = polyline_array(centerline)
+            d = pts[1:] - pts[:-1]
+            l2 = np.einsum("ij,ij->i", d, d)
+            sl = np.sqrt(l2)
+            starts.append(pts[:-1])
+            vectors.append(d)
+            len2.append(l2)
+            seg_len.append(sl)
+            cum.append(np.concatenate(([0.0], np.cumsum(sl)))[:-1])
+            tangents.extend(math.atan2(dy, dx) for dx, dy in d.tolist())
+            counts.append(len(d))
+            lengths[lid] = float(cumulative_lengths(pts)[-1])
+        counts = np.asarray(counts, dtype=np.intp)
+        first = np.cumsum(counts) - counts
+        lane_of = np.repeat(np.arange(len(counts)), counts)
+        points, values = np.empty((0, 2)), np.empty(0)  # a scene may have no lanes
+        return cls(
+            ids=tuple(by_id),
+            by_id=by_id,
+            lengths=lengths,
+            half_widths=np.array(half_widths, dtype=float),
+            first=first,
+            lane_of=lane_of,
+            local=np.arange(len(lane_of)) - first[lane_of],
+            starts=np.concatenate([points, *starts]),
+            vectors=np.concatenate([points, *vectors]),
+            len2=np.concatenate([values, *len2]),
+            seg_len=np.concatenate([values, *seg_len]),
+            cum=np.concatenate([values, *cum]),
+            tangents=np.array(tangents, dtype=float),
+        )
+
+
+_PAIRS_PER_BATCH = 1 << 16  # (pose, segment) pairs per _project call
+
+
+def _project(xy: np.ndarray, index: LaneIndex):
+    """Project P points onto every lane of the index.
+
+    Returns (s, d, seg), each (P, L): arc length, signed lateral offset and
+    the stacked index of the chosen segment. Per lane the smallest squared
+    distance wins, then the smallest s, then the lowest segment index.
+    """
+    n_pts, n_seg = len(xy), len(index.starts)
+    # coordinates run as separate (P, S) planes; the dot products go through
+    # the one-lane code's einsum over interleaved (x, y) rows
+    px, py = xy[:, 0:1], xy[:, 1:2]
+    (ax, ay), (vx, vy) = index.starts.T, index.vectors.T
+    rel = np.stack((px - ax, py - ay), axis=-1).reshape(-1, 2)
+    vv = np.broadcast_to(index.vectors, (n_pts, n_seg, 2)).reshape(-1, 2)
+    t = np.einsum("ij,ij->i", rel, vv).reshape(n_pts, n_seg) / index.len2
+    t = np.clip(t, 0.0, 1.0)
+    dx = px - (ax + t * vx)
+    dy = py - (ay + t * vy)
+    flat = np.stack((dx, dy), axis=-1).reshape(-1, 2)
+    dist2 = np.einsum("ij,ij->i", flat, flat).reshape(n_pts, n_seg)
+    s_cand = index.cum + t * index.seg_len
+
+    lane_of, first = index.lane_of, index.first
+    # fmin skips the NaN of an underflowed segment, as lexsort sorts it last
+    tie = dist2 == np.fmin.reduceat(dist2, first, axis=1)[:, lane_of]
+    s_tie = np.where(tie, s_cand, np.inf)
+    pick = s_tie == np.minimum.reduceat(s_tie, first, axis=1)[:, lane_of]
+    seg = np.minimum.reduceat(np.where(pick, np.arange(n_seg), n_seg), first, axis=1)
+
+    rows = np.arange(n_pts)[:, None]
+    cross = vx[seg] * dy[rows, seg] - vy[seg] * dx[rows, seg]
+    dist = np.sqrt(dist2[rows, seg])
+    signed = np.where(cross > 0, dist, np.where(cross < 0, -dist, 0.0))
+    return s_cand[rows, seg], signed, seg
 
 
 def project_to_polyline(point, polyline) -> FrenetCoord:
     """Global minimum-distance projection; equidistant candidates take the
-    smallest s."""
-    pts = polyline_array(polyline)
-    p = np.asarray(point, dtype=float)
-    a = pts[:-1]
-    b = pts[1:]
-    d = b - a
-    seg_len2 = np.einsum("ij,ij->i", d, d)
-    t = np.einsum("ij,ij->i", p - a, d) / seg_len2
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t[:, None] * d
-    diff = p - proj
-    dist2 = np.einsum("ij,ij->i", diff, diff)
-    seg_len = np.sqrt(seg_len2)
-    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
-    s_cand = cum[:-1] + t * seg_len
-
-    order = np.lexsort((s_cand, dist2))
-    i = int(order[0])
-    cross = d[i, 0] * diff[i, 1] - d[i, 1] * diff[i, 0]
-    dist = math.sqrt(float(dist2[i]))
-    signed = dist if cross > 0 else (-dist if cross < 0 else 0.0)
-    return FrenetCoord(s=float(s_cand[i]), d=signed, segment_index=i)
+    smallest s, then the lowest segment index. A zero-length segment (a
+    repeated point) projects to NaN and is never picked over a real one."""
+    index = LaneIndex._stack({0: None}, [polyline], [0.0])
+    s, d, seg = _project(np.asarray([point], dtype=float), index)
+    return FrenetCoord(s=float(s[0, 0]), d=float(d[0, 0]), segment_index=int(seg[0, 0]))
 
 
 def tangent_heading(polyline, segment_index: int) -> float:
@@ -105,33 +201,41 @@ class LaneAssociation:
 
 
 def associate_lane(
-    pose: Pose2, lanes, config: Config, check_heading: bool = True
-) -> Optional[LaneAssociation]:
-    """Best eligible lane for a pose, or None (NOTON downstream).
+    poses, index: LaneIndex, config: Config, check_heading: bool = True
+) -> List[Optional[LaneAssociation]]:
+    """Best eligible lane for each pose, or None (NOTON downstream).
 
     Eligible: |d| <= half_width + margin and, when check_heading, heading
-    within theta_align of the local tangent. Minimum |d| wins; ties break by
-    lane id order.
+    within theta_align of the tangent of the projected segment. Minimum |d|
+    wins; ties break by lane id order.
     """
-    best: Optional[LaneAssociation] = None
-    for lane in sorted(lanes, key=lambda l: l.id):
-        fc = project_to_polyline((pose.x, pose.y), lane.centerline)
-        if abs(fc.d) > lane.half_width + config.lane_margin:
+    if not poses or not index.ids:
+        return [None] * len(poses)
+    xy = np.array([(p.x, p.y) for p in poses], dtype=float)
+    # bound the (pose, segment) working arrays on long tracks and large maps
+    step = max(1, _PAIRS_PER_BATCH // len(index.starts))
+    s, d, seg = (
+        np.concatenate(part)
+        for part in zip(*(_project(xy[i : i + step], index) for i in range(0, len(xy), step)))
+    )
+    absd = np.abs(d)
+    ok = absd <= index.half_widths + config.lane_margin
+    if check_heading:
+        heading = np.array([p.heading for p in poses], dtype=float)
+        ok &= np.abs(_wrap_angles(heading[:, None] - index.tangents[seg])) <= config.theta_align
+    best = np.argmin(np.where(ok, absd, np.inf), axis=1)
+    out: List[Optional[LaneAssociation]] = []
+    for row, k in enumerate(best.tolist()):
+        if not ok[row, k]:
+            out.append(None)
             continue
-        if check_heading:
-            tangent = tangent_heading(lane.centerline, fc.segment_index)
-            if abs(wrap_angle(pose.heading - tangent)) > config.theta_align:
-                continue
-        if best is None or abs(fc.d) < abs(best.frenet.d):
-            best = LaneAssociation(lane_id=lane.id, frenet=fc)
-    return best
-
-
-def lane_association(
-    agent_pose: Pose2, lanes, config: Config, check_heading: bool = True
-) -> Optional[int]:
-    assoc = associate_lane(agent_pose, lanes, config, check_heading)
-    return assoc.lane_id if assoc else None
+        fc = FrenetCoord(
+            s=float(s[row, k]),
+            d=float(d[row, k]),
+            segment_index=int(index.local[seg[row, k]]),
+        )
+        out.append(LaneAssociation(lane_id=index.ids[k], frenet=fc))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -160,65 +264,60 @@ def from_frame(xy, origin: Pose2) -> np.ndarray:
 # oriented boxes
 
 
-def obb_corners(center, heading: float, length: float, width: float) -> np.ndarray:
-    c, s = math.cos(heading), math.sin(heading)
-    hl, hw = 0.5 * length, 0.5 * width
-    local = np.array([(hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)], dtype=float)
-    rot = np.array([(c, -s), (s, c)], dtype=float)
-    return local @ rot.T + np.asarray(center, dtype=float)
+def _rotations(heading) -> tuple:
+    """cos and sin of each heading, from libm one value at a time, so a box
+    gets the same bits alone or in a batch; numpy's vectorized trig does not
+    promise libm's results."""
+    h = np.asarray(heading, dtype=float)
+    c = np.array([math.cos(x) for x in h.ravel().tolist()], dtype=float).reshape(h.shape)
+    s = np.array([math.sin(x) for x in h.ravel().tolist()], dtype=float).reshape(h.shape)
+    return c, s
 
 
-def obb_overlap(corners_a: np.ndarray, corners_b: np.ndarray) -> bool:
-    """Separating-axis test for two convex quads; touching counts as overlap."""
-    for quad in (corners_a, corners_b):
-        edges = np.roll(quad, -1, axis=0) - quad
-        for ex, ey in edges[:2]:  # rectangle: two unique edge directions
-            ax, ay = -ey, ex
-            pa = corners_a[:, 0] * ax + corners_a[:, 1] * ay
-            pb = corners_b[:, 0] * ax + corners_b[:, 1] * ay
-            if pa.max() < pb.min() or pb.max() < pa.min():
-                return False
-    return True
+# corner signs of a box, counter-clockwise from front-left
+_CORNER_SIGNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)])
 
 
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    len2 = float(ab @ ab)
-    if len2 == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = min(1.0, max(0.0, float((p - a) @ ab) / len2))
-    return float(np.hypot(*(p - (a + t * ab))))
+def _local_corners(length, width, shape) -> np.ndarray:
+    """Box corners in the box frame, shape + (4, 2)."""
+    hl = np.broadcast_to(0.5 * np.asarray(length, dtype=float), shape)
+    hw = np.broadcast_to(0.5 * np.asarray(width, dtype=float), shape)
+    return np.stack((hl, hw), axis=-1)[..., None, :] * _CORNER_SIGNS
 
 
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def obb_corners(center, heading, length, width) -> np.ndarray:
+    """Corners of oriented boxes, counter-clockwise from front-left.
+
+    Scalars give one (4, 2) box; N headings with (N, 2) centers give
+    (N, 4, 2), with lengths and widths either per box or shared.
+    """
+    c, s = _rotations(heading)
+    local = _local_corners(length, width, c.shape)
+    rot = np.stack((c, -s, s, c), axis=-1).reshape(c.shape + (2, 2))
+    # one matmul per box, the same BLAS call a single box makes
+    return local @ np.swapaxes(rot, -1, -2) + np.asarray(center, dtype=float)[..., None, :]
 
 
-def _segments_intersect(p0, p1, q0, q1) -> bool:
-    # proper transversal crossing only; touching/collinear configurations are
-    # covered by the zero endpoint distances in the caller
-    d1 = _orient(q0, q1, p0)
-    d2 = _orient(q0, q1, p1)
-    d3 = _orient(p0, p1, q0)
-    d4 = _orient(p0, p1, q1)
-    return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
-
-
-def _segment_segment_distance(p0, p1, q0, q1) -> float:
-    """Exact distance between two segments: zero on crossing, otherwise the
-    minimum is attained at one of the four endpoints."""
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    q0 = np.asarray(q0, float)
-    q1 = np.asarray(q1, float)
-    if _segments_intersect(p0, p1, q0, q1):
-        return 0.0
-    return min(
-        _point_segment_distance(p0, q0, q1),
-        _point_segment_distance(p1, q0, q1),
-        _point_segment_distance(q0, p0, p1),
-        _point_segment_distance(q1, p0, p1),
+def obb_overlap(corners_a: np.ndarray, corners_b: np.ndarray):
+    """Separating-axis test for rectangles given as corner quads; touching
+    counts as overlap. Broadcasts over leading axes, so one box tests against
+    (N, 4, 2) boxes at once."""
+    corners_a, corners_b = np.broadcast_arrays(corners_a, corners_b)
+    # each rectangle has two unique edge directions; their normals are the
+    # candidate separating axes
+    edges = np.concatenate(
+        (
+            corners_a[..., 1:3, :] - corners_a[..., 0:2, :],
+            corners_b[..., 1:3, :] - corners_b[..., 0:2, :],
+        ),
+        axis=-2,
     )
+    ax = -edges[..., :, 1:2]
+    ay = edges[..., :, 0:1]
+    pa = corners_a[..., None, :, 0] * ax + corners_a[..., None, :, 1] * ay  # (..., axis, corner)
+    pb = corners_b[..., None, :, 0] * ax + corners_b[..., None, :, 1] * ay
+    separated = (pa.max(-1) < pb.min(-1)) | (pb.max(-1) < pa.min(-1))
+    return ~separated.any(-1)
 
 
 def point_obb_distance(point, center, heading: float, length: float, width: float) -> float:
@@ -229,33 +328,74 @@ def point_obb_distance(point, center, heading: float, length: float, width: floa
     return math.hypot(dx, dy)
 
 
-def segment_obb_distance(p0, p1, center, heading: float, length: float, width: float) -> float:
-    pose = Pose2(float(center[0]), float(center[1]), heading)
-    a = to_frame(np.asarray(p0, float), pose)
-    b = to_frame(np.asarray(p1, float), pose)
-    hl, hw = 0.5 * length, 0.5 * width
-    inside = lambda q: abs(q[0]) <= hl and abs(q[1]) <= hw  # noqa: E731
-    if inside(a) or inside(b):
-        return 0.0
-    rect = np.array([(hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)], dtype=float)
-    best = math.inf
-    for i in range(4):
-        e0 = rect[i]
-        e1 = rect[(i + 1) % 4]
-        best = min(best, _segment_segment_distance(a, b, e0, e1))
-        if best == 0.0:
-            return 0.0
-    return best
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u @ v over the last axis through matmul, which makes the
+    BLAS dot call a 1-D ``u @ v`` makes (fused multiply-add included)."""
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-def polyline_obb_distance(pts, center, heading: float, length: float, width: float) -> float:
+def _point_segment_distance(p, a, b) -> np.ndarray:
+    ab = b - a
+    len2 = _dot(ab, ab)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(_dot(p - a, ab) / len2, 0.0, 1.0)
+    t = np.where(len2 == 0.0, 0.0, t)  # degenerate segment: distance to a
+    q = p - (a + t[..., None] * ab)
+    return np.hypot(q[..., 0], q[..., 1])
+
+
+def _orient(a, b, c) -> np.ndarray:
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (
+        c[..., 0] - a[..., 0]
+    )
+
+
+def polyline_obb_distance(pts, center, heading, length, width):
+    """Exact distance from a polyline to oriented boxes, zero when they touch.
+
+    Scalars give one float; arrays of N headings, lengths and widths with
+    (N, 2) centers give (N,) distances. Per segment and box edge the distance
+    is zero on a proper crossing and otherwise the minimum over the four
+    endpoint-to-segment distances; touching or collinear contact shows as a
+    zero endpoint distance.
+    """
     pts = np.asarray(pts, dtype=float)
+    scalar = np.ndim(heading) == 0
+    centers = np.asarray(center, dtype=float).reshape(-1, 2)
+    headings = np.asarray(heading, dtype=float).reshape(-1)
+    lengths = np.asarray(length, dtype=float).reshape(-1)
+    widths = np.asarray(width, dtype=float).reshape(-1)
     if pts.ndim == 1 or len(pts) == 1:
         p = pts if pts.ndim == 1 else pts[0]
-        return point_obb_distance(p, center, heading, length, width)
-    best = math.inf
-    for i in range(len(pts) - 1):
-        best = min(best, segment_obb_distance(pts[i], pts[i + 1], center, heading, length, width))
-        if best == 0.0:
-            return 0.0
-    return best
+        out = np.array(
+            [
+                point_obb_distance(p, *box)
+                for box in zip(centers, headings.tolist(), lengths.tolist(), widths.tolist())
+            ],
+            dtype=float,
+        )
+        return float(out[0]) if scalar else out
+
+    # polyline points in each box frame, (N, K, 2); headings wrap as Pose2
+    # wraps them in the one-point case
+    c, s = _rotations(_wrap_angles(headings))
+    dx = pts[None, :, 0] - centers[:, 0:1]
+    dy = pts[None, :, 1] - centers[:, 1:2]
+    c, s = c[:, None], s[:, None]
+    local = np.stack((c * dx + s * dy, -s * dx + c * dy), axis=-1)
+    rect = _local_corners(lengths, widths, headings.shape)[:, None]  # (N, 1, 4, 2)
+    inside = (np.abs(local) <= rect[:, :, 0, :]).all(axis=-1)  # corner 0 is (hl, hw)
+
+    e0, e1 = rect, rect[..., [1, 2, 3, 0], :]  # box edges
+    a = local[:, :-1, None, :]  # segment starts, (N, M, 1, 2)
+    b = local[:, 1:, None, :]
+    crossing = (
+        ((_orient(e0, e1, a) > 0) != (_orient(e0, e1, b) > 0))
+        & ((_orient(a, b, e0) > 0) != (_orient(a, b, e1) > 0))
+    ).any(axis=-1)
+    to_edges = _point_segment_distance(local[:, :, None, :], e0, e1).min(axis=-1)  # (N, K)
+    to_corners = _point_segment_distance(rect, a, b).min(axis=-1)  # (N, M)
+    seg = np.minimum(np.minimum(to_edges[:, :-1], to_edges[:, 1:]), to_corners)
+    seg = np.where(inside[:, :-1] | inside[:, 1:] | crossing, 0.0, seg)
+    out = seg.min(axis=1)
+    return float(out[0]) if scalar else out

@@ -252,23 +252,28 @@ def critical_objects(
     footprint within the dilated ego corridor; interaction takes precedence."""
     corridor = ego_corridor(scene, frame, config)
     dilation = 0.5 * scene.ego.states[frame].box[1] + config.corridor_margin
+    interacting = {l.agent_id for l in labels if l.covers(frame)}
+    in_corridor = set()
+    candidates = [
+        t for t in scene.agents if t.id not in interacting and t.states[frame].valid
+    ]
+    if candidates and len(corridor) > 0:
+        states = [t.states[frame] for t in candidates]
+        dist = polyline_obb_distance(
+            corridor,
+            [(st.pose.x, st.pose.y) for st in states],
+            [st.pose.heading for st in states],
+            [st.box[0] for st in states],
+            [st.box[1] for st in states],
+        )
+        in_corridor = {t.id for t, d in zip(candidates, dist.tolist()) if d <= dilation}
     out = []
     for track in scene.agents:
         reason = CriticalReason.NONE
-        if any(l.agent_id == track.id and l.covers(frame) for l in labels):
+        if track.id in interacting:
             reason = CriticalReason.HAS_INTERACTION
-        else:
-            st = track.states[frame]
-            if st.valid and len(corridor) > 0:
-                dist = polyline_obb_distance(
-                    corridor,
-                    (st.pose.x, st.pose.y),
-                    st.pose.heading,
-                    st.box[0],
-                    st.box[1],
-                )
-                if dist <= dilation:
-                    reason = CriticalReason.IN_EGO_CORRIDOR
+        elif track.id in in_corridor:
+            reason = CriticalReason.IN_EGO_CORRIDOR
         out.append(
             Criticality(
                 agent_id=track.id,

@@ -119,31 +119,31 @@ def plan_collision_fraction(scene: Scene, frame: int, plan, eps_move: float = 1e
     wp_global = from_frame(wp, anchor)
     local_headings = headings_xy(wp, 0.0, eps_move)
 
-    colliding = 0
-    for k in range(PLAN_STEPS):
+    # steps that land inside the scene, and every (step, valid agent) pair
+    n_steps = min(PLAN_STEPS, (scene.n_frames - 1 - frame) // spf)
+    step_of, states = [], []
+    for k in range(n_steps):
         f = frame + (k + 1) * spf
-        if f >= scene.n_frames:
-            break
-        heading = wrap_angle(local_headings[k] + anchor.heading)
-        ego_box = obb_corners(wp_global[k], heading, ego_len, ego_wid)
         for track in scene.agents:
-            st = track.states[f]
-            if not st.valid:
-                continue
-            agent_box = obb_corners((st.pose.x, st.pose.y), st.pose.heading, *st.box)
-            if obb_overlap(ego_box, agent_box):
-                colliding += 1
-                break
-    return colliding / PLAN_STEPS
-
-
-def collision_rate(plans, scenes: Dict[str, Scene], eps_move: float = 1e-3) -> float:
-    """Mean per-sample colliding-step fraction over all plans, as a percent."""
-    fractions = [
-        plan_collision_fraction(scenes[p.scene_id], p.frame, p.waypoints, eps_move)
-        for p in plans
-    ]
-    return 100.0 * float(np.mean(fractions)) if fractions else 0.0
+            if track.states[f].valid:
+                step_of.append(k)
+                states.append(track.states[f])
+    if not states:
+        return 0.0
+    ego_boxes = obb_corners(
+        wp_global[:n_steps],
+        [wrap_angle(local_headings[k] + anchor.heading) for k in range(n_steps)],
+        ego_len,
+        ego_wid,
+    )
+    agent_boxes = obb_corners(
+        [(st.pose.x, st.pose.y) for st in states],
+        [st.pose.heading for st in states],
+        [st.box[0] for st in states],
+        [st.box[1] for st in states],
+    )
+    hit = obb_overlap(ego_boxes[step_of], agent_boxes)
+    return len(set(np.asarray(step_of)[hit].tolist())) / PLAN_STEPS
 
 
 # --------------------------------------------------------------------------

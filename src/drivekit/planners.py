@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import Config
 from .errors import InsufficientFutureError, NoLaneError
-from .geometry import associate_lane, point_at_arclength, to_frame
+from .geometry import LaneIndex, associate_lane, point_at_arclength, to_frame
 from .metrics import PLAN_DT, PLAN_STEPS, _steps_per_frame, future_complete
 from .scene import Scene, Trajectory
 
@@ -85,7 +85,9 @@ def lane_follow_planner(
     lane end it continues along the final tangent."""
     config = config or Config()
     state = scene.ego.states[frame]
-    assoc = associate_lane(state.pose, scene.lanes, config, check_heading=True)
+    [assoc] = associate_lane(
+        [state.pose], LaneIndex.build(scene.lanes), config, check_heading=True
+    )
     if assoc is None:
         raise NoLaneError(f"scene {scene.id} frame {frame}: ego is not on any lane")
     lane = scene.lane_by_id(assoc.lane_id)

@@ -17,12 +17,7 @@ import numpy as np
 
 from .config import Config
 from .errors import DegenerateError, TopologyCycleError
-from .geometry import (
-    POSITION_ONLY_CATEGORIES,
-    LaneAssociation,
-    associate_lane,
-    polyline_length,
-)
+from .geometry import POSITION_ONLY_CATEGORIES, LaneIndex, associate_lane
 from .scene import NavigationCommand, LaneSemantic, Scene, wrap_angle
 
 
@@ -76,7 +71,7 @@ def _lateral_chain(lanes_by_id: dict, start: int, attr: str, max_hops: int) -> l
 
 
 def _longitudinal_delta(
-    lanes_by_id: dict,
+    index: LaneIndex,
     ego_lane: int,
     agent_lane: int,
     ego_s: float,
@@ -89,7 +84,7 @@ def _longitudinal_delta(
         return agent_s - ego_s
 
     best: Optional[float] = None
-    lengths = {lid: polyline_length(ln.centerline) for lid, ln in lanes_by_id.items()}
+    lanes_by_id, lengths = index.by_id, index.lengths
 
     # successors: offset accumulates past the end of the ego lane
     frontier: List[Tuple[int, float]] = [(ego_lane, lengths[ego_lane] - ego_s)]
@@ -121,7 +116,7 @@ def _longitudinal_delta(
 def agent_ego_lane_mode(
     agent_lane: Optional[int],
     ego_lane: Optional[int],
-    lanes_by_id: dict,
+    index: LaneIndex,
     agent_s: Optional[float],
     ego_s: Optional[float],
     config: Config,
@@ -135,13 +130,13 @@ def agent_ego_lane_mode(
         return LaneMode.NOTON, None
 
     if agent_lane != ego_lane:
-        if agent_lane in _lateral_chain(lanes_by_id, ego_lane, "left_neighbor", config.k_lat):
+        if agent_lane in _lateral_chain(index.by_id, ego_lane, "left_neighbor", config.k_lat):
             return LaneMode.LEFT, None
-        if agent_lane in _lateral_chain(lanes_by_id, ego_lane, "right_neighbor", config.k_lat):
+        if agent_lane in _lateral_chain(index.by_id, ego_lane, "right_neighbor", config.k_lat):
             return LaneMode.RIGHT, None
 
     delta = _longitudinal_delta(
-        lanes_by_id, ego_lane, agent_lane, ego_s or 0.0, agent_s or 0.0, config.k_lon
+        index, ego_lane, agent_lane, ego_s or 0.0, agent_s or 0.0, config.k_lon
     )
     if delta is None:
         return LaneMode.NOTON, None
@@ -194,11 +189,8 @@ class RelationOutputs:
     agent_assoc: dict  # agent id -> tuple[Optional[LaneAssociation]] per frame
 
 
-def _ego_associations(scene: Scene, config: Config) -> list:
-    return [
-        associate_lane(st.pose, scene.lanes, config, check_heading=True)
-        for st in scene.ego.states
-    ]
+def _ego_associations(scene: Scene, index: LaneIndex, config: Config) -> list:
+    return associate_lane([st.pose for st in scene.ego.states], index, config, check_heading=True)
 
 
 def ego_lane_decisions(
@@ -206,7 +198,11 @@ def ego_lane_decisions(
 ) -> list:
     """Per-frame ego decision: lane-change on association-switch frames,
     straddle while the footprint crosses the divider, keep-lane otherwise."""
-    assoc = ego_assoc if ego_assoc is not None else _ego_associations(scene, config)
+    assoc = (
+        ego_assoc
+        if ego_assoc is not None
+        else _ego_associations(scene, LaneIndex.build(scene.lanes), config)
+    )
     lanes_by_id = {ln.id: ln for ln in scene.lanes}
     decisions = []
     prev_lane: Optional[int] = None
@@ -246,7 +242,11 @@ def label_nav_commands(
     changes in [theta_turn, theta_uturn) read turn while the ego is on an
     intersection lane and prepare-to-turn while one is within d_prep ahead.
     """
-    assoc = ego_assoc if ego_assoc is not None else _ego_associations(scene, config)
+    assoc = (
+        ego_assoc
+        if ego_assoc is not None
+        else _ego_associations(scene, LaneIndex.build(scene.lanes), config)
+    )
     lanes_by_id = {ln.id: ln for ln in scene.lanes}
     n = scene.n_frames
     headings = [st.pose.heading for st in scene.ego.states]
@@ -315,36 +315,32 @@ def label_nav_commands(
 def compute_relations(scene: Scene, config: Config) -> RelationOutputs:
     """Run the full per-scene relation pipeline once; downstream labeling and
     QA generation consume this container."""
-    ego_assoc = _ego_associations(scene, config)
-    lanes_by_id = {ln.id: ln for ln in scene.lanes}
+    index = LaneIndex.build(scene.lanes)
+    ego_assoc = _ego_associations(scene, index, config)
 
     lane_modes: Dict[int, tuple] = {}
     lon_gaps: Dict[int, tuple] = {}
     agent_assoc: Dict[int, tuple] = {}
     for track in scene.agents:
         check_heading = track.category not in POSITION_ONLY_CATEGORIES
-        assoc_per_frame: List[Optional[LaneAssociation]] = []
-        modes: List[LaneMode] = []
-        gaps: List[Optional[float]] = []
-        for f, st in enumerate(track.states):
-            if not st.valid:
-                assoc_per_frame.append(None)
-                modes.append(LaneMode.NOTON)
-                gaps.append(None)
-                continue
-            la = associate_lane(st.pose, scene.lanes, config, check_heading)
-            assoc_per_frame.append(la)
+        valid = [f for f, st in enumerate(track.states) if st.valid]
+        found = associate_lane(
+            [track.states[f].pose for f in valid], index, config, check_heading
+        )
+        assoc_per_frame = [None] * len(track.states)
+        modes = [LaneMode.NOTON] * len(track.states)
+        gaps: List[Optional[float]] = [None] * len(track.states)
+        for f, la in zip(valid, found):
+            assoc_per_frame[f] = la
             ego_la = ego_assoc[f]
-            mode, gap = agent_ego_lane_mode(
+            modes[f], gaps[f] = agent_ego_lane_mode(
                 la.lane_id if la else None,
                 ego_la.lane_id if ego_la else None,
-                lanes_by_id,
+                index,
                 la.frenet.s if la else None,
                 ego_la.frenet.s if ego_la else None,
                 config,
             )
-            modes.append(mode)
-            gaps.append(gap)
         lane_modes[track.id] = tuple(modes)
         lon_gaps[track.id] = tuple(gaps)
         agent_assoc[track.id] = tuple(assoc_per_frame)

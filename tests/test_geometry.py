@@ -1,20 +1,26 @@
 import math
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import straight_lane
+from drivekit.config import Config
 from drivekit.geometry import (
+    FrenetCoord,
+    LaneAssociation,
+    LaneIndex,
     associate_lane,
-    lane_association,
     obb_corners,
     obb_overlap,
     point_at_arclength,
     point_obb_distance,
     polyline_obb_distance,
     project_to_polyline,
-    segment_obb_distance,
+    tangent_heading,
+    to_frame,
 )
-from drivekit.scene import Pose2
+from drivekit.scene import Lane, Pose2, wrap_angle
 
 
 def brute_force_min_distance(point, polyline, n_samples=10_000):
@@ -67,6 +73,16 @@ def test_equidistant_tie_takes_smaller_s():
     assert fc.segment_index == 0
 
 
+def test_repeated_point_segment_is_never_picked():
+    poly = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+    with np.errstate(invalid="ignore"):
+        past = project_to_polyline((1.5, 1.0), poly)
+        at = project_to_polyline((1.0, 1.0), poly)
+    assert (past.s, past.d, past.segment_index) == (1.5, 1.0, 2)
+    # segments 0 and 2 tie on distance and s; the lower index wins
+    assert (at.s, at.d, at.segment_index) == (1.0, 1.0, 0)
+
+
 def test_sign_convention_right_of_travel_is_negative():
     fc = project_to_polyline((5.0, -2.0), [(0.0, 0.0), (10.0, 0.0)])
     assert fc.d == -2.0
@@ -104,21 +120,27 @@ def test_point_at_arclength_interpolates_and_extends():
 # lane association
 
 
+def lane_of(pose, lanes, config, check_heading=True):
+    """Associated lane id of one pose, or None."""
+    [assoc] = associate_lane([pose], LaneIndex.build(lanes), config, check_heading)
+    return assoc.lane_id if assoc else None
+
+
 def test_agent_on_centerline_associates(config):
     lanes = [straight_lane(1, y=0.0), straight_lane(2, y=3.7)]
-    assert lane_association(Pose2(20.0, 0.0, 0.0), lanes, config) == 1
+    assert lane_of(Pose2(20.0, 0.0, 0.0), lanes, config) == 1
 
 
 def test_parking_lot_agent_has_no_lane(config):
     lanes = [straight_lane(1, y=0.0)]
-    assert lane_association(Pose2(20.0, 10.0, 0.0), lanes, config) is None
+    assert lane_of(Pose2(20.0, 10.0, 0.0), lanes, config) is None
 
 
 def test_heading_misalignment_blocks_association(config):
     lanes = [straight_lane(1, y=0.0)]
-    assert lane_association(Pose2(20.0, 0.0, math.pi), lanes, config) is None
+    assert lane_of(Pose2(20.0, 0.0, math.pi), lanes, config) is None
     # but heading is ignored for position-only categories
-    assert lane_association(Pose2(20.0, 0.0, math.pi), lanes, config, check_heading=False) == 1
+    assert lane_of(Pose2(20.0, 0.0, math.pi), lanes, config, check_heading=False) == 1
 
 
 def test_between_lanes_min_abs_d_wins(config):
@@ -132,7 +154,7 @@ def test_between_lanes_min_abs_d_wins(config):
         fc = project_to_polyline((pose.x, pose.y), lane.centerline)
         if abs(fc.d) <= lane.half_width + config.lane_margin:
             cands[lane.id] = abs(fc.d)
-    assert lane_association(pose, lanes, config) == min(cands, key=cands.get) == 2
+    assert lane_of(pose, lanes, config) == min(cands, key=cands.get) == 2
 
 
 def test_association_invariant_under_rigid_transform(config):
@@ -142,7 +164,7 @@ def test_association_invariant_under_rigid_transform(config):
         x, y = rng.uniform(5, 95), rng.uniform(-1.5, 5.2)
         h = rng.uniform(-0.6, 0.6)
         pose = Pose2(x, y, h)
-        expected = lane_association(pose, base_lanes, config)
+        expected = lane_of(pose, base_lanes, config)
 
         theta = float(rng.uniform(-math.pi, math.pi))
         tx, ty = rng.uniform(-100, 100, 2)
@@ -165,15 +187,31 @@ def test_association_invariant_under_rigid_transform(config):
             for l in base_lanes
         ]
         pose_t = Pose2(*xf(x, y), h + theta)
-        assert lane_association(pose_t, lanes_t, config) == expected
+        assert lane_of(pose_t, lanes_t, config) == expected
 
 
 def test_associate_lane_returns_frenet(config):
-    lanes = [straight_lane(1, y=0.0)]
-    assoc = associate_lane(Pose2(12.0, 0.4, 0.0), lanes, config)
-    assert assoc.lane_id == 1
-    assert abs(assoc.frenet.s - 12.0) < 1e-12
-    assert abs(assoc.frenet.d - 0.4) < 1e-12
+    index = LaneIndex.build([straight_lane(1, y=0.0)])
+    poses = [Pose2(12.0, 0.4, 0.0), Pose2(20.0, 10.0, 0.0), Pose2(31.0, -0.2, 0.1)]
+    first, off_lane, last = associate_lane(poses, index, config)
+    assert first.lane_id == 1
+    assert abs(first.frenet.s - 12.0) < 1e-12
+    assert abs(first.frenet.d - 0.4) < 1e-12
+    assert off_lane is None
+    assert last.lane_id == 1 and last.frenet.segment_index == 6
+    assert associate_lane([], index, config) == []
+    assert associate_lane(poses, LaneIndex.build([]), config) == [None, None, None]
+
+
+def test_long_track_on_a_large_map_matches_per_pose_calls(config):
+    # 1000 segments: the poses are projected in several batches
+    index = LaneIndex.build([straight_lane(1, length=1000.0, step=1.0), straight_lane(2, y=3.7)])
+    rng = np.random.default_rng(5)
+    xs, ys, hs = rng.uniform(-5, 1005, 300), rng.uniform(-2, 6, 300), rng.uniform(-1, 1, 300)
+    poses = [Pose2(x, y, h) for x, y, h in zip(xs, ys, hs)]
+    batched = associate_lane(poses, index, config)
+    assert batched == [associate_lane([p], index, config)[0] for p in poses]
+    assert sum(a is not None for a in batched) > 100
 
 
 # --------------------------------------------------------------------------
@@ -207,9 +245,9 @@ def test_point_obb_distance_inside_and_out():
 
 def test_segment_obb_distance_cases():
     # crossing segment
-    assert segment_obb_distance((-5, 0), (5, 0), (0, 0), 0.0, 4.0, 2.0) == 0.0
+    assert polyline_obb_distance([(-5, 0), (5, 0)], (0, 0), 0.0, 4.0, 2.0) == 0.0
     # parallel segment 2 m above the top edge
-    d = segment_obb_distance((-5, 3), (5, 3), (0, 0), 0.0, 4.0, 2.0)
+    d = polyline_obb_distance([(-5, 3), (5, 3)], (0, 0), 0.0, 4.0, 2.0)
     assert abs(d - 2.0) < 1e-12
 
 
@@ -230,3 +268,239 @@ def test_polyline_obb_distance_matches_dense_sampling():
         oracle = min(dense)
         assert exact <= oracle + 1e-9
         assert oracle - exact <= 0.02  # sampling resolution bound
+
+
+# --------------------------------------------------------------------------
+# differential tests: the batched kernels against the per-pose and
+# per-segment scalar code they replaced, kept here as oracles
+
+
+def oracle_project(point, polyline) -> FrenetCoord:
+    pts = np.asarray(polyline, dtype=float)
+    p = np.asarray(point, dtype=float)
+    a = pts[:-1]
+    d = pts[1:] - a
+    seg_len2 = np.einsum("ij,ij->i", d, d)
+    t = np.clip(np.einsum("ij,ij->i", p - a, d) / seg_len2, 0.0, 1.0)
+    diff = p - (a + t[:, None] * d)
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    seg_len = np.sqrt(seg_len2)
+    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
+    s_cand = cum[:-1] + t * seg_len
+    i = int(np.lexsort((s_cand, dist2))[0])
+    cross = d[i, 0] * diff[i, 1] - d[i, 1] * diff[i, 0]
+    dist = math.sqrt(float(dist2[i]))
+    signed = dist if cross > 0 else (-dist if cross < 0 else 0.0)
+    return FrenetCoord(s=float(s_cand[i]), d=signed, segment_index=i)
+
+
+def oracle_associate(pose, lanes, config, check_heading=True):
+    best = None
+    for lane in sorted(lanes, key=lambda l: l.id):
+        fc = oracle_project((pose.x, pose.y), lane.centerline)
+        if abs(fc.d) > lane.half_width + config.lane_margin:
+            continue
+        if check_heading:
+            tangent = tangent_heading(lane.centerline, fc.segment_index)
+            if abs(wrap_angle(pose.heading - tangent)) > config.theta_align:
+                continue
+        if best is None or abs(fc.d) < abs(best.frenet.d):
+            best = LaneAssociation(lane_id=lane.id, frenet=fc)
+    return best
+
+
+def _oracle_point_segment(p, a, b) -> float:
+    ab = b - a
+    len2 = float(ab @ ab)
+    if len2 == 0.0:
+        return float(np.hypot(*(p - a)))
+    t = min(1.0, max(0.0, float((p - a) @ ab) / len2))
+    return float(np.hypot(*(p - (a + t * ab))))
+
+
+def _oracle_orient(a, b, c) -> float:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _oracle_segment_segment(p0, p1, q0, q1) -> float:
+    d1 = _oracle_orient(q0, q1, p0)
+    d2 = _oracle_orient(q0, q1, p1)
+    d3 = _oracle_orient(p0, p1, q0)
+    d4 = _oracle_orient(p0, p1, q1)
+    if (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
+        return 0.0
+    return min(
+        _oracle_point_segment(p0, q0, q1),
+        _oracle_point_segment(p1, q0, q1),
+        _oracle_point_segment(q0, p0, p1),
+        _oracle_point_segment(q1, p0, p1),
+    )
+
+
+def _oracle_segment_obb(p0, p1, center, heading, length, width) -> float:
+    pose = Pose2(float(center[0]), float(center[1]), heading)
+    a = to_frame(np.asarray(p0, float), pose)
+    b = to_frame(np.asarray(p1, float), pose)
+    hl, hw = 0.5 * length, 0.5 * width
+    if (abs(a[0]) <= hl and abs(a[1]) <= hw) or (abs(b[0]) <= hl and abs(b[1]) <= hw):
+        return 0.0
+    rect = np.array([(hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)], dtype=float)
+    return min(_oracle_segment_segment(a, b, rect[i], rect[(i + 1) % 4]) for i in range(4))
+
+
+def oracle_polyline_obb_distance(pts, center, heading, length, width) -> float:
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) == 1:
+        return point_obb_distance(pts[0], center, heading, length, width)
+    return min(
+        _oracle_segment_obb(pts[i], pts[i + 1], center, heading, length, width)
+        for i in range(len(pts) - 1)
+    )
+
+
+# coordinates on a half-meter grid make exact ties common; free floats cover
+# the rest
+coord = st.one_of(
+    st.integers(-40, 40).map(lambda k: 0.5 * k),
+    st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False),
+)
+point = st.tuples(coord, coord)
+polyline = st.lists(point, min_size=2, max_size=7).filter(
+    lambda pts: all(a != b for a, b in zip(pts, pts[1:]))
+)
+heading = st.one_of(
+    st.sampled_from([math.pi, -math.pi, 0.0, math.pi / 2, Config().theta_align]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+pose = st.builds(Pose2, coord, coord, heading)
+DIFF = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@DIFF
+@given(st.lists(point, min_size=2, max_size=7), st.lists(point, min_size=1, max_size=6))
+def test_projection_matches_scalar_oracle(poly, points):
+    # repeated points are allowed: their 0/0 segment is never picked over a
+    # real one, and an all-repeated polyline projects to NaN
+    with np.errstate(invalid="ignore"):
+        for pt in points:
+            assert repr(project_to_polyline(pt, poly)) == repr(oracle_project(pt, poly))
+
+
+@DIFF
+@given(
+    st.lists(
+        st.tuples(polyline, st.sampled_from([0.5, 1.0, 1.85, 3.0])), min_size=1, max_size=5
+    ),
+    st.lists(pose, min_size=1, max_size=8),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_association_matches_scalar_oracle(lane_specs, poses, check_heading, rnd):
+    config = Config()
+    lanes = [Lane(id=3 * k + 1, centerline=poly, half_width=hw) for k, (poly, hw) in enumerate(lane_specs)]
+    rnd.shuffle(lanes)  # the index orders lanes by id itself
+    got = associate_lane(poses, LaneIndex.build(lanes), config, check_heading)
+    expected = [oracle_associate(p, lanes, config, check_heading) for p in poses]
+    assert repr(got) == repr(expected)
+
+
+box = st.tuples(
+    point,
+    heading,
+    st.floats(0.2, 12.0, allow_nan=False),
+    st.floats(0.2, 4.0, allow_nan=False),
+)
+
+
+@DIFF
+@given(st.lists(point, min_size=1, max_size=7), st.lists(box, min_size=1, max_size=6))
+def test_polyline_obb_distance_matches_scalar_oracle(pts, boxes):
+    # repeated points are allowed: a stopped ego gives zero-length corridor
+    # segments
+    expected = [oracle_polyline_obb_distance(pts, *b) for b in boxes]
+    centers, headings, lengths, widths = zip(*boxes)
+    got = polyline_obb_distance(pts, list(centers), list(headings), list(lengths), list(widths))
+    assert repr(got.tolist()) == repr(expected)
+    assert repr([polyline_obb_distance(pts, *b) for b in boxes]) == repr(expected)
+
+
+def test_association_ties_and_boundaries(config):
+    # two lanes at equal |d|: the lower id wins, whatever the input order
+    lanes = [straight_lane(7, y=2.0), straight_lane(4, y=0.0)]
+    [assoc] = associate_lane([Pose2(20.0, 1.0, 0.0)], LaneIndex.build(lanes), config)
+    assert assoc.lane_id == 4 and assoc.frenet.d == 1.0
+
+    # |d| exactly at half_width + lane_margin is eligible; one ulp past it is not
+    index = LaneIndex.build([straight_lane(1, half_width=1.5)])
+    edge = [Pose2(20.0, 2.0, 0.0), Pose2(20.0, math.nextafter(2.0, math.inf), 0.0)]
+    assert [a is not None for a in associate_lane(edge, index, config)] == [True, False]
+
+    # a point equidistant from two segments takes the smaller s
+    corner = Lane(id=1, centerline=((0.0, 0.0), (2.0, 0.0), (2.0, 2.0)), half_width=1.85)
+    [assoc] = associate_lane([Pose2(1.0, 1.0, 0.0)], LaneIndex.build([corner]), config)
+    assert assoc.frenet == FrenetCoord(s=1.0, d=1.0, segment_index=0)
+
+    # heading exactly at theta_align is aligned; one ulp past it is not
+    index = LaneIndex.build([straight_lane(1)])
+    at = Pose2(20.0, 0.0, config.theta_align)
+    past = Pose2(20.0, 0.0, math.nextafter(config.theta_align, math.inf))
+    assert [a is not None for a in associate_lane([at, past], index, config)] == [True, False]
+
+    # headings at +-pi wrap to pi: aligned only when theta_align admits pi
+    flipped = [Pose2(20.0, 0.0, math.pi), Pose2(20.0, 0.0, -math.pi)]
+    assert associate_lane(flipped, index, config) == [None, None]
+    wide = config.replace(theta_align=math.pi)
+    assert all(a is not None for a in associate_lane(flipped, index, wide))
+
+    # poses beyond both polyline ends clamp s to [0, L]
+    lanes = [straight_lane(1, length=50.0)]
+    beyond = [Pose2(-1.0, 0.5, 0.0), Pose2(51.0, -0.5, 0.0)]
+    got = associate_lane(beyond, LaneIndex.build(lanes), config)
+    assert [a.frenet.s for a in got] == [0.0, 50.0]
+    assert got == [oracle_associate(p, lanes, config) for p in beyond]
+    for p in beyond + flipped + [at, past]:
+        assert associate_lane([p], LaneIndex.build(lanes), wide) == [oracle_associate(p, lanes, wide)]
+
+
+def test_one_point_corridor_is_point_distance():
+    boxes = [((3.0, 0.5), 0.3, 4.5, 1.9), ((-1.0, -2.0), -2.0, 1.0, 0.5)]
+    expected = [point_obb_distance((0.0, 0.0), *b) for b in boxes]
+    centers, headings, lengths, widths = zip(*boxes)
+    got = polyline_obb_distance([(0.0, 0.0)], list(centers), list(headings), list(lengths), list(widths))
+    assert got.tolist() == expected
+    assert polyline_obb_distance([(0.0, 0.0)], *boxes[0]) == expected[0]
+
+
+def oracle_obb_corners(center, heading, length, width):
+    c, s = math.cos(heading), math.sin(heading)
+    hl, hw = 0.5 * length, 0.5 * width
+    local = np.array([(hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw)], dtype=float)
+    rot = np.array([(c, -s), (s, c)], dtype=float)
+    return local @ rot.T + np.asarray(center, dtype=float)
+
+
+def oracle_obb_overlap(corners_a, corners_b) -> bool:
+    for quad in (corners_a, corners_b):
+        edges = np.roll(quad, -1, axis=0) - quad
+        for ex, ey in edges[:2]:
+            ax, ay = -ey, ex
+            pa = corners_a[:, 0] * ax + corners_a[:, 1] * ay
+            pb = corners_b[:, 0] * ax + corners_b[:, 1] * ay
+            if pa.max() < pb.min() or pb.max() < pa.min():
+                return False
+    return True
+
+
+@DIFF
+@given(box, st.lists(box, min_size=1, max_size=6))
+def test_batched_obb_matches_scalar_oracle(one, many):
+    ego = obb_corners(*one)
+    assert repr(ego.tolist()) == repr(oracle_obb_corners(*one).tolist())
+    centers, headings, lengths, widths = zip(*many)
+    boxes = obb_corners(list(centers), list(headings), list(lengths), list(widths))
+    expected = [oracle_obb_corners(*b) for b in many]
+    assert repr(boxes.tolist()) == repr([e.tolist() for e in expected])
+    overlap = obb_overlap(ego, boxes)
+    assert overlap.tolist() == [oracle_obb_overlap(oracle_obb_corners(*one), e) for e in expected]
+    # the test is symmetric, and broadcasts either argument
+    assert obb_overlap(boxes, ego).tolist() == overlap.tolist()

@@ -11,7 +11,6 @@ from drivekit.metrics import (
     PlanSample,
     apply_frame_mask,
     classification_accuracy,
-    collision_rate,
     evaluate_plans,
     future_complete,
     grounding_prf,
@@ -135,8 +134,9 @@ def test_replay_on_collision_free_scene_is_zero(config):
         if future_complete(scene.ego, frame, scene.frame_rate):
             wp = ego_future_waypoints(scene, frame)
             plans.append(PlanSample(scene.id, frame, tuple(map(tuple, wp))))
-    rate = collision_rate(plans, {scene.id: scene})
-    assert rate == 0.0
+    report = evaluate_plans(plans, {scene.id: scene}, config)
+    assert report.n_samples == len(plans) > 0
+    assert report.collision_rate_ave_all == 0.0
 
 
 def test_plan_through_static_box_collides_on_late_steps():

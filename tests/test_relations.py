@@ -6,6 +6,7 @@ import pytest
 
 from conftest import cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import DegenerateError, TopologyCycleError
+from drivekit.geometry import LaneIndex
 from drivekit.relations import (
     EgoLaneDecision,
     HomotopyClass,
@@ -27,8 +28,8 @@ from drivekit.scene import (
 from drivekit.synth import synth_scene
 
 
-def lanes_by_id(lanes):
-    return {l.id: l for l in lanes}
+def lane_index(lanes):
+    return LaneIndex.build(lanes)
 
 
 # --------------------------------------------------------------------------
@@ -36,20 +37,20 @@ def lanes_by_id(lanes):
 
 
 def test_same_lane_positive_gap_is_ahead(config):
-    lanes = lanes_by_id([straight_lane(1)])
+    lanes = lane_index([straight_lane(1)])
     mode, gap = agent_ego_lane_mode(1, 1, lanes, 35.0, 20.0, config)
     assert mode is LaneMode.AHEAD
     assert gap == 15.0
 
 
 def test_same_lane_negative_gap_is_behind(config):
-    lanes = lanes_by_id([straight_lane(1)])
+    lanes = lane_index([straight_lane(1)])
     mode, _ = agent_ego_lane_mode(1, 1, lanes, 5.0, 20.0, config)
     assert mode is LaneMode.BEHIND
 
 
 def test_left_neighbor_dominates_longitudinal_offset(config):
-    lanes = lanes_by_id(
+    lanes = lane_index(
         [straight_lane(1, left=2), straight_lane(2, y=3.7, right=1)]
     )
     mode, _ = agent_ego_lane_mode(2, 1, lanes, 35.0, 20.0, config)
@@ -57,7 +58,7 @@ def test_left_neighbor_dominates_longitudinal_offset(config):
 
 
 def test_two_hop_lateral_within_k_lat(config):
-    lanes = lanes_by_id(
+    lanes = lane_index(
         [
             straight_lane(1, left=2),
             straight_lane(2, y=3.7, left=3, right=1),
@@ -71,7 +72,7 @@ def test_two_hop_lateral_within_k_lat(config):
 
 
 def test_no_lane_is_noton(config):
-    lanes = lanes_by_id([straight_lane(1)])
+    lanes = lane_index([straight_lane(1)])
     mode, gap = agent_ego_lane_mode(None, 1, lanes, None, 10.0, config)
     assert mode is LaneMode.NOTON and gap is None
 
@@ -79,7 +80,7 @@ def test_no_lane_is_noton(config):
 def test_successor_chain_ahead_with_cumulative_arclength(config):
     a = straight_lane(1, length=50.0, successors=(2,))
     b = straight_lane(2, length=50.0, x0=50.0, predecessors=(1,))
-    lanes = lanes_by_id([a, b])
+    lanes = lane_index([a, b])
     mode, gap = agent_ego_lane_mode(2, 1, lanes, 5.0, 40.0, config)
     assert mode is LaneMode.AHEAD
     assert abs(gap - 15.0) < 1e-9
@@ -100,15 +101,32 @@ def test_chain_beyond_k_lon_is_noton(config):
                 predecessors=(i - 1,) if i > 1 else (),
             )
         )
-    lanes = lanes_by_id(chain)
+    lanes = lane_index(chain)
     mode, _ = agent_ego_lane_mode(5, 1, lanes, 5.0, 5.0, config)  # 4 hops out
     assert mode is LaneMode.NOTON
     mode, _ = agent_ego_lane_mode(4, 1, lanes, 5.0, 5.0, config)  # 3 hops
     assert mode is LaneMode.AHEAD
 
 
+def test_branching_successors_merge_without_changing_the_gap(config):
+    # 1 -> {2, 3} -> 4: both branches reach lane 4 with the same offset, and
+    # the merged paths give one gap
+    lanes = lane_index(
+        [
+            straight_lane(1, length=10.0, successors=(2, 3)),
+            straight_lane(2, length=10.0, x0=10.0, successors=(4,), predecessors=(1,)),
+            straight_lane(3, y=3.7, length=10.0, x0=10.0, successors=(4,), predecessors=(1,)),
+            straight_lane(4, length=10.0, x0=20.0, predecessors=(2, 3)),
+        ]
+    )
+    mode, gap = agent_ego_lane_mode(4, 1, lanes, 2.0, 5.0, config)
+    assert mode is LaneMode.AHEAD and gap == 17.0
+    mode, gap = agent_ego_lane_mode(1, 4, lanes, 5.0, 2.0, config)
+    assert mode is LaneMode.BEHIND and gap == -17.0
+
+
 def test_exact_longitudinal_tie_reads_ahead(config):
-    lanes = lanes_by_id([straight_lane(1)])
+    lanes = lane_index([straight_lane(1)])
     mode, _ = agent_ego_lane_mode(1, 1, lanes, 20.0, 20.0, config)
     assert mode is LaneMode.AHEAD
 
@@ -116,7 +134,7 @@ def test_exact_longitudinal_tie_reads_ahead(config):
 def test_neighbor_cycle_raises(config):
     a = straight_lane(1, left=2)
     b = straight_lane(2, y=3.7, left=1, right=1)
-    lanes = lanes_by_id([a, b])
+    lanes = lane_index([a, b])
     with pytest.raises(TopologyCycleError):
         agent_ego_lane_mode(99, 1, lanes, 0.0, 0.0, config.replace(k_lat=5))
 
