@@ -7,11 +7,22 @@ rejected so typos fail loudly. Precedence is flag > config file > default.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParamError
+
+
+def seeded_rng(*key) -> np.random.Generator:
+    """A PCG64 stream named by `key`: seeded with the first 8 bytes (little
+    endian) of the SHA-256 of its parts joined by ':', e.g.
+    seeded_rng(seed, scene_id, frame, "qa")."""
+    digest = hashlib.sha256(":".join(map(str, key)).encode("utf-8")).digest()
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
 
 
 def _is_finite_number(value) -> bool:

@@ -10,16 +10,13 @@ byte-deterministic.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
 import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import List, Optional
 
-import numpy as np
-
-from .config import Config
+from .config import Config, seeded_rng
 from .errors import FormatError, InsufficientFutureError, SchemaError
 from .geometry import to_frame
 from .interactions import Criticality, CriticalReason, InteractionLabel
@@ -342,16 +339,26 @@ def parse_answer(task: QATask, text: str, templates: dict) -> dict:
 # generation
 
 
-def _frame_rng(seed: int, scene_id: str, frame: int):
-    digest = hashlib.sha256(f"{seed}:{scene_id}:{frame}:qa".encode("utf-8")).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
-
-
 def _ego_frame_position(scene: Scene, track, frame: int):
     anchor = scene.ego.states[frame].pose
     st = track.states[frame]
     local = to_frame((st.pose.x, st.pose.y), anchor)
     return quant1(float(local[0])), quant1(float(local[1]))
+
+
+def _critical_objects(
+    scene: Scene, frame: int, crits: List[Criticality], tracks: dict
+) -> List[dict]:
+    """Category and ego-frame position of each critical agent valid at the frame."""
+    objects = []
+    for crit in crits:
+        if not crit.critical:
+            continue
+        track = tracks[crit.agent_id]
+        if track.states[frame].valid:
+            x, y = _ego_frame_position(scene, track, frame)
+            objects.append({"category": track.category.value, "x": x, "y": y})
+    return objects
 
 
 def select_agents(
@@ -366,7 +373,7 @@ def select_agents(
     )
     want = min(len(others), round(config.distractor_ratio * len(critical)))
     if want and others:
-        rng = _frame_rng(config.seed, scene.id, frame)
+        rng = seeded_rng(config.seed, scene.id, frame, "qa")
         sampled = sorted(rng.choice(others, size=want, replace=False).tolist())
     else:
         sampled = []
@@ -464,16 +471,7 @@ def gen_reasoning_qas(
             )
         )
 
-    objects = []
-    for crit in crits:
-        if not crit.critical:
-            continue
-        track = tracks[crit.agent_id]
-        if not track.states[frame].valid:
-            continue
-        x, y = _ego_frame_position(scene, track, frame)
-        objects.append({"category": track.category.value, "x": x, "y": y})
-    payload = {"objects": objects}
+    payload = {"objects": _critical_objects(scene, frame, crits, tracks)}
     records.append(
         QARecord(
             id=f"{scene.id}:{frame}:REASONING_GROUNDING:scene",
@@ -507,15 +505,6 @@ def gen_planning_qas(
         )
 
     tracks = {t.id: t for t in scene.agents}
-    critical_objects = []
-    for crit in crits:
-        if not crit.critical:
-            continue
-        track = tracks[crit.agent_id]
-        if not track.states[frame].valid:
-            continue
-        x, y = _ego_frame_position(scene, track, frame)
-        critical_objects.append({"category": track.category.value, "x": x, "y": y})
 
     plans = []
     for label in labels:
@@ -544,7 +533,7 @@ def gen_planning_qas(
         for x, y in ego_future_waypoints(scene, frame)
     ]
     payload = {
-        "critical_objects": critical_objects,
+        "critical_objects": _critical_objects(scene, frame, crits, tracks),
         "plans": plans,
         "lane_decision": decision.value,
         "waypoints": waypoints,

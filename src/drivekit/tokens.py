@@ -23,13 +23,14 @@ TOKB layout (little-endian):
 """
 from __future__ import annotations
 
-import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
+from .config import seeded_rng
 from .errors import FormatError, LengthError, MagicError, TruncatedError, VersionError
 from .scene import AgentCategory, LaneSemantic, Scene
 
@@ -42,6 +43,10 @@ MAGIC = b"TOKB"
 VERSION = 1
 HEADER_SIZE = 28
 _HEADER = struct.Struct("<4sHHIfIII")
+# the body: one record array per section, in this order
+_AGENT_RECORD = np.dtype([("id", "<u8"), ("values", "<f4", (AGENT_DIM,))])
+_MAP_RECORD = np.dtype([("id", "<u8"), ("values", "<f4", (MAP_DIM,))])
+_SCENE_RECORD = np.dtype(("<f4", (MAP_DIM,)))
 
 CATEGORY_ORDER = tuple(AgentCategory)  # one-hot order, 9 categories
 SEMANTIC_ORDER = tuple(LaneSemantic)  # one-hot order, 3 semantics
@@ -54,62 +59,68 @@ _MAP_ATTR_SLOTS = 4  # x0, y0, x1, y1
 _MAP_ONEHOT_END = _MAP_ATTR_SLOTS + len(SEMANTIC_ORDER)
 
 
-def _quantize(values, expected: int, what: str) -> tuple:
-    arr = np.asarray(values, dtype=np.float32)
-    if arr.ndim != 1 or arr.shape[0] != expected:
-        raise LengthError(f"{what} must have exactly {expected} components")
-    if not np.all(np.isfinite(arr)):
-        raise FormatError(f"{what} components must be finite")
-    return tuple(float(v) for v in arr)
+def _is_uint(value, bits: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**bits
 
 
-@dataclass(frozen=True)
-class TrackToken:
-    values: tuple
+@dataclass(frozen=True, eq=False)
+class _Token:
+    """Token components as one read-only little-endian f32 array. Equality is
+    exact: same type, same components. Tokens are unhashable."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _quantize(self.values, TRACK_DIM, "track token"))
-
-
-@dataclass(frozen=True)
-class MotionToken:
-    values: tuple
+    values: np.ndarray
+    width = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _quantize(self.values, MOTION_DIM, "motion token"))
+        arr = np.array(self.values, "<f4")
+        name = type(self).__name__
+        if arr.shape != (self.width,):
+            raise LengthError(f"{name} must have exactly {self.width} components")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{name} components must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.values, other.values)
+
+    __hash__ = None
 
 
-@dataclass(frozen=True)
-class MapToken:
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _quantize(self.values, MAP_DIM, "map token"))
+class TrackToken(_Token):
+    width = TRACK_DIM
 
 
-@dataclass(frozen=True)
-class AgentToken:
-    values: tuple
+class MotionToken(_Token):
+    width = MOTION_DIM
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _quantize(self.values, AGENT_DIM, "agent token"))
+
+class MapToken(_Token):
+    width = MAP_DIM
+
+
+class AgentToken(_Token):
+    width = AGENT_DIM
 
     @property
-    def track(self) -> tuple:
+    def track(self) -> np.ndarray:
         return self.values[:TRACK_DIM]
 
     @property
-    def motion(self) -> tuple:
+    def motion(self) -> np.ndarray:
         return self.values[TRACK_DIM:]
 
 
 def concat_agent_token(track: TrackToken, motion: MotionToken) -> AgentToken:
     """Agent token = track token followed by motion token."""
-    return AgentToken(values=track.values + motion.values)
+    return AgentToken(np.concatenate((track.values, motion.values)))
 
 
 @dataclass(frozen=True)
 class TokenBundle:
+    """One frame's tokens. Construction rejects, with FormatError, anything
+    write_bundle could not write or read_bundle could not read back."""
+
     scene_id: str
     frame: int
     frame_rate: float
@@ -120,6 +131,8 @@ class TokenBundle:
     def __post_init__(self):
         object.__setattr__(self, "agent_tokens", tuple(self.agent_tokens))
         object.__setattr__(self, "map_tokens", tuple(self.map_tokens))
+        if any(isinstance(t, _Token) and type(t) is not MapToken for t in self.scene_tokens):
+            raise FormatError("scene tokens must be MapTokens")
         object.__setattr__(
             self,
             "scene_tokens",
@@ -127,25 +140,37 @@ class TokenBundle:
                 t if isinstance(t, MapToken) else MapToken(t) for t in self.scene_tokens
             ),
         )
-        object.__setattr__(self, "frame_rate", float(np.float32(self.frame_rate)))
-        for name, pairs in (("agent", self.agent_tokens), ("map", self.map_tokens)):
-            ids = [i for i, _ in pairs]
-            if len(set(ids)) != len(ids):
+        try:
+            sid = self.scene_id.encode("utf-8")
+        except (AttributeError, UnicodeEncodeError):
+            raise FormatError(f"scene id {self.scene_id!r} is not a utf-8 string") from None
+        if len(sid) > 0xFFFF:
+            raise FormatError("scene id too long for TOKB header")
+        if not _is_uint(self.frame, 32):
+            raise FormatError(f"frame {self.frame!r} is not an int in [0, 2**32)")
+        try:
+            with np.errstate(over="ignore"):
+                rate = float(np.float32(self.frame_rate))
+        except (TypeError, ValueError):
+            raise FormatError(f"frame rate {self.frame_rate!r} is not a number") from None
+        if not math.isfinite(rate):
+            raise FormatError(f"frame rate {self.frame_rate!r} is not finite as f32")
+        object.__setattr__(self, "frame_rate", rate)
+        for name, pairs, cls in (
+            ("agent", self.agent_tokens, AgentToken),
+            ("map", self.map_tokens, MapToken),
+        ):
+            for i, token in pairs:
+                if not _is_uint(i, 64):
+                    raise FormatError(f"{name} token id {i!r} is not an int in u64 range")
+                if type(token) is not cls:
+                    raise FormatError(f"{name} token {i} is not a {cls.__name__}")
+            if len({i for i, _ in pairs}) != len(pairs):
                 raise FormatError(f"duplicate {name} token ids in bundle")
-            for i in ids:
-                if not (0 <= i < 2**64):
-                    raise FormatError(f"{name} token id {i} outside u64 range")
 
 
 # --------------------------------------------------------------------------
 # fixture encode / decode
-
-
-def _entity_rng(seed: int, scene_id: str, frame: int, kind: str, entity_id: int):
-    digest = hashlib.sha256(
-        f"{seed}:{scene_id}:{frame}:{kind}:{entity_id}".encode("utf-8")
-    ).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
 
 
 def fixture_encode(scene: Scene, frame: int, seed: int) -> TokenBundle:
@@ -158,7 +183,7 @@ def fixture_encode(scene: Scene, frame: int, seed: int) -> TokenBundle:
         st = track.states[frame]
         if not st.valid:
             continue
-        rng = _entity_rng(seed, scene.id, frame, "agent", track.id)
+        rng = seeded_rng(seed, scene.id, frame, "agent", track.id)
         values = rng.standard_normal(AGENT_DIM)
         values[0:_AGENT_ATTR_SLOTS] = (
             st.pose.x,
@@ -175,7 +200,7 @@ def fixture_encode(scene: Scene, frame: int, seed: int) -> TokenBundle:
 
     map_tokens = []
     for lane in scene.lanes:
-        rng = _entity_rng(seed, scene.id, frame, "map", lane.id)
+        rng = seeded_rng(seed, scene.id, frame, "map", lane.id)
         values = rng.standard_normal(MAP_DIM)
         x0, y0 = lane.centerline[0]
         x1, y1 = lane.centerline[-1]
@@ -227,9 +252,7 @@ def fixture_decode(bundle: TokenBundle) -> Tuple[list, list]:
     """Inverse of fixture_encode on the designated slots."""
     agents = []
     for agent_id, token in bundle.agent_tokens:
-        if not isinstance(token, AgentToken) or len(token.values) != AGENT_DIM:
-            raise FormatError("agent token has wrong width")
-        v = token.values
+        v = token.values[:_AGENT_ONEHOT_END].tolist()
         category = _decode_onehot(
             v[_AGENT_ATTR_SLOTS:_AGENT_ONEHOT_END], CATEGORY_ORDER, f"agent {agent_id}"
         )
@@ -247,9 +270,7 @@ def fixture_decode(bundle: TokenBundle) -> Tuple[list, list]:
         )
     maps = []
     for lane_id, token in bundle.map_tokens:
-        if not isinstance(token, MapToken) or len(token.values) != MAP_DIM:
-            raise FormatError("map token has wrong width")
-        v = token.values
+        v = token.values[:_MAP_ONEHOT_END].tolist()
         semantic = _decode_onehot(
             v[_MAP_ATTR_SLOTS:_MAP_ONEHOT_END], SEMANTIC_ORDER, f"lane {lane_id}"
         )
@@ -265,10 +286,6 @@ def fixture_decode(bundle: TokenBundle) -> Tuple[list, list]:
 # TOKB container
 
 
-def _f32_bytes(values: tuple) -> bytes:
-    return np.asarray(values, dtype="<f4").tobytes()
-
-
 def write_bundle(bundle: TokenBundle, sink) -> None:
     """Write a bundle to a path or binary file object, bit-exactly."""
     if hasattr(sink, "write"):
@@ -280,8 +297,6 @@ def write_bundle(bundle: TokenBundle, sink) -> None:
 
 def _write_stream(bundle: TokenBundle, fh) -> None:
     sid = bundle.scene_id.encode("utf-8")
-    if len(sid) > 0xFFFF:
-        raise FormatError("scene id too long for TOKB header")
     fh.write(
         _HEADER.pack(
             MAGIC,
@@ -295,14 +310,9 @@ def _write_stream(bundle: TokenBundle, fh) -> None:
         )
     )
     fh.write(sid)
-    for agent_id, token in bundle.agent_tokens:
-        fh.write(struct.pack("<Q", agent_id))
-        fh.write(_f32_bytes(token.values))
-    for lane_id, token in bundle.map_tokens:
-        fh.write(struct.pack("<Q", lane_id))
-        fh.write(_f32_bytes(token.values))
-    for token in bundle.scene_tokens:
-        fh.write(_f32_bytes(token.values))
+    fh.write(np.array([(i, t.values) for i, t in bundle.agent_tokens], _AGENT_RECORD).tobytes())
+    fh.write(np.array([(i, t.values) for i, t in bundle.map_tokens], _MAP_RECORD).tobytes())
+    fh.write(np.array([t.values for t in bundle.scene_tokens], "<f4").tobytes())
 
 
 def read_bundle(source) -> TokenBundle:
@@ -317,54 +327,35 @@ def read_bundle(source) -> TokenBundle:
     return _parse(data)
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedError(
-                f"need {self.pos + n} bytes, file has {len(self.data)}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-
 def _parse(data: bytes) -> TokenBundle:
-    cur = _Cursor(data)
-    header = cur.take(HEADER_SIZE)
-    magic, version, sid_len, frame, frame_rate, n_agents, n_maps, n_scene = _HEADER.unpack(
-        header
+    if len(data) < HEADER_SIZE:
+        raise TruncatedError(f"need {HEADER_SIZE} header bytes, file has {len(data)}")
+    magic, version, sid_len, frame, frame_rate, n_agents, n_maps, n_scene = (
+        _HEADER.unpack_from(data)
     )
     if magic != MAGIC:
         raise MagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise VersionError(f"unsupported version {version}")
-    scene_id = cur.take(sid_len).decode("utf-8")
-
-    def read_values(dim: int) -> tuple:
-        raw = cur.take(4 * dim)
-        return tuple(float(v) for v in np.frombuffer(raw, dtype="<f4"))
-
-    agent_tokens = []
-    for _ in range(n_agents):
-        (agent_id,) = struct.unpack("<Q", cur.take(8))
-        agent_tokens.append((agent_id, AgentToken(read_values(AGENT_DIM))))
-    map_tokens = []
-    for _ in range(n_maps):
-        (lane_id,) = struct.unpack("<Q", cur.take(8))
-        map_tokens.append((lane_id, MapToken(read_values(MAP_DIM))))
-    scene_tokens = [MapToken(read_values(MAP_DIM)) for _ in range(n_scene)]
-
-    if cur.pos != len(data):
-        raise TruncatedError(f"{len(data) - cur.pos} unexpected trailing bytes")
+    sections = ((_AGENT_RECORD, n_agents), (_MAP_RECORD, n_maps), (_SCENE_RECORD, n_scene))
+    size = HEADER_SIZE + sid_len + sum(dtype.itemsize * n for dtype, n in sections)
+    if len(data) != size:
+        raise TruncatedError(f"header promises {size} bytes, file has {len(data)}")
+    try:
+        scene_id = data[HEADER_SIZE : HEADER_SIZE + sid_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("scene id is not valid utf-8") from None
+    pos = HEADER_SIZE + sid_len
+    arrays = []
+    for dtype, n in sections:
+        arrays.append(np.frombuffer(data, dtype, count=n, offset=pos))
+        pos += dtype.itemsize * n
+    agents, maps, scene = arrays
     return TokenBundle(
         scene_id=scene_id,
         frame=frame,
         frame_rate=frame_rate,
-        agent_tokens=tuple(agent_tokens),
-        map_tokens=tuple(map_tokens),
-        scene_tokens=tuple(scene_tokens),
+        agent_tokens=tuple(zip(agents["id"].tolist(), map(AgentToken, agents["values"]))),
+        map_tokens=tuple(zip(maps["id"].tolist(), map(MapToken, maps["values"]))),
+        scene_tokens=tuple(map(MapToken, scene)),
     )
