@@ -14,7 +14,6 @@ from .scene import (
     ScenarioKind,
     Scene,
     Trajectory,
-    headings_from_waypoints,
     load_scene,
     load_scene_file,
     save_scene,

@@ -130,22 +130,36 @@ def cmd_label(args) -> int:
 # gen-qa
 
 
-def _qa_scene(path: str, config_dict: dict, sidecar_json: str, templates_path):
+def _load_sidecar(path) -> list:
+    """(scene_id or None, InteractionLabel) per record of a label sidecar."""
+    try:
+        records = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+        raise SchemaError(f"{path}: label sidecar is not valid JSON: {exc}") from None
+    if not isinstance(records, list) or not all(isinstance(d, dict) for d in records):
+        raise SchemaError(f"{path}: label sidecar must be a JSON list of objects")
+    try:
+        return [(d.get("scene_id"), InteractionLabel.from_dict(d)) for d in records]
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc.message}") from None
+
+
+def _qa_scene(path: str, config_dict: dict, sidecar, templates_path):
     config = Config.from_dict(config_dict)
     templates = load_templates(templates_path)
     scene = load_scene_file(path)
     rel = compute_relations(scene, config)
     labels = label_interactions(scene, rel, config)
-    if sidecar_json:
+    if sidecar is not None:
         # sidecar records may carry an optional scene_id to scope them; an
         # unscoped record applies to any scene holding that agent
         agent_ids = {t.id for t in scene.agents}
-        sidecar = [
-            InteractionLabel.from_dict(d)
-            for d in json.loads(sidecar_json)
-            if d.get("scene_id") in (None, scene.id) and int(d["agent_id"]) in agent_ids
+        scoped = [
+            label
+            for scene_id, label in sidecar
+            if scene_id in (None, scene.id) and label.agent_id in agent_ids
         ]
-        labels = merge_override_labels(labels, sidecar)
+        labels = merge_override_labels(labels, scoped)
     lines = []
     for frame in range(scene.n_frames):
         crits = critical_objects(scene, labels, frame, config)
@@ -163,11 +177,9 @@ def _qa_scene(path: str, config_dict: dict, sidecar_json: str, templates_path):
 
 def cmd_gen_qa(args) -> int:
     config = _resolve_config(args)
-    sidecar_json = ""
-    if args.labels:
-        sidecar_json = Path(args.labels).read_text(encoding="utf-8")
+    sidecar = _load_sidecar(args.labels) if args.labels else None
     items = [
-        (str(p), config.to_dict(), sidecar_json, args.templates)
+        (str(p), config.to_dict(), sidecar, args.templates)
         for p in sorted(args.scenes)
     ]
     results = _map_jobs(_qa_scene, items, args.jobs)
@@ -244,8 +256,10 @@ def _load_plans(path):
                         waypoints=tuple((float(x), float(y)) for x, y in record["waypoints"]),
                     )
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}:{i + 1}: bad plan record: {exc}") from None
+            except DrivekitError as exc:
+                raise type(exc)(f"{path}:{i + 1}: {exc.message}") from None
     return plans
 
 

@@ -85,8 +85,8 @@ class InteractionLabel:
                 side=Side(side) if side else None,
                 frame_span=(int(data["frame_span"][0]), int(data["frame_span"][1])),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad interaction label record: {exc}") from None
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad interaction label record: {exc!r}") from None
 
 
 class CriticalReason(enum.Enum):
@@ -114,8 +114,9 @@ def _mode_runs(modes) -> list:
 
 
 def _mean_abs_speed(track, start: int, end: int) -> float:
-    speeds = [abs(st.speed) for st in track.states[start : end + 1] if st.valid]
-    return float(np.mean(speeds)) if speeds else 0.0
+    states = track.arrays[start : end + 1]
+    speeds = np.abs(states["speed"][states["valid"]])
+    return float(np.mean(speeds)) if len(speeds) else 0.0
 
 
 def _pass_patterns(modes) -> list:
@@ -174,8 +175,7 @@ def label_interactions(
     agent sits AHEAD within d_yield and has cleared by the resume frame.
     """
     labels: List[InteractionLabel] = []
-    ego_speeds = [st.speed for st in scene.ego.states]
-    stop_runs = _stopped_runs(ego_speeds, config.v_stop)
+    stop_runs = _stopped_runs(scene.ego.arrays["speed"], config.v_stop)
 
     for track in scene.agents:
         modes = rel.lane_modes[track.id]
@@ -237,12 +237,8 @@ def label_interactions(
 def ego_corridor(scene: Scene, frame: int, config: Config) -> np.ndarray:
     """Ego ground-truth path over the next t_corridor seconds, as points."""
     last = min(scene.n_frames - 1, frame + round(config.t_corridor * scene.frame_rate))
-    pts = [
-        (st.pose.x, st.pose.y)
-        for st in scene.ego.states[frame : last + 1]
-        if st.valid
-    ]
-    return np.asarray(pts, dtype=float)
+    states = scene.ego.arrays[frame : last + 1]
+    return states["xy"][states["valid"]]
 
 
 def critical_objects(
@@ -254,19 +250,16 @@ def critical_objects(
     dilation = 0.5 * scene.ego.states[frame].box[1] + config.corridor_margin
     interacting = {l.agent_id for l in labels if l.covers(frame)}
     in_corridor = set()
-    candidates = [
-        t for t in scene.agents if t.id not in interacting and t.states[frame].valid
-    ]
-    if candidates and len(corridor) > 0:
-        states = [t.states[frame] for t in candidates]
+    states = scene.agent_arrays[:, frame]
+    free = np.array([t.id not in interacting for t in scene.agents], dtype=bool)
+    candidate = states["valid"] & free
+    if candidate.any() and len(corridor) > 0:
+        states = states[candidate]
         dist = polyline_obb_distance(
-            corridor,
-            [(st.pose.x, st.pose.y) for st in states],
-            [st.pose.heading for st in states],
-            [st.box[0] for st in states],
-            [st.box[1] for st in states],
+            corridor, states["xy"], states["heading"], states["box"][:, 0], states["box"][:, 1]
         )
-        in_corridor = {t.id for t, d in zip(candidates, dist.tolist()) if d <= dilation}
+        ids = [t.id for t, c in zip(scene.agents, candidate) if c]
+        in_corridor = {i for i, d in zip(ids, dist.tolist()) if d <= dilation}
     out = []
     for track in scene.agents:
         reason = CriticalReason.NONE

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .config import Config
-from .errors import AlignError
+from .errors import AlignError, SchemaError
 from .geometry import from_frame, obb_corners, obb_overlap
 from .scene import Scene, Trajectory, headings_xy, wrap_angle
 
@@ -119,16 +119,13 @@ def plan_collision_fraction(scene: Scene, frame: int, plan, eps_move: float = 1e
     wp_global = from_frame(wp, anchor)
     local_headings = headings_xy(wp, 0.0, eps_move)
 
-    # steps that land inside the scene, and every (step, valid agent) pair
+    # steps that land inside the scene, and every (step, valid agent) pair in
+    # step-major, agent-minor order
     n_steps = min(PLAN_STEPS, (scene.n_frames - 1 - frame) // spf)
-    step_of, states = [], []
-    for k in range(n_steps):
-        f = frame + (k + 1) * spf
-        for track in scene.agents:
-            if track.states[f].valid:
-                step_of.append(k)
-                states.append(track.states[f])
-    if not states:
+    steps = scene.agent_arrays[:, frame + spf * np.arange(1, n_steps + 1)].T
+    step_of = np.nonzero(steps["valid"])[0]
+    states = steps[steps["valid"]]
+    if not len(states):
         return 0.0
     ego_boxes = obb_corners(
         wp_global[:n_steps],
@@ -137,13 +134,10 @@ def plan_collision_fraction(scene: Scene, frame: int, plan, eps_move: float = 1e
         ego_wid,
     )
     agent_boxes = obb_corners(
-        [(st.pose.x, st.pose.y) for st in states],
-        [st.pose.heading for st in states],
-        [st.box[0] for st in states],
-        [st.box[1] for st in states],
+        states["xy"], states["heading"], states["box"][:, 0], states["box"][:, 1]
     )
     hit = obb_overlap(ego_boxes[step_of], agent_boxes)
-    return len(set(np.asarray(step_of)[hit].tolist())) / PLAN_STEPS
+    return len(set(step_of[hit].tolist())) / PLAN_STEPS
 
 
 # --------------------------------------------------------------------------
@@ -160,6 +154,8 @@ class PlanSample:
         wp = tuple((float(x), float(y)) for x, y in self.waypoints)
         if len(wp) != PLAN_STEPS:
             raise AlignError(f"plan sample needs {PLAN_STEPS} waypoints")
+        if not all(math.isfinite(v) for xy in wp for v in xy):
+            raise SchemaError("plan sample waypoints must be finite")
         object.__setattr__(self, "waypoints", wp)
 
 

@@ -31,17 +31,8 @@ def ego_future_waypoints(scene: Scene, frame: int, steps: int = PLAN_STEPS) -> n
             f"scene {scene.id} frame {frame}: ground-truth future incomplete"
         )
     spf = _steps_per_frame(scene.frame_rate)
-    anchor = scene.ego.states[frame].pose
-    pts = np.array(
-        [
-            (
-                scene.ego.states[frame + (k + 1) * spf].pose.x,
-                scene.ego.states[frame + (k + 1) * spf].pose.y,
-            )
-            for k in range(steps)
-        ]
-    )
-    return to_frame(pts, anchor)
+    pts = scene.ego.arrays["xy"][frame + spf * np.arange(1, steps + 1)]
+    return to_frame(pts, scene.ego.states[frame].pose)
 
 
 def replay_planner(scene: Scene, frame: int) -> Trajectory:
@@ -85,12 +76,11 @@ def lane_follow_planner(
     lane end it continues along the final tangent."""
     config = config or Config()
     state = scene.ego.states[frame]
-    [assoc] = associate_lane(
-        [state.pose], LaneIndex.build(scene.lanes), config, check_heading=True
-    )
+    index = LaneIndex.build(scene.lanes)
+    [assoc] = associate_lane([state.pose], index, config, check_heading=True)
     if assoc is None:
         raise NoLaneError(f"scene {scene.id} frame {frame}: ego is not on any lane")
-    lane = scene.lane_by_id(assoc.lane_id)
+    lane = index.by_id[assoc.lane_id]
     speed = target_speed if target_speed is not None else abs(state.speed)
     anchor = state.pose
     pts = np.array(

@@ -20,7 +20,7 @@ from .config import Config, seeded_rng
 from .errors import FormatError, InsufficientFutureError, SchemaError
 from .geometry import to_frame
 from .interactions import Criticality, CriticalReason, InteractionLabel
-from .metrics import PLAN_STEPS, future_complete
+from .metrics import PLAN_STEPS, _steps_per_frame, future_complete
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
 from .scene import AgentCategory, NavigationCommand, Scene
 
@@ -517,7 +517,7 @@ def gen_planning_qas(
                 }
             )
 
-    spf = max(1, round(0.5 * scene.frame_rate))
+    spf = _steps_per_frame(scene.frame_rate)
     horizon = rel.ego_decisions[frame + 1 : frame + PLAN_STEPS * spf + 1]
     decision = EgoLaneDecision.KEEP_LANE
     for d in horizon:

@@ -181,32 +181,20 @@ def classify_homotopy(traj_a, traj_b, theta_s: float, eps_rel: float = 0.05) -> 
 
 @dataclass(frozen=True)
 class RelationOutputs:
-    ego_assoc: tuple  # Optional[LaneAssociation] per frame
     ego_decisions: tuple  # EgoLaneDecision per frame
     nav_commands: tuple  # NavigationCommand per frame
     lane_modes: dict  # agent id -> tuple[LaneMode] per frame
     lon_gaps: dict  # agent id -> tuple[Optional[float]] per frame
-    agent_assoc: dict  # agent id -> tuple[Optional[LaneAssociation]] per frame
 
 
-def _ego_associations(scene: Scene, index: LaneIndex, config: Config) -> list:
-    return associate_lane([st.pose for st in scene.ego.states], index, config, check_heading=True)
-
-
-def ego_lane_decisions(
-    scene: Scene, config: Config, ego_assoc: Optional[list] = None
-) -> list:
-    """Per-frame ego decision: lane-change on association-switch frames,
-    straddle while the footprint crosses the divider, keep-lane otherwise."""
-    assoc = (
-        ego_assoc
-        if ego_assoc is not None
-        else _ego_associations(scene, LaneIndex.build(scene.lanes), config)
-    )
+def ego_lane_decisions(scene: Scene, ego_assoc: list) -> list:
+    """Per-frame ego decision from the ego's per-frame lane association:
+    lane-change on association-switch frames, straddle while the footprint
+    crosses the divider, keep-lane otherwise."""
     lanes_by_id = {ln.id: ln for ln in scene.lanes}
     decisions = []
     prev_lane: Optional[int] = None
-    for f, la in enumerate(assoc):
+    for f, la in enumerate(ego_assoc):
         if la is None:
             decisions.append(EgoLaneDecision.KEEP_LANE)
             continue
@@ -231,34 +219,26 @@ def _heading_deltas(headings: list) -> list:
     return [wrap_angle(b - a) for a, b in zip(headings, headings[1:])]
 
 
-def label_nav_commands(
-    scene: Scene, config: Config, ego_assoc: Optional[list] = None
-) -> list:
+def label_nav_commands(scene: Scene, config: Config, ego_assoc: list) -> list:
     """Road-level navigation command per frame, labeled offline from the full
-    episode.
+    episode and the ego's per-frame lane association.
 
     Forward window of nav_window_s seconds: heading change beyond theta_uturn
     reads U-turn, or 3-point turn when the window contains reversing frames;
     changes in [theta_turn, theta_uturn) read turn while the ego is on an
     intersection lane and prepare-to-turn while one is within d_prep ahead.
     """
-    assoc = (
-        ego_assoc
-        if ego_assoc is not None
-        else _ego_associations(scene, LaneIndex.build(scene.lanes), config)
-    )
     lanes_by_id = {ln.id: ln for ln in scene.lanes}
     n = scene.n_frames
-    headings = [st.pose.heading for st in scene.ego.states]
-    speeds = [st.speed for st in scene.ego.states]
-    positions = np.array([(st.pose.x, st.pose.y) for st in scene.ego.states])
-    deltas = _heading_deltas(headings)
-    step = np.hypot(*(np.diff(positions, axis=0).T)) if n > 1 else np.array([])
+    ego = scene.ego.arrays
+    deltas = _heading_deltas(ego["heading"].tolist())
+    reversing = ego["speed"] < config.v_rev
+    step = np.hypot(*(np.diff(ego["xy"], axis=0).T)) if n > 1 else np.array([])
 
     on_intersection = [
         la is not None
         and lanes_by_id[la.lane_id].semantic is LaneSemantic.INTERSECTION
-        for la in assoc
+        for la in ego_assoc
     ]
 
     window = max(1, round(config.nav_window_s * scene.frame_rate))
@@ -266,7 +246,7 @@ def label_nav_commands(
     for t in range(n):
         end = min(t + window, n - 1)
         dpsi = sum(deltas[t:end])
-        reversal = any(s < config.v_rev for s in speeds[t : end + 1])
+        reversal = reversing[t : end + 1].any()
         if abs(dpsi) >= config.theta_uturn:
             if reversal:
                 cmd = (
@@ -316,22 +296,21 @@ def compute_relations(scene: Scene, config: Config) -> RelationOutputs:
     """Run the full per-scene relation pipeline once; downstream labeling and
     QA generation consume this container."""
     index = LaneIndex.build(scene.lanes)
-    ego_assoc = _ego_associations(scene, index, config)
+    ego_assoc = associate_lane(
+        [st.pose for st in scene.ego.states], index, config, check_heading=True
+    )
 
     lane_modes: Dict[int, tuple] = {}
     lon_gaps: Dict[int, tuple] = {}
-    agent_assoc: Dict[int, tuple] = {}
     for track in scene.agents:
         check_heading = track.category not in POSITION_ONLY_CATEGORIES
         valid = [f for f, st in enumerate(track.states) if st.valid]
         found = associate_lane(
             [track.states[f].pose for f in valid], index, config, check_heading
         )
-        assoc_per_frame = [None] * len(track.states)
         modes = [LaneMode.NOTON] * len(track.states)
         gaps: List[Optional[float]] = [None] * len(track.states)
         for f, la in zip(valid, found):
-            assoc_per_frame[f] = la
             ego_la = ego_assoc[f]
             modes[f], gaps[f] = agent_ego_lane_mode(
                 la.lane_id if la else None,
@@ -343,17 +322,12 @@ def compute_relations(scene: Scene, config: Config) -> RelationOutputs:
             )
         lane_modes[track.id] = tuple(modes)
         lon_gaps[track.id] = tuple(gaps)
-        agent_assoc[track.id] = tuple(assoc_per_frame)
 
-    decisions = ego_lane_decisions(scene, config, ego_assoc)
-    nav = label_nav_commands(scene, config, ego_assoc)
     return RelationOutputs(
-        ego_assoc=tuple(ego_assoc),
-        ego_decisions=tuple(decisions),
-        nav_commands=tuple(nav),
+        ego_decisions=tuple(ego_lane_decisions(scene, ego_assoc)),
+        nav_commands=tuple(label_nav_commands(scene, config, ego_assoc)),
         lane_modes=lane_modes,
         lon_gaps=lon_gaps,
-        agent_assoc=agent_assoc,
     )
 
 

@@ -10,11 +10,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .errors import LengthError, RefError, SchemaError
 
 TWO_PI = 2.0 * math.pi
+
+# one record per agent state: the AgentState floats, bit for bit
+STATE_DTYPE = np.dtype(
+    [("xy", "f8", (2,)), ("heading", "f8"), ("speed", "f8"), ("box", "f8", (2,)), ("valid", "?")]
+)
 
 
 def wrap_angle(a: float) -> float:
@@ -110,6 +118,16 @@ class AgentTrack:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
 
+    @cached_property
+    def arrays(self) -> np.ndarray:
+        """Read-only STATE_DTYPE record per frame."""
+        arr = np.array(
+            [((s.pose.x, s.pose.y), s.pose.heading, s.speed, s.box, s.valid) for s in self.states],
+            dtype=STATE_DTYPE,
+        )
+        arr.flags.writeable = False
+        return arr
+
 
 @dataclass(frozen=True)
 class Lane:
@@ -203,15 +221,15 @@ class Scene:
     def n_frames(self) -> int:
         return len(self.ego.states)
 
-    @property
-    def frame_dt(self) -> float:
-        return 1.0 / self.frame_rate
-
-    def lane_by_id(self, lane_id: int) -> Lane:
-        for ln in self.lanes:
-            if ln.id == lane_id:
-                return ln
-        raise RefError(f"unknown lane id {lane_id}")
+    @cached_property
+    def agent_arrays(self) -> np.ndarray:
+        """Read-only (agents, frames) STATE_DTYPE records, in agent-id order."""
+        if self.agents:
+            arr = np.stack([tr.arrays for tr in self.agents])
+        else:
+            arr = np.zeros((0, self.n_frames), STATE_DTYPE)
+        arr.flags.writeable = False
+        return arr
 
 
 @dataclass(frozen=True)
@@ -232,13 +250,9 @@ class Trajectory:
         object.__setattr__(self, "waypoints", wps)
 
     def xy(self):
-        import numpy as np
-
         return np.array([(x, y) for _, x, y in self.waypoints], dtype=float)
 
     def times(self):
-        import numpy as np
-
         return np.array([t for t, _, _ in self.waypoints], dtype=float)
 
 
@@ -268,26 +282,8 @@ def headings_xy(xy, initial_heading: float, eps_move: float = 1e-3):
     return headings
 
 
-def headings_from_waypoints(
-    trajectory: Trajectory, initial_heading: float, eps_move: float = 1e-3
-) -> tuple:
-    xy = [(x, y) for _, x, y in trajectory.waypoints]
-    return tuple(headings_xy(xy, initial_heading, eps_move))
-
-
 # --------------------------------------------------------------------------
 # canonical serialization
-
-_VERSIONED_KEYS = (
-    "id",
-    "frame_rate_hz",
-    "lanes",
-    "agents",
-    "ego",
-    "nav_commands",
-    "scenario_tag",
-)
-
 
 def format_float(x: float) -> str:
     """Canonical 9-significant-digit float formatting (idempotent on reload)."""
@@ -501,13 +497,13 @@ def load_scene(document) -> Scene:
     """
     import json as _json
 
-    if isinstance(document, (bytes, bytearray)):
-        document = document.decode("utf-8")
-    if isinstance(document, str):
-        try:
+    try:
+        if isinstance(document, (bytes, bytearray)):
+            document = document.decode("utf-8")
+        if isinstance(document, str):
             document = _json.loads(document)
-        except _json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+        raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SchemaError("scene document must be a JSON object")
 
@@ -557,7 +553,7 @@ def load_scene(document) -> Scene:
 
 
 def load_scene_file(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return load_scene(fh.read())
 
 

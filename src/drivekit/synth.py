@@ -233,11 +233,6 @@ def synth_three_point_turn(start_pose: Pose2, params: Optional[dict] = None) -> 
     return out
 
 
-def three_point_turn_duration(params: Optional[dict] = None) -> float:
-    _, total = _three_point_turn_curve(Pose2(0.0, 0.0, 0.0), params)
-    return total
-
-
 # --------------------------------------------------------------------------
 # scene builders
 

@@ -178,21 +178,15 @@ def fixture_encode(scene: Scene, frame: int, seed: int) -> TokenBundle:
     slots, seeded noise elsewhere. Agents invalid at the frame are skipped."""
     if not (0 <= frame < scene.n_frames):
         raise FormatError(f"frame {frame} outside scene of {scene.n_frames} frames")
+    states = scene.agent_arrays[:, frame]
+    attrs = np.column_stack((states["xy"], states["heading"], states["speed"], states["box"]))
     agent_tokens = []
-    for track in scene.agents:
-        st = track.states[frame]
-        if not st.valid:
+    for track, valid, attr in zip(scene.agents, states["valid"], attrs):
+        if not valid:
             continue
         rng = seeded_rng(seed, scene.id, frame, "agent", track.id)
         values = rng.standard_normal(AGENT_DIM)
-        values[0:_AGENT_ATTR_SLOTS] = (
-            st.pose.x,
-            st.pose.y,
-            st.pose.heading,
-            st.speed,
-            st.box[0],
-            st.box[1],
-        )
+        values[0:_AGENT_ATTR_SLOTS] = attr
         onehot = np.zeros(len(CATEGORY_ORDER))
         onehot[CATEGORY_ORDER.index(track.category)] = 1.0
         values[_AGENT_ATTR_SLOTS:_AGENT_ONEHOT_END] = onehot

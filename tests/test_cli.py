@@ -235,3 +235,56 @@ def test_synth_then_label_closure_on_three_point_turns(tmp_path):
     assert len(by_scene) == 4
     for commands in by_scene.values():
         assert "THREE_POINT_TURN_LEFT" in commands  # full tag recovery
+
+
+def _one_error_line(err: str) -> dict:
+    lines = err.strip().split("\n")
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def test_validate_reports_bad_utf8_and_keeps_going(tmp_path, scene_files, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"id": "\xff"}')
+    assert main(["validate", str(bad), scene_files[0]]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
+    assert [(l["path"], l["ok"]) for l in lines] == [(str(bad), False), (scene_files[0], True)]
+    assert lines[0]["error"] == "SCHEMA_ERROR"
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        b'[{"agent_id": 10,',  # malformed JSON
+        b"\xff[]",  # not UTF-8
+        b'{"agent_id": 10}',  # not a list
+        b'[{"kind": "YIELD_TO_VEHICLE", "frame_span": [0, 1]}]',  # no agent_id
+        b'[{"agent_id": 10, "kind": "YIELD_TO_VEHICLE", "frame_span": [0]}]',
+    ],
+)
+def test_gen_qa_bad_sidecar_is_one_json_error(tmp_path, scene_files, capsys, sidecar):
+    path = tmp_path / "sidecar.json"
+    path.write_bytes(sidecar)
+    out = tmp_path / "qa.jsonl"
+    assert main(["gen-qa", "--out", str(out), "--labels", str(path), *scene_files]) == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error["error"] == "SCHEMA_ERROR"
+    assert str(path) in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_evaluate_rejects_non_finite_waypoints(tmp_path, scene_files, capsys, value):
+    plans = tmp_path / "plans.jsonl"
+    assert _write_replay_plans(scene_files[:1], plans) > 1
+    lines = plans.read_text().strip().split("\n")
+    record = json.loads(lines[1])
+    record["waypoints"][2][1] = value
+    lines[1] = json.dumps(record).replace(f'"{value}"', value)
+    plans.write_text("\n".join(lines) + "\n", "utf-8")
+    out = tmp_path / "report"
+    assert main(["evaluate", "--plans", str(plans), "--out", str(out), scene_files[0]]) == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error["error"] == "SCHEMA_ERROR"
+    assert error["message"].startswith(f"{plans}:2:")
+    assert not (tmp_path / "report.json").exists()

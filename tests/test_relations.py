@@ -6,7 +6,7 @@ import pytest
 
 from conftest import cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import DegenerateError, TopologyCycleError
-from drivekit.geometry import LaneIndex
+from drivekit.geometry import LaneIndex, associate_lane
 from drivekit.relations import (
     EgoLaneDecision,
     HomotopyClass,
@@ -30,6 +30,12 @@ from drivekit.synth import synth_scene
 
 def lane_index(lanes):
     return LaneIndex.build(lanes)
+
+
+def ego_assoc(scene, config):
+    """The ego's per-frame lane association, as compute_relations makes it."""
+    poses = [st.pose for st in scene.ego.states]
+    return associate_lane(poses, lane_index(scene.lanes), config, check_heading=True)
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +226,7 @@ def test_swap_preserves_winding_magnitude(config):
 def test_tracking_centerline_keeps_lane(config):
     lanes = [straight_lane(1, length=100.0)]
     scene = scene_of(lanes, [], cruising_ego(12))
-    assert set(ego_lane_decisions(scene, config)) == {EgoLaneDecision.KEEP_LANE}
+    assert set(ego_lane_decisions(scene, ego_assoc(scene, config))) == {EgoLaneDecision.KEEP_LANE}
 
 
 def test_small_offset_keeps_lane(config):
@@ -228,7 +234,7 @@ def test_small_offset_keeps_lane(config):
     lanes = [straight_lane(1, length=100.0)]
     ego = [state(5 + 4 * k, 0.3, 0.0, 8.0, box=(4.5, 2.0)) for k in range(10)]
     scene = scene_of(lanes, [], ego)
-    assert set(ego_lane_decisions(scene, config)) == {EgoLaneDecision.KEEP_LANE}
+    assert set(ego_lane_decisions(scene, ego_assoc(scene, config))) == {EgoLaneDecision.KEEP_LANE}
 
 
 def test_lane_change_sequence_straddle_then_change(config):
@@ -238,7 +244,7 @@ def test_lane_change_sequence_straddle_then_change(config):
     ys = [0.0, 0.8, 2.0, 3.3, 3.7, 3.7]
     ego = [state(10.0 + 4 * k, y, 0.0, 8.0, box=(4.5, 1.9)) for k, y in enumerate(ys)]
     scene = scene_of(lanes, [], ego)
-    decisions = ego_lane_decisions(scene, config)
+    decisions = ego_lane_decisions(scene, ego_assoc(scene, config))
     # y=0.8 -> d=0.8 < 0.905 keeps; y=2.0 flips association (closer to lane 2)
     assert decisions == [
         EgoLaneDecision.KEEP_LANE,
@@ -255,7 +261,7 @@ def test_straddle_before_switch(config):
     ys = [0.0, 1.2, 1.6, 2.2, 3.0, 3.7]
     ego = [state(10.0 + 4 * k, y, 0.0, 8.0, box=(4.5, 1.9)) for k, y in enumerate(ys)]
     scene = scene_of(lanes, [], ego)
-    decisions = ego_lane_decisions(scene, config)
+    decisions = ego_lane_decisions(scene, ego_assoc(scene, config))
     assert decisions[1] is EgoLaneDecision.STRADDLE  # 1.2 > 0.905
     assert decisions[2] is EgoLaneDecision.STRADDLE
     assert decisions[3] is EgoLaneDecision.LEFT_LANE_CHANGE  # 2.2: lane 2 closer
@@ -269,7 +275,7 @@ def test_straddle_before_switch(config):
 
 def test_straight_cruise_keeps_forward(config):
     scene = scene_of([straight_lane(1, length=120.0)], [], cruising_ego(20))
-    assert set(label_nav_commands(scene, config)) == {NavigationCommand.KEEP_FORWARD}
+    assert set(label_nav_commands(scene, config, ego_assoc(scene, config))) == {NavigationCommand.KEEP_FORWARD}
 
 
 def intersection_turn_scene():
@@ -318,7 +324,7 @@ def intersection_turn_scene():
 
 def test_intersection_turn_labels(config):
     scene = intersection_turn_scene()
-    commands = label_nav_commands(scene, config)
+    commands = label_nav_commands(scene, config, ego_assoc(scene, config))
     # approach frames within 30 m of the intersection read prepare-left;
     # frames on the intersection lane with >= 60 degrees remaining read turn-left
     assert commands[10] is NavigationCommand.TURN_LEFT
@@ -333,7 +339,7 @@ def test_intersection_turn_labels(config):
 
 def test_three_point_turn_closure(config):
     scene = synth_scene("THREE_POINT_TURN", 9)
-    commands = label_nav_commands(scene, config)
+    commands = label_nav_commands(scene, config, ego_assoc(scene, config))
     assert NavigationCommand.THREE_POINT_TURN_LEFT in commands
     # reported while the maneuver is upcoming, not after it completes
     first = commands.index(NavigationCommand.THREE_POINT_TURN_LEFT)
@@ -358,14 +364,14 @@ def test_u_turn_without_reversal(config):
             dt = t - math.pi / omega
             ego.append(state(20.0 - v * dt, 18.0, math.pi, v))
     scene = scene_of([straight_lane(1, length=120.0)], [], ego)
-    commands = label_nav_commands(scene, config)
+    commands = label_nav_commands(scene, config, ego_assoc(scene, config))
     assert NavigationCommand.U_TURN_LEFT in commands
     assert NavigationCommand.THREE_POINT_TURN_LEFT not in commands
 
 
 def test_nav_invariant_under_rigid_transform(config):
     base = synth_scene("THREE_POINT_TURN", 4)
-    expected = label_nav_commands(base, config)
+    expected = label_nav_commands(base, config, ego_assoc(base, config))
     theta, tx, ty = 1.1, -214.0, 77.0
     c, s = math.cos(theta), math.sin(theta)
 
@@ -407,7 +413,7 @@ def test_nav_invariant_under_rigid_transform(config):
         xf_track(base.ego).states,
         nav=base.nav_commands,
     )
-    assert label_nav_commands(moved, config) == expected
+    assert label_nav_commands(moved, config, ego_assoc(moved, config)) == expected
 
 
 # --------------------------------------------------------------------------

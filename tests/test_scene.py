@@ -3,14 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cruising_ego, scene_of, straight_lane, state, track
-from drivekit.errors import LengthError, RefError, SchemaError
+from drivekit.errors import DrivekitError, LengthError, RefError, SchemaError
 from drivekit.scene import (
+    STATE_DTYPE,
+    AgentCategory,
+    AgentState,
+    AgentTrack,
     Pose2,
-    Trajectory,
-    headings_from_waypoints,
+    headings_xy,
     load_scene,
+    load_scene_file,
     save_scene,
     wrap_angle,
 )
@@ -99,6 +105,39 @@ def test_not_json_is_schema_error():
         load_scene("{nope")
 
 
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b'{"id": "\xc3"}', b"[" * 100_000])
+def test_bad_utf8_and_too_deep_json_are_schema_errors(data):
+    with pytest.raises(SchemaError):
+        load_scene(data)
+
+
+def test_load_scene_file_bad_utf8_is_schema_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(json.dumps(MINIMAL_DOC).encode().replace(b'"mini"', b'"mi\xffni"'))
+    with pytest.raises(SchemaError):
+        load_scene_file(path)
+
+
+SCENE_BYTES = json.dumps(MINIMAL_DOC).encode()
+
+
+def _flip(pos_value):
+    pos, value = pos_value
+    return SCENE_BYTES[:pos] + bytes([value]) + SCENE_BYTES[pos + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.binary(max_size=400)
+    | st.tuples(st.integers(0, len(SCENE_BYTES) - 1), st.integers(0, 255)).map(_flip)
+)
+def test_arbitrary_bytes_raise_only_drivekit_errors(data):
+    try:
+        load_scene(data)
+    except DrivekitError:
+        pass
+
+
 def test_empty_agents_serialize_explicitly():
     scene = load_scene(json.dumps(MINIMAL_DOC))
     assert '"agents":[]' in save_scene(scene)
@@ -149,8 +188,8 @@ def test_invalid_ego_state_rejected():
 
 
 def test_headings_straight_line_all_zero():
-    traj = Trajectory(waypoints=tuple((0.5 * (k + 1), 1.0 * (k + 1), 0.0) for k in range(6)))
-    assert headings_from_waypoints(traj, initial_heading=1.0) == (0.0,) * 6
+    xy = [(1.0 * (k + 1), 0.0) for k in range(6)]
+    assert headings_xy(xy, initial_heading=1.0) == [0.0] * 6
 
 
 def test_headings_quarter_circle_tracks_analytic_tangent():
@@ -158,8 +197,8 @@ def test_headings_quarter_circle_tracks_analytic_tangent():
     # phi is phi + pi/2. Chord headings must sit between consecutive tangents.
     r = 10.0
     phis = np.linspace(-math.pi / 2, 0.0, 6)
-    wps = [(k + 1.0, r * math.cos(p), r * math.sin(p)) for k, p in enumerate(phis)]
-    headings = headings_from_waypoints(Trajectory(waypoints=tuple(wps)), 0.0)
+    xy = [(r * math.cos(p), r * math.sin(p)) for p in phis]
+    headings = headings_xy(xy, 0.0)
     dphi = phis[1] - phis[0]
     for k in range(5):
         analytic = phis[k] + math.pi / 2  # tangent at segment start
@@ -171,8 +210,8 @@ def test_headings_quarter_circle_tracks_analytic_tangent():
 
 
 def test_headings_degenerate_carries_initial():
-    traj = Trajectory(waypoints=((1.0, 2.0, 3.0), (2.0, 2.0, 3.0), (3.0, 2.0, 3.0)))
-    assert headings_from_waypoints(traj, initial_heading=1.0) == (1.0, 1.0, 1.0)
+    xy = [(2.0, 3.0), (2.0, 3.0), (2.0, 3.0)]
+    assert headings_xy(xy, initial_heading=1.0) == [1.0, 1.0, 1.0]
 
 
 def test_headings_wrapped_and_finite_on_random_paths():
@@ -183,8 +222,7 @@ def test_headings_wrapped_and_finite_on_random_paths():
         # inject duplicate points to exercise the carry-forward rule
         if n > 3:
             pts[2] = pts[1]
-        wps = tuple((float(k + 1), float(x), float(y)) for k, (x, y) in enumerate(pts))
-        out = headings_from_waypoints(Trajectory(waypoints=wps), float(rng.uniform(-3, 3)))
+        out = headings_xy(pts, float(rng.uniform(-3, 3)))
         assert len(out) == n
         for h in out:
             assert math.isfinite(h)
@@ -255,3 +293,62 @@ def test_optional_keys_default():
     scene = load_scene(doc)
     assert scene.frame_rate == 2.0
     assert scene.scenario_tag is None
+
+
+# --------------------------------------------------------------------------
+# array views of agent states
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+extent = st.floats(0.1, 20.0, allow_nan=False)
+agent_state = st.builds(
+    lambda x, y, h, v, box, valid: AgentState(Pose2(x, y, h), v, box, valid),
+    finite, finite, st.floats(-20.0, 20.0, allow_nan=False), finite,
+    st.tuples(extent, extent), st.booleans(),
+)
+
+
+def _expected_fields(states):
+    return {
+        "xy": np.array([(s.pose.x, s.pose.y) for s in states], dtype=float),
+        "heading": np.array([s.pose.heading for s in states], dtype=float),
+        "speed": np.array([s.speed for s in states], dtype=float),
+        "box": np.array([s.box for s in states], dtype=float),
+        "valid": np.array([s.valid for s in states], dtype=bool),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(agent_state, min_size=1, max_size=12))
+def test_track_arrays_hold_the_state_values_bit_for_bit(states):
+    arr = AgentTrack(id=3, category=AgentCategory.CAR, states=states).arrays
+    assert arr.dtype == STATE_DTYPE and arr.shape == (len(states),)
+    for name, expected in _expected_fields(states).items():
+        assert np.ascontiguousarray(arr[name]).tobytes() == expected.tobytes(), name
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(agent_state, min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_scene_agent_arrays_stack_the_track_arrays(tracks):
+    n = len(tracks[0])
+    agents = [track(10 + i, states) for i, states in enumerate(tracks)]
+    scene = scene_of([straight_lane()], agents, cruising_ego(n))
+    assert scene.agent_arrays.shape == (len(agents), n)
+    for i, tr in enumerate(scene.agents):
+        assert scene.agent_arrays[i].tobytes() == tr.arrays.tobytes()
+    assert scene.agent_arrays is scene.agent_arrays  # built once
+
+
+def test_array_views_are_read_only():
+    scene = synth_scene("OVERTAKE_ONCOMING", 2)
+    for arr in (scene.ego.arrays, scene.agents[0].arrays, scene.agent_arrays):
+        with pytest.raises(ValueError):
+            arr["speed"][0] = 1.0
+        with pytest.raises(ValueError):
+            arr[0] = arr[-1]
+
+
+def test_agent_free_scene_has_empty_agent_arrays():
+    scene = scene_of([straight_lane()], [], cruising_ego(5))
+    assert scene.agent_arrays.shape == (0, 5)
+    assert scene.agent_arrays.dtype == STATE_DTYPE

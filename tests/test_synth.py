@@ -18,7 +18,6 @@ from drivekit.synth import (
     synth_corpus,
     synth_scene,
     synth_three_point_turn,
-    three_point_turn_duration,
 )
 
 ALL_KINDS = [
@@ -71,8 +70,10 @@ def test_three_point_turn_primitive_closed_form():
     speeds = [s[4] for s in states]
     assert any(v < 0 for v in speeds)  # reversal phase present
     assert speeds[0] > 0 and speeds[-1] > 0
-    # duration bookkeeping matches the sampled sequence
-    assert states[-1][0] <= three_point_turn_duration() + 0.5
+    # the last sample lands on the closed-form duration: sum of r * arc / |v|
+    # over the default arcs (radius 6 m; 100, 50, 30 degrees; 5, 2.5, 3 m/s)
+    total = 6 * math.radians(100) / 5 + 6 * math.radians(50) / 2.5 + 6 * math.radians(30) / 3
+    assert states[-1][0] == pytest.approx(total, rel=1e-12)
 
 
 def test_three_point_turn_param_validation():
