@@ -10,15 +10,18 @@ Config precedence: flag > config file > default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import Config
-from .errors import DrivekitError, RefError, SchemaError
+from .errors import (
+    DrivekitError, FileError, ParamError, RefError, SchemaError, parse_json, read_text
+)
 from .interactions import InteractionLabel, critical_objects, label_interactions, merge_override_labels
-from .metrics import PlanSample, evaluate_plans, report_csv
+from .metrics import PlanSample, evaluate_plans, future_complete, report_csv
 from .qa import (
     QATask,
     gen_perception_qas,
@@ -26,7 +29,6 @@ from .qa import (
     gen_reasoning_qas,
     load_templates,
 )
-from .metrics import future_complete
 from .relations import compute_relations, relations_records
 from .scene import canonical_dumps, load_scene_file, save_scene_file
 from .synth import synth_corpus
@@ -40,22 +42,34 @@ def _resolve_config(args) -> Config:
     return config
 
 
-def _load_scenes(paths):
-    scenes = []
-    for path in paths:
-        try:
-            scenes.append(load_scene_file(path))
-        except DrivekitError as exc:
-            raise type(exc)(f"{path}: {exc.message}") from None
-    scenes.sort(key=lambda s: s.id)
-    return scenes
+def _run_scene(fn, config: Config, extra: tuple, path: str):
+    scene = load_scene_file(path)
+    return scene.id, fn(scene, config, *extra)
 
 
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _per_scene(args, fn, *extra) -> list:
+    """fn(scene, config, *extra) for every scene file, fanned out over --jobs
+    worker processes; the results come back in scene-id order."""
+    run = functools.partial(_run_scene, fn, _resolve_config(args), extra)
+    paths = sorted(args.scenes)
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(run, paths))
+    else:
+        results = [run(path) for path in paths]
+    results.sort(key=lambda r: r[0])
+    return [result for _, result in results]
+
+
+def _write_records(args, results) -> int:
+    """Write each scene's JSONL lines to --out, then print the summary line."""
+    lines = [line for scene_lines in results for line in scene_lines]
+    with open(args.out, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
+    print(_dump({"scenes": len(results), "records": len(lines), "out": str(args.out)}))
+    return 0
 
 
 def _dump(record: dict) -> str:
@@ -74,16 +88,7 @@ def cmd_validate(args) -> int:
             print(_dump({"path": str(path), "ok": True, "scene_id": scene.id}))
         except DrivekitError as exc:
             failures += 1
-            print(
-                _dump(
-                    {
-                        "path": str(path),
-                        "ok": False,
-                        "error": exc.code,
-                        "message": exc.message,
-                    }
-                )
-            )
+            print(_dump({"path": str(path), "ok": False, **exc.to_dict()}))
     return 1 if failures else 0
 
 
@@ -91,9 +96,7 @@ def cmd_validate(args) -> int:
 # label
 
 
-def _label_scene(path: str, config_dict: dict):
-    config = Config.from_dict(config_dict)
-    scene = load_scene_file(path)
+def _label_scene(scene, config: Config) -> list:
     rel = compute_relations(scene, config)
     labels = label_interactions(scene, rel, config)
     lines = [_dump(r) for r in relations_records(scene, rel)]
@@ -105,25 +108,11 @@ def _label_scene(path: str, config_dict: dict):
             }
         )
     )
-    return scene.id, lines
-
-
-def _map_jobs(fn, items, jobs: int):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, *zip(*items))) if items else []
-    return [fn(*item) for item in items]
+    return lines
 
 
 def cmd_label(args) -> int:
-    config = _resolve_config(args)
-    items = [(str(p), config.to_dict()) for p in sorted(args.scenes)]
-    results = _map_jobs(_label_scene, items, args.jobs)
-    results.sort(key=lambda r: r[0])
-    lines = [line for _, scene_lines in results for line in scene_lines]
-    _write_lines(args.out, lines)
-    print(_dump({"scenes": len(results), "records": len(lines), "out": str(args.out)}))
-    return 0
+    return _write_records(args, _per_scene(args, _label_scene))
 
 
 # --------------------------------------------------------------------------
@@ -132,10 +121,7 @@ def cmd_label(args) -> int:
 
 def _load_sidecar(path) -> list:
     """(scene_id or None, InteractionLabel) per record of a label sidecar."""
-    try:
-        records = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
-        raise SchemaError(f"{path}: label sidecar is not valid JSON: {exc}") from None
+    records = parse_json(read_text(path), SchemaError, path)
     if not isinstance(records, list) or not all(isinstance(d, dict) for d in records):
         raise SchemaError(f"{path}: label sidecar must be a JSON list of objects")
     try:
@@ -144,10 +130,10 @@ def _load_sidecar(path) -> list:
         raise SchemaError(f"{path}: {exc.message}") from None
 
 
-def _qa_scene(path: str, config_dict: dict, sidecar, templates_path):
-    config = Config.from_dict(config_dict)
-    templates = load_templates(templates_path)
-    scene = load_scene_file(path)
+_TASK_ORDER = {task: i for i, task in enumerate(QATask)}
+
+
+def _qa_scene(scene, config: Config, sidecar, templates: dict) -> list:
     rel = compute_relations(scene, config)
     labels = label_interactions(scene, rel, config)
     if sidecar is not None:
@@ -169,25 +155,15 @@ def _qa_scene(path: str, config_dict: dict, sidecar, templates_path):
             records.append(
                 gen_planning_qas(scene, frame, rel, labels, crits, config, templates)
             )
-        order = {task: i for i, task in enumerate(QATask)}
-        records.sort(key=lambda r: (r.frame, order[r.task], r.id))
+        records.sort(key=lambda r: (r.frame, _TASK_ORDER[r.task], r.id))
         lines.extend(_dump(r.to_dict()) for r in records)
-    return scene.id, lines
+    return lines
 
 
 def cmd_gen_qa(args) -> int:
-    config = _resolve_config(args)
     sidecar = _load_sidecar(args.labels) if args.labels else None
-    items = [
-        (str(p), config.to_dict(), sidecar, args.templates)
-        for p in sorted(args.scenes)
-    ]
-    results = _map_jobs(_qa_scene, items, args.jobs)
-    results.sort(key=lambda r: r[0])
-    lines = [line for _, ls in results for line in ls]
-    _write_lines(args.out, lines)
-    print(_dump({"scenes": len(results), "records": len(lines), "out": str(args.out)}))
-    return 0
+    templates = load_templates(args.templates)
+    return _write_records(args, _per_scene(args, _qa_scene, sidecar, templates))
 
 
 # --------------------------------------------------------------------------
@@ -195,11 +171,12 @@ def cmd_gen_qa(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    counts = spec.get("counts", spec if all(isinstance(v, int) for v in spec.values()) else {})
+    spec = parse_json(read_text(args.spec, ParamError), ParamError, args.spec)
+    if not isinstance(spec, dict):
+        raise ParamError(f"{args.spec}: synth spec must be a JSON object")
+    counts = spec["counts"] if "counts" in spec else spec
     base_seed = spec.get("base_seed", 0) if "counts" in spec else 0
-    params = spec.get("params") if "counts" in spec else None
+    params = spec.get("params", {}) if "counts" in spec else {}
     config = _resolve_config(args)
     scenes, manifest = synth_corpus(counts, base_seed, params, config)
     out_dir = Path(args.out)
@@ -215,24 +192,18 @@ def cmd_synth(args) -> int:
 # tokenize
 
 
-def _tokenize_scene(path: str, seed: int, out_dir: str):
-    scene = load_scene_file(path)
-    written = []
+def _tokenize_scene(scene, config: Config, out_dir: Path) -> int:
     for frame in range(scene.n_frames):
-        bundle = fixture_encode(scene, frame, seed)
-        dest = Path(out_dir) / f"{scene.id}_f{frame:04d}.tokb"
-        write_bundle(bundle, dest)
-        written.append(str(dest))
-    return scene.id, written
+        bundle = fixture_encode(scene, frame, config.seed)
+        write_bundle(bundle, out_dir / f"{scene.id}_f{frame:04d}.tokb")
+    return scene.n_frames
 
 
 def cmd_tokenize(args) -> int:
-    config = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    items = [(str(p), config.seed, str(out_dir)) for p in sorted(args.scenes)]
-    results = _map_jobs(_tokenize_scene, items, args.jobs)
-    print(_dump({"bundles": sum(len(w) for _, w in results), "out_dir": str(out_dir)}))
+    bundles = sum(_per_scene(args, _tokenize_scene, out_dir))
+    print(_dump({"bundles": bundles, "out_dir": str(out_dir)}))
     return 0
 
 
@@ -242,24 +213,24 @@ def cmd_tokenize(args) -> int:
 
 def _load_plans(path):
     plans = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                plans.append(
-                    PlanSample(
-                        scene_id=record["scene_id"],
-                        frame=int(record["frame"]),
-                        waypoints=tuple((float(x), float(y)) for x, y in record["waypoints"]),
-                    )
+    for i, line in enumerate(read_text(path).split("\n")):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{i + 1}"
+        record = parse_json(line, SchemaError, where)
+        try:
+            plans.append(
+                PlanSample(
+                    scene_id=record["scene_id"],
+                    frame=record["frame"],
+                    waypoints=record["waypoints"],
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}:{i + 1}: bad plan record: {exc}") from None
-            except DrivekitError as exc:
-                raise type(exc)(f"{path}:{i + 1}: {exc.message}") from None
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{where}: bad plan record: {exc}") from None
+        except DrivekitError as exc:
+            raise type(exc)(f"{where}: {exc.message}") from None
     return plans
 
 
@@ -298,7 +269,12 @@ def _plan_svg(pred, gt) -> str:
 
 def cmd_evaluate(args) -> int:
     config = _resolve_config(args)
-    scenes = {s.id: s for s in _load_scenes(args.scenes)}
+    scenes, paths = {}, {}
+    for path in args.scenes:
+        scene = load_scene_file(path)
+        if scene.id in scenes:
+            raise RefError(f"{paths[scene.id]} and {path} both hold scene {scene.id}")
+        scenes[scene.id], paths[scene.id] = scene, path
     plans = _load_plans(args.plans)
     missing = sorted({p.scene_id for p in plans} - set(scenes))
     if missing:
@@ -383,9 +359,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:  # writing an output; every input goes through read_text
+        error = FileError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
     except DrivekitError as exc:
-        print(json.dumps(exc.to_dict(), sort_keys=True), file=sys.stderr)
-        return 1
+        error = exc
+    print(json.dumps(error.to_dict(), sort_keys=True), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

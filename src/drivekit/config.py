@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError
+from .errors import ParamError, parse_json, read_text
 
 
 def seeded_rng(*key) -> np.random.Generator:
@@ -115,11 +114,7 @@ class Config:
 
     @classmethod
     def from_file(cls, path) -> "Config":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParamError(f"config is not valid JSON: {exc}") from None
+        data = parse_json(read_text(path, ParamError), ParamError, path)
         if not isinstance(data, dict):
-            raise ParamError("config file must hold a JSON object")
+            raise ParamError(f"{path}: config file must hold a JSON object")
         return cls.from_dict(data)

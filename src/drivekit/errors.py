@@ -1,4 +1,5 @@
-"""Exception hierarchy. Every error carries a stable machine-readable code."""
+"""Exception hierarchy, each error with a stable code, and the one input-file reader."""
+import json
 
 
 class DrivekitError(Exception):
@@ -62,3 +63,30 @@ class TruncatedError(DrivekitError):
 
 class FormatError(DrivekitError):
     code = "FORMAT_ERROR"
+
+
+class FileError(DrivekitError):
+    code = "FILE_ERROR"
+
+
+def read_text(path, error=SchemaError) -> str:
+    """The text of the UTF-8 file at `path`, read with universal newlines.
+    An OSError raises FileError and bad UTF-8 raises `error`, both naming `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FileError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8: {exc}") from None
+
+
+def parse_json(text, error, where):
+    """The JSON value in `text` (str, or bytes taken as UTF-8). Bad UTF-8, bad
+    JSON and too deep nesting raise `error`, its message starting with `where`."""
+    try:
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: not valid JSON: {exc}") from None

@@ -134,7 +134,9 @@ def _project(xy: np.ndarray, index: LaneIndex):
     (ax, ay), (vx, vy) = index.starts.T, index.vectors.T
     rel = np.stack((px - ax, py - ay), axis=-1).reshape(-1, 2)
     vv = np.broadcast_to(index.vectors, (n_pts, n_seg, 2)).reshape(-1, 2)
-    t = np.einsum("ij,ij->i", rel, vv).reshape(n_pts, n_seg) / index.len2
+    # a zero-length segment divides by 0 here; the fmin below never picks its NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.einsum("ij,ij->i", rel, vv).reshape(n_pts, n_seg) / index.len2
     t = np.clip(t, 0.0, 1.0)
     dx = px - (ax + t * vx)
     dy = py - (ay + t * vy)

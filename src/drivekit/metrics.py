@@ -151,6 +151,10 @@ class PlanSample:
     waypoints: tuple  # 6 (x, y) pairs, anchor ego frame
 
     def __post_init__(self):
+        if not isinstance(self.scene_id, str):
+            raise SchemaError(f"plan sample scene_id must be a string, got {self.scene_id!r}")
+        if isinstance(self.frame, bool) or not isinstance(self.frame, int):
+            raise SchemaError(f"plan sample frame must be an integer, got {self.frame!r}")
         wp = tuple((float(x), float(y)) for x, y in self.waypoints)
         if len(wp) != PLAN_STEPS:
             raise AlignError(f"plan sample needs {PLAN_STEPS} waypoints")

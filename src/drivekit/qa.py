@@ -10,14 +10,13 @@ byte-deterministic.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import List, Optional
 
 from .config import Config, seeded_rng
-from .errors import FormatError, InsufficientFutureError, SchemaError
+from .errors import FormatError, InsufficientFutureError, SchemaError, parse_json, read_text
 from .geometry import to_frame
 from .interactions import Criticality, CriticalReason, InteractionLabel
 from .metrics import PLAN_STEPS, _steps_per_frame, future_complete
@@ -60,18 +59,18 @@ class QARecord:
 
 
 def load_templates(path=None) -> dict:
+    """Per task, string 'question' and 'answer' templates from `path` or the packaged file."""
     if path is None:
-        text = resources.files("drivekit").joinpath("data/templates.json").read_text("utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    templates = json.loads(text)
+        path = resources.files("drivekit").joinpath("data/templates.json")
+    templates = parse_json(read_text(path), SchemaError, path)
+    if not isinstance(templates, dict):
+        raise SchemaError(f"{path}: template file must hold a JSON object")
     for task in QATask:
-        if task.value not in templates:
-            raise SchemaError(f"template file missing task {task.value}")
-        entry = templates[task.value]
-        if "question" not in entry or "answer" not in entry:
-            raise SchemaError(f"template {task.value} needs 'question' and 'answer'")
+        entry = templates.get(task.value)
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(key), str) for key in ("question", "answer")
+        ):
+            raise SchemaError(f"{path}: {task.value} needs string 'question' and 'answer'")
     return templates
 
 
@@ -361,6 +360,21 @@ def _critical_objects(
     return objects
 
 
+def _record(
+    scene: Scene, frame: int, task: QATask, key, question: str, payload: dict, templates: dict
+) -> QARecord:
+    """The record of one task at one frame; `key` names its subject in the id."""
+    return QARecord(
+        id=f"{scene.id}:{frame}:{task.value}:{key}",
+        scene_id=scene.id,
+        frame=frame,
+        task=task,
+        question=question,
+        answer=render_answer(task, payload, templates),
+        structured=payload,
+    )
+
+
 def select_agents(
     scene: Scene, frame: int, crits: List[Criticality], config: Config
 ) -> List[int]:
@@ -391,38 +405,21 @@ def gen_perception_qas(
     """Object-classification QA per selected agent, plus a lane-association QA
     for those with a lane."""
     records = []
-    qtpl = templates[QATask.PERCEPTION_OBJECT.value]["question"]
-    qtpl_lane = templates[QATask.PERCEPTION_LANE_ASSOC.value]["question"]
     tracks = {t.id: t for t in scene.agents}
     for agent_id in select_agents(scene, frame, crits, config):
         track = tracks[agent_id]
         x, y = _ego_frame_position(scene, track, frame)
+        at = {"x": _fmt1(x), "y": _fmt1(y)}
+        task = QATask.PERCEPTION_OBJECT
         payload = {"category": track.category.value}
-        records.append(
-            QARecord(
-                id=f"{scene.id}:{frame}:PERCEPTION_OBJECT:{agent_id}",
-                scene_id=scene.id,
-                frame=frame,
-                task=QATask.PERCEPTION_OBJECT,
-                question=_render(qtpl, {"x": _fmt1(x), "y": _fmt1(y)}),
-                answer=render_answer(QATask.PERCEPTION_OBJECT, payload, templates),
-                structured=payload,
-            )
-        )
+        question = _render(templates[task.value]["question"], at)
+        records.append(_record(scene, frame, task, agent_id, question, payload, templates))
         mode = rel.lane_modes[agent_id][frame]
         if mode is not LaneMode.NOTON:
+            task = QATask.PERCEPTION_LANE_ASSOC
             payload = {"lane_mode": mode.value}
-            records.append(
-                QARecord(
-                    id=f"{scene.id}:{frame}:PERCEPTION_LANE_ASSOC:{agent_id}",
-                    scene_id=scene.id,
-                    frame=frame,
-                    task=QATask.PERCEPTION_LANE_ASSOC,
-                    question=_render(qtpl_lane, {"x": _fmt1(x), "y": _fmt1(y)}),
-                    answer=render_answer(QATask.PERCEPTION_LANE_ASSOC, payload, templates),
-                    structured=payload,
-                )
-            )
+            question = _render(templates[task.value]["question"], at)
+            records.append(_record(scene, frame, task, agent_id, question, payload, templates))
     return records
 
 
@@ -446,7 +443,7 @@ def gen_reasoning_qas(
 ) -> List[QARecord]:
     """Criticality QA per selected agent plus one scene-level grounding QA."""
     records = []
-    qtpl = templates[QATask.REASONING_OBJECT.value]["question"]
+    task = QATask.REASONING_OBJECT
     tracks = {t.id: t for t in scene.agents}
     crit_by_id = {c.agent_id: c for c in crits}
     for agent_id in select_agents(scene, frame, crits, config):
@@ -459,30 +456,13 @@ def gen_reasoning_qas(
             else None
         )
         payload = {"critical": crit.critical, "reason": crit.reason.value, "kind": kind}
-        records.append(
-            QARecord(
-                id=f"{scene.id}:{frame}:REASONING_OBJECT:{agent_id}",
-                scene_id=scene.id,
-                frame=frame,
-                task=QATask.REASONING_OBJECT,
-                question=_render(qtpl, {"x": _fmt1(x), "y": _fmt1(y)}),
-                answer=render_answer(QATask.REASONING_OBJECT, payload, templates),
-                structured=payload,
-            )
-        )
+        question = _render(templates[task.value]["question"], {"x": _fmt1(x), "y": _fmt1(y)})
+        records.append(_record(scene, frame, task, agent_id, question, payload, templates))
 
+    task = QATask.REASONING_GROUNDING
     payload = {"objects": _critical_objects(scene, frame, crits, tracks)}
-    records.append(
-        QARecord(
-            id=f"{scene.id}:{frame}:REASONING_GROUNDING:scene",
-            scene_id=scene.id,
-            frame=frame,
-            task=QATask.REASONING_GROUNDING,
-            question=templates[QATask.REASONING_GROUNDING.value]["question"],
-            answer=render_answer(QATask.REASONING_GROUNDING, payload, templates),
-            structured=payload,
-        )
-    )
+    question = templates[task.value]["question"]
+    records.append(_record(scene, frame, task, "scene", question, payload, templates))
     return records
 
 
@@ -542,12 +522,4 @@ def gen_planning_qas(
         templates[QATask.PLANNING.value]["question"],
         {"nav_command": NAV_COMMAND_TEXT[scene.nav_commands[frame]]},
     )
-    return QARecord(
-        id=f"{scene.id}:{frame}:PLANNING:ego",
-        scene_id=scene.id,
-        frame=frame,
-        task=QATask.PLANNING,
-        question=question,
-        answer=render_answer(QATask.PLANNING, payload, templates),
-        structured=payload,
-    )
+    return _record(scene, frame, QATask.PLANNING, "ego", question, payload, templates)

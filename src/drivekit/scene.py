@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import LengthError, RefError, SchemaError
+from .errors import DrivekitError, LengthError, RefError, SchemaError, parse_json, read_text
 
 TWO_PI = 2.0 * math.pi
 
@@ -398,18 +398,24 @@ def _get(doc: dict, key: str, kinds, where: str):
     value = doc[key]
     if kinds is not None and not isinstance(value, kinds):
         raise SchemaError(f"{where}: key '{key}' has wrong type")
-    if isinstance(value, bool) and kinds is not bool and bool not in _as_tuple(kinds):
+    if isinstance(value, bool) and kinds is not bool:
         raise SchemaError(f"{where}: key '{key}' has wrong type")
     return value
 
 
-def _as_tuple(kinds):
-    return kinds if isinstance(kinds, tuple) else (kinds,)
+def _float(value, where: str, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}: '{name}' has wrong type")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        raise SchemaError(f"{where}: '{name}' is too large for a float") from None
 
 
 def _number(doc: dict, key: str, where: str) -> float:
-    v = _get(doc, key, (int, float), where)
-    return float(v)
+    if key not in doc:
+        raise SchemaError(f"{where}: missing key '{key}'")
+    return _float(doc[key], where, key)
 
 
 def _opt_int(doc: dict, key: str, where: str):
@@ -473,10 +479,7 @@ def _lane_from_doc(doc, where: str) -> Lane:
     for i, pt in enumerate(centerline):
         if not isinstance(pt, list) or len(pt) != 2:
             raise SchemaError(f"{where}: centerline[{i}] must be [x, y]")
-        for c in pt:
-            if isinstance(c, bool) or not isinstance(c, (int, float)):
-                raise SchemaError(f"{where}: centerline[{i}] must hold numbers")
-        pts.append((float(pt[0]), float(pt[1])))
+        pts.append((_float(pt[0], where, "centerline"), _float(pt[1], where, "centerline")))
     return Lane(
         id=_get(doc, "id", int, where),
         centerline=tuple(pts),
@@ -495,15 +498,8 @@ def load_scene(document) -> Scene:
     Raises SchemaError for malformed fields, RefError for dangling lane
     references, LengthError for per-frame array mismatches; never anything else.
     """
-    import json as _json
-
-    try:
-        if isinstance(document, (bytes, bytearray)):
-            document = document.decode("utf-8")
-        if isinstance(document, str):
-            document = _json.loads(document)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
-        raise SchemaError(f"not valid JSON: {exc}") from None
+    if isinstance(document, (str, bytes, bytearray)):
+        document = parse_json(document, SchemaError, "scene")
     if not isinstance(document, dict):
         raise SchemaError("scene document must be a JSON object")
 
@@ -553,8 +549,12 @@ def load_scene(document) -> Scene:
 
 
 def load_scene_file(path) -> Scene:
-    with open(path, "rb") as fh:
-        return load_scene(fh.read())
+    """load_scene of the file at `path`; every error message starts with the path."""
+    text = read_text(path)
+    try:
+        return load_scene(text)
+    except DrivekitError as exc:
+        raise type(exc)(f"{path}: {exc.message}") from None
 
 
 def save_scene_file(scene: Scene, path) -> None:

@@ -483,12 +483,19 @@ def synth_scene(
 def corpus_manifest(counts: Dict, base_seed: int = 0) -> dict:
     """Corpus bookkeeping: per-kind counts, fractions of the total, and the
     sequential seed ranges; hashed for portability checks."""
+    if not isinstance(counts, dict):
+        raise ParamError("corpus counts must be an object of kind: count")
+    if isinstance(base_seed, bool) or not isinstance(base_seed, int):
+        raise ParamError(f"base_seed must be an integer, got {base_seed!r}")
     norm: Dict[str, int] = {}
     for kind, count in counts.items():
-        kind = ScenarioKind(kind) if not isinstance(kind, ScenarioKind) else kind
-        if count < 0:
-            raise ParamError("corpus counts must be >= 0")
-        norm[kind.value] = int(count)
+        try:
+            kind = ScenarioKind(kind)
+        except ValueError:
+            raise ParamError(f"unknown scenario kind {kind!r}") from None
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ParamError(f"count of {kind.value} must be an integer >= 0, got {count!r}")
+        norm[kind.value] = count
     total = sum(norm.values())
     kinds = {}
     seed = base_seed
@@ -518,7 +525,9 @@ def synth_corpus(
     """Materialize a corpus per the count spec, seeds assigned sequentially in
     kind-name order; returns (scenes, manifest)."""
     manifest = corpus_manifest(counts, base_seed)
-    params = params or {}
+    params = {} if params is None else params
+    if not isinstance(params, dict) or not all(isinstance(p, dict) for p in params.values()):
+        raise ParamError("params must be an object of kind: {param: value}")
     scenes = []
     for name in sorted(manifest["kinds"]):
         entry = manifest["kinds"][name]

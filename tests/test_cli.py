@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drivekit.cli import main
+from drivekit.errors import DrivekitError
 from drivekit.metrics import future_complete
 from drivekit.planners import ego_future_waypoints
 from drivekit.scene import load_scene_file, save_scene_file
@@ -53,12 +58,21 @@ def test_label_outputs_are_deterministic(tmp_path, scene_files):
     assert any(r["interactions"] for r in scene_records)
 
 
-def test_label_parallel_jobs_identical(tmp_path, scene_files):
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    assert main(["label", "--out", str(serial), *scene_files]) == 0
-    assert main(["label", "--out", str(parallel), "--jobs", "3", *scene_files]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def _output_bytes(path):
+    """The bytes of an output file, or {name: bytes} of an output directory."""
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["label", "gen-qa", "tokenize"])
+def test_parallel_jobs_identical(tmp_path, scene_files, command):
+    serial = tmp_path / "serial"
+    parallel = tmp_path / "parallel"
+    assert main([command, "--out", str(serial), *scene_files]) == 0
+    assert main([command, "--out", str(parallel), "--jobs", "3", *scene_files]) == 0
+    assert _output_bytes(serial)
+    assert _output_bytes(serial) == _output_bytes(parallel)
 
 
 def test_gen_qa_deterministic(tmp_path, scene_files):
@@ -288,3 +302,171 @@ def test_evaluate_rejects_non_finite_waypoints(tmp_path, scene_files, capsys, va
     assert error["error"] == "SCHEMA_ERROR"
     assert error["message"].startswith(f"{plans}:2:")
     assert not (tmp_path / "report.json").exists()
+
+
+def test_validate_reports_a_missing_file_and_keeps_going(tmp_path, scene_files, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["validate", str(missing), scene_files[0]]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
+    assert [(l["path"], l["ok"]) for l in lines] == [(str(missing), False), (scene_files[0], True)]
+    assert lines[0]["error"] == "FILE_ERROR"
+    assert lines[0]["message"].startswith(f"{missing}: ")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"NOMINAL": "x"}',
+        '{"counts": {"NOMINAL": "x"}}',
+        '{"BOGUS": 2}',
+        "[1]",
+        '{"counts": {"NOMINAL": true}}',
+        '{"counts": {"NOMINAL": -1}}',
+        '{"counts": [1]}',
+        '{"counts": {"NOMINAL": 1}, "base_seed": 1.5}',
+        '{"counts": {"NOMINAL": 1}, "params": [1]}',
+        '{"counts": {"NOMINAL": 1}, "params": {"NOMINAL": 5}}',
+    ],
+)
+def test_synth_bad_spec_is_one_json_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec, "utf-8")
+    out_dir = tmp_path / "corpus"
+    assert main(["synth", "--spec", str(path), "--out", str(out_dir)]) == 1
+    assert _one_error_line(capsys.readouterr().err)["error"] == "PARAM_ERROR"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field, value", [("scene_id", [1]), ("frame", 3.7), ("frame", True)])
+def test_evaluate_rejects_mistyped_plan_fields(tmp_path, scene_files, capsys, field, value):
+    plans = tmp_path / "plans.jsonl"
+    _write_replay_plans(scene_files[:1], plans)
+    lines = plans.read_text().strip().split("\n")
+    record = json.loads(lines[0])
+    record[field] = value
+    lines[0] = json.dumps(record)
+    plans.write_text("\n".join(lines) + "\n", "utf-8")
+    assert main(["evaluate", "--plans", str(plans), "--out", str(tmp_path / "r"), scene_files[0]]) == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error["error"] == "SCHEMA_ERROR"
+    assert error["message"].startswith(f"{plans}:1:")
+
+
+def test_evaluate_rejects_two_files_of_one_scene(tmp_path, scene_files, capsys):
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(Path(scene_files[0]).read_bytes())
+    plans = tmp_path / "plans.jsonl"
+    _write_replay_plans(scene_files[:1], plans)
+    argv = ["evaluate", "--plans", str(plans), "--out", str(tmp_path / "r"), scene_files[0], str(copy)]
+    assert main(argv) == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error["error"] == "REF_ERROR"
+    assert scene_files[0] in error["message"] and str(copy) in error["message"]
+    assert not (tmp_path / "r.json").exists()
+
+
+# --------------------------------------------------------------------------
+# error contract: every bad input file ends in exit 1 and one JSON error line
+
+KNOWN_CODES = {cls.code for cls in DrivekitError.__subclasses__()}
+
+
+def _assert_one_json_error(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    error = _one_error_line(err.getvalue())
+    assert error["error"] in KNOWN_CODES, error
+    return error
+
+
+def _json_or_blank(data: bytes) -> bool:
+    """Bytes some slot could accept: one JSON value, or only whitespace (no plans)."""
+    try:
+        text = data.decode("utf-8")
+        if text.strip():
+            json.loads(text)
+        return True
+    except ValueError:
+        return False
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+# valid JSON no slot accepts: a scalar, a non-empty list, or an object whose
+# keys name no scene field, config field, scenario kind, QA task or plan field
+WRONG_SHAPE = st.one_of(
+    JSON.filter(lambda v: not isinstance(v, (dict, list))),
+    st.lists(JSON, min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=5).map("~".__add__), JSON, min_size=1, max_size=3),
+)
+BAD_INPUT = st.one_of(
+    st.binary(max_size=64).filter(lambda data: not _json_or_blank(data)),
+    WRONG_SHAPE.map(lambda value: json.dumps(value).encode()),
+    st.sampled_from(["missing", "directory"]),
+)
+SLOTS = {
+    "scene": lambda bad, scene, out: ["label", "--out", out, bad],
+    "config": lambda bad, scene, out: ["label", "--config", bad, "--out", out, scene],
+    "spec": lambda bad, scene, out: ["synth", "--spec", bad, "--out", out],
+    "labels": lambda bad, scene, out: ["gen-qa", "--labels", bad, "--out", out, scene],
+    "plans": lambda bad, scene, out: ["evaluate", "--plans", bad, "--out", out, scene],
+    "templates": lambda bad, scene, out: ["gen-qa", "--templates", bad, "--out", out, scene],
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    save_scene_file(synth_scene("NOMINAL", 2), root / "scene.json")
+    (root / "directory").mkdir()
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot=st.sampled_from(sorted(SLOTS)), bad=BAD_INPUT)
+def test_every_bad_input_file_is_one_json_error(contract_dir, slot, bad):
+    if isinstance(bad, bytes):
+        (contract_dir / "input").write_bytes(bad)
+        bad = "input"
+    out = contract_dir / "out"
+    argv = SLOTS[slot](str(contract_dir / bad), str(contract_dir / "scene.json"), str(out))
+    error = _assert_one_json_error(argv)
+    if bad != "input":
+        assert error["error"] == "FILE_ERROR"
+        assert error["message"].startswith(str(contract_dir / bad))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["label", "--out", "{blocked}/out.jsonl", "{scene}"],
+        ["gen-qa", "--out", "{blocked}/out.jsonl", "{scene}"],
+        ["tokenize", "--out", "{blocked}/tokens", "{scene}"],
+        ["synth", "--spec", "{spec}", "--out", "{blocked}/corpus"],
+        ["evaluate", "--plans", "{plans}", "--out", "{blocked}/report", "{scene}"],
+        ["evaluate", "--plans", "{plans}", "--out", "{tmp}/r", "--plots", "{blocked}/p", "{scene}"],
+    ],
+    ids=["label", "gen-qa", "tokenize", "synth", "evaluate", "evaluate-plots"],
+)
+def test_unwritable_output_is_one_json_error(tmp_path, scene_files, argv):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file, so no path can go under it", "utf-8")
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"NOMINAL": 1}', "utf-8")
+    plans = tmp_path / "plans.jsonl"
+    _write_replay_plans(scene_files[:1], plans)
+    fields = {"blocked": blocked, "scene": scene_files[0], "spec": spec, "plans": plans, "tmp": tmp_path}
+    error = _assert_one_json_error([arg.format(**fields) for arg in argv])
+    assert error["error"] == "FILE_ERROR"
+    assert error["message"].startswith(f"{blocked}/")

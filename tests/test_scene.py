@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cruising_ego, scene_of, straight_lane, state, track
+from drivekit.cli import main
 from drivekit.errors import DrivekitError, LengthError, RefError, SchemaError
 from drivekit.scene import (
     STATE_DTYPE,
@@ -109,6 +110,28 @@ def test_not_json_is_schema_error():
 def test_bad_utf8_and_too_deep_json_are_schema_errors(data):
     with pytest.raises(SchemaError):
         load_scene(data)
+
+
+HUGE_INT_MUTATIONS = {  # an int beyond float range where a number goes
+    "half_width": lambda d: d["lanes"][0].__setitem__("half_width", 10**400),
+    "centerline": lambda d: d["lanes"][0]["centerline"][1].__setitem__(0, 10**400),
+    "state_x": lambda d: d["ego"]["states"][0].__setitem__("x", 10**400),
+    "frame_rate_hz": lambda d: d.__setitem__("frame_rate_hz", 10**400),
+}
+
+
+@pytest.mark.parametrize("field", sorted(HUGE_INT_MUTATIONS))
+def test_integers_beyond_float_range_are_schema_errors(field, tmp_path, capsys):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    HUGE_INT_MUTATIONS[field](doc)
+    for document in (doc, json.dumps(doc)):
+        with pytest.raises(SchemaError, match="too large for a float"):
+            load_scene(document)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    assert main(["validate", str(path)]) == 1
+    (line,) = capsys.readouterr().out.strip().split("\n")
+    assert json.loads(line)["error"] == "SCHEMA_ERROR"
 
 
 def test_load_scene_file_bad_utf8_is_schema_error(tmp_path):
