@@ -20,7 +20,14 @@ from .config import Config
 from .errors import (
     DrivekitError, FileError, ParamError, RefError, SchemaError, parse_json, read_text
 )
-from .interactions import InteractionLabel, critical_objects, label_interactions, merge_override_labels
+from .interactions import (
+    InteractionKind,
+    InteractionLabel,
+    critical_objects,
+    label_interactions,
+    merge_override_labels,
+    yield_kind,
+)
 from .metrics import PlanSample, evaluate_plans, future_complete, report_csv
 from .qa import (
     QATask,
@@ -44,12 +51,13 @@ def _resolve_config(args) -> Config:
 
 def _run_scene(fn, config: Config, extra: tuple, path: str):
     scene = load_scene_file(path)
-    return scene.id, fn(scene, config, *extra)
+    return scene.id, path, fn(scene, config, *extra)
 
 
 def _per_scene(args, fn, *extra) -> list:
     """fn(scene, config, *extra) for every scene file, fanned out over --jobs
-    worker processes; the results come back in scene-id order."""
+    worker processes; the results come back in scene-id order. Two files of
+    one scene id raise RefError."""
     run = functools.partial(_run_scene, fn, _resolve_config(args), extra)
     paths = sorted(args.scenes)
     if args.jobs > 1:
@@ -58,7 +66,10 @@ def _per_scene(args, fn, *extra) -> list:
     else:
         results = [run(path) for path in paths]
     results.sort(key=lambda r: r[0])
-    return [result for _, result in results]
+    for (scene_id, first, _), (other_id, second, _) in zip(results, results[1:]):
+        if scene_id == other_id:
+            raise RefError(f"{first} and {second} both hold scene {scene_id}")
+    return [result for _, _, result in results]
 
 
 def _write_records(args, results) -> int:
@@ -131,6 +142,7 @@ def _load_sidecar(path) -> list:
 
 
 _TASK_ORDER = {task: i for i, task in enumerate(QATask)}
+_YIELD_KINDS = (InteractionKind.YIELD_TO_PEDESTRIAN, InteractionKind.YIELD_TO_VEHICLE)
 
 
 def _qa_scene(scene, config: Config, sidecar, templates: dict) -> list:
@@ -139,12 +151,19 @@ def _qa_scene(scene, config: Config, sidecar, templates: dict) -> list:
     if sidecar is not None:
         # sidecar records may carry an optional scene_id to scope them; an
         # unscoped record applies to any scene holding that agent
-        agent_ids = {t.id for t in scene.agents}
+        categories = {t.id: t.category for t in scene.agents}
         scoped = [
             label
             for scene_id, label in sidecar
-            if scene_id in (None, scene.id) and label.agent_id in agent_ids
+            if scene_id in (None, scene.id) and label.agent_id in categories
         ]
+        for label in scoped:
+            category = categories[label.agent_id]
+            if label.kind in _YIELD_KINDS and label.kind is not yield_kind(category):
+                raise SchemaError(
+                    f"scene {scene.id}: a sidecar {label.kind.value} label names "
+                    f"agent {label.agent_id}, a {category.value}"
+                )
         labels = merge_override_labels(labels, scoped)
     lines = []
     for frame in range(scene.n_frames):
@@ -267,14 +286,13 @@ def _plan_svg(pred, gt) -> str:
     )
 
 
+def _scene_itself(scene, config: Config):
+    return scene
+
+
 def cmd_evaluate(args) -> int:
     config = _resolve_config(args)
-    scenes, paths = {}, {}
-    for path in args.scenes:
-        scene = load_scene_file(path)
-        if scene.id in scenes:
-            raise RefError(f"{paths[scene.id]} and {path} both hold scene {scene.id}")
-        scenes[scene.id], paths[scene.id] = scene, path
+    scenes = {scene.id: scene for scene in _per_scene(args, _scene_itself)}
     plans = _load_plans(args.plans)
     missing = sorted({p.scene_id for p in plans} - set(scenes))
     if missing:

@@ -24,6 +24,11 @@ def seeded_rng(*key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_finite_number(value) -> bool:
     """An int or float (not a bool) that converts to a finite float; an int
     too large for a float does not."""
@@ -100,7 +105,7 @@ class Config:
             raise ParamError(f"unknown config keys: {', '.join(unknown)}")
         for name, value in data.items():
             if isinstance(getattr(defaults, name), int):
-                if isinstance(value, bool) or not isinstance(value, int):
+                if not _is_int(value):
                     raise ParamError(f"config {name} must be an integer, got {value!r}")
             elif not _is_finite_number(value):
                 raise ParamError(f"config {name} must be a finite number, got {value!r}")

@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import Config
+from .config import Config, _is_int
 from .errors import SchemaError
 from .geometry import polyline_obb_distance
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
@@ -50,6 +50,13 @@ VEHICLE_CATEGORIES = frozenset(
 BLOCKING_CATEGORIES = frozenset({AgentCategory.TRAFFIC_CONE, AgentCategory.BARRIER})
 
 
+def yield_kind(category: AgentCategory) -> InteractionKind:
+    """The yield kind of an agent category: to a pedestrian, else to a vehicle."""
+    if category is AgentCategory.PEDESTRIAN:
+        return InteractionKind.YIELD_TO_PEDESTRIAN
+    return InteractionKind.YIELD_TO_VEHICLE
+
+
 @dataclass(frozen=True)
 class InteractionLabel:
     agent_id: int
@@ -63,6 +70,8 @@ class InteractionLabel:
             raise SchemaError("frame_span start must not exceed end")
         if self.kind in _SIDED_KINDS and self.side is None:
             raise SchemaError(f"{self.kind.value} requires a side")
+        if self.kind not in _SIDED_KINDS and self.side is not None:
+            raise SchemaError(f"{self.kind.value} takes no side")
 
     def covers(self, frame: int) -> bool:
         return self.frame_span[0] <= frame <= self.frame_span[1]
@@ -77,16 +86,18 @@ class InteractionLabel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InteractionLabel":
+        """A label from its record; `agent_id` and both span ends must be ints."""
         try:
-            side = data.get("side")
-            return cls(
-                agent_id=int(data["agent_id"]),
-                kind=InteractionKind(data["kind"]),
-                side=Side(side) if side else None,
-                frame_span=(int(data["frame_span"][0]), int(data["frame_span"][1])),
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            agent_id, span, side = data["agent_id"], data["frame_span"], data.get("side")
+            kind = InteractionKind(data["kind"])
+            side = None if side is None else Side(side)
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad interaction label record: {exc!r}") from None
+        if not _is_int(agent_id):
+            raise SchemaError(f"label agent_id must be an integer, got {agent_id!r}")
+        if not isinstance(span, list) or len(span) != 2 or not all(map(_is_int, span)):
+            raise SchemaError(f"label frame_span must be two integers, got {span!r}")
+        return cls(agent_id=agent_id, kind=kind, side=side, frame_span=(span[0], span[1]))
 
 
 class CriticalReason(enum.Enum):
@@ -216,15 +227,10 @@ def label_interactions(
                     continue
                 if _blocks(resume):
                     continue  # agent has not cleared by the resume frame
-                kind = (
-                    InteractionKind.YIELD_TO_PEDESTRIAN
-                    if track.category is AgentCategory.PEDESTRIAN
-                    else InteractionKind.YIELD_TO_VEHICLE
-                )
                 labels.append(
                     InteractionLabel(
                         agent_id=track.id,
-                        kind=kind,
+                        kind=yield_kind(track.category),
                         side=None,
                         frame_span=(run_start, run_end),
                     )

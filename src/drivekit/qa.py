@@ -2,14 +2,18 @@
 chain-of-thought planning records from labeled scenes.
 
 Question/answer phrasing lives in an external template file keyed by task;
-placeholders use ``{field}`` syntax. Rendering is mechanical and bijective:
-``parse_answer(task, render_answer(task, payload)) == payload`` for every
-record, and all coordinates are fixed at 1 decimal so corpora are
-byte-deterministic.
+placeholders use ``{field}`` syntax. Every phrase inside an answer (an
+object, an interaction plan, a waypoint, and the text of each category,
+side, reason or lane decision) is written once in the tables below, and one
+template compiler both renders and parses them. Rendering is mechanical and
+bijective: ``parse_answer(task, render_answer(task, payload)) == payload`` for
+every record, ``parse_answer`` raises only ``FormatError``, and all
+coordinates are fixed at 1 decimal so corpora are byte-deterministic.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -18,7 +22,7 @@ from typing import List, Optional
 from .config import Config, seeded_rng
 from .errors import FormatError, InsufficientFutureError, SchemaError, parse_json, read_text
 from .geometry import to_frame
-from .interactions import Criticality, CriticalReason, InteractionLabel
+from .interactions import Criticality, CriticalReason, InteractionLabel, Side, yield_kind
 from .metrics import PLAN_STEPS, _steps_per_frame, future_complete
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
 from .scene import AgentCategory, NavigationCommand, Scene
@@ -57,65 +61,48 @@ class QARecord:
 # --------------------------------------------------------------------------
 # templates
 
+_PLACEHOLDER = re.compile(r"\{(\w+)\}")
+
+# per task: the placeholders its question may use, and the ones its answer
+# holds, each once
+_TEMPLATE_FIELDS = {
+    QATask.PERCEPTION_OBJECT: ({"x", "y"}, ["category"]),
+    QATask.PERCEPTION_LANE_ASSOC: ({"x", "y"}, ["lane_mode"]),
+    QATask.REASONING_OBJECT: ({"x", "y"}, ["reason_text", "verdict"]),
+    QATask.REASONING_GROUNDING: (set(), ["objects"]),
+    QATask.PLANNING: (
+        {"nav_command"},
+        ["critical_objects", "lane_decision", "plans", "waypoints"],
+    ),
+}
+
+
+def _names(fields) -> str:
+    return ", ".join(f"{{{name}}}" for name in sorted(fields)) or "no placeholder"
+
 
 def load_templates(path=None) -> dict:
-    """Per task, string 'question' and 'answer' templates from `path` or the packaged file."""
+    """Per task, string 'question' and 'answer' templates from `path` or the
+    packaged file. The answer holds each of the task's answer fields once,
+    and the question uses only fields the task fills."""
     if path is None:
         path = resources.files("drivekit").joinpath("data/templates.json")
     templates = parse_json(read_text(path), SchemaError, path)
     if not isinstance(templates, dict):
         raise SchemaError(f"{path}: template file must hold a JSON object")
-    for task in QATask:
+    for task, (asked, answered) in _TEMPLATE_FIELDS.items():
         entry = templates.get(task.value)
         if not isinstance(entry, dict) or not all(
             isinstance(entry.get(key), str) for key in ("question", "answer")
         ):
             raise SchemaError(f"{path}: {task.value} needs string 'question' and 'answer'")
+        if not set(_PLACEHOLDER.findall(entry["question"])) <= asked:
+            raise SchemaError(f"{path}: {task.value} question may use only {_names(asked)}")
+        if sorted(_PLACEHOLDER.findall(entry["answer"])) != answered:
+            raise SchemaError(
+                f"{path}: {task.value} answer must hold {_names(answered)} once each"
+            )
     return templates
-
-
-_PLACEHOLDER = re.compile(r"\{(\w+)\}")
-
-_FIELD_PATTERNS = {
-    "x": r"(-?\d+\.\d)",
-    "y": r"(-?\d+\.\d)",
-    "category": r"([a-z ]+)",
-    "lane_mode": r"(LEFT|RIGHT|AHEAD|BEHIND|NOTON)",
-    "verdict": r"(Yes|No)",
-    "reason_text": r"(.+?)",
-    "objects": r"(.*?)",
-    "critical_objects": r"(.*?)",
-    "plans": r"(.*?)",
-    "lane_decision": r"([a-z ]+)",
-    "waypoints": r"(.*?)",
-    "nav_command": r"(.+?)",
-}
-
-
-def _render(template: str, fields: dict) -> str:
-    def sub(match):
-        name = match.group(1)
-        if name not in fields:
-            raise FormatError(f"template placeholder '{name}' has no value")
-        return fields[name]
-
-    return _PLACEHOLDER.sub(sub, template)
-
-
-def _template_regex(template: str):
-    names = []
-    pattern = []
-    pos = 0
-    for match in _PLACEHOLDER.finditer(template):
-        pattern.append(re.escape(template[pos : match.start()]))
-        name = match.group(1)
-        if name not in _FIELD_PATTERNS:
-            raise FormatError(f"unknown template placeholder '{name}'")
-        names.append(name)
-        pattern.append(_FIELD_PATTERNS[name])
-        pos = match.end()
-    pattern.append(re.escape(template[pos:]))
-    return re.compile("^" + "".join(pattern) + "$"), names
 
 
 def quant1(v: float) -> float:
@@ -128,47 +115,7 @@ def _fmt1(v: float) -> str:
     return f"{quant1(v):.1f}"
 
 
-def _category_text(category: str) -> str:
-    return category.lower().replace("_", " ")
-
-
-def _category_value(text: str) -> str:
-    value = text.strip().upper().replace(" ", "_")
-    AgentCategory(value)  # validates
-    return value
-
-
-def _objects_text(objects: List[dict]) -> str:
-    if not objects:
-        return "none"
-    return "; ".join(
-        f"a {_category_text(o['category'])} at ({_fmt1(o['x'])}, {_fmt1(o['y'])})"
-        for o in objects
-    )
-
-
-_OBJECT_RE = re.compile(r"^a ([a-z ]+) at \((-?\d+\.\d), (-?\d+\.\d)\)$")
-
-
-def _objects_parse(text: str) -> List[dict]:
-    if text == "none":
-        return []
-    out = []
-    for part in text.split("; "):
-        m = _OBJECT_RE.match(part)
-        if not m:
-            raise FormatError(f"cannot parse object '{part}'")
-        out.append(
-            {
-                "category": _category_value(m.group(1)),
-                "x": float(m.group(2)),
-                "y": float(m.group(3)),
-            }
-        )
-    return out
-
-
-_REASON_PHRASES = {
+_REASON_TEXT = {
     ("HAS_INTERACTION", "BYPASS_CONES"): "it is blocking the ego vehicle's lane",
     ("HAS_INTERACTION", "YIELD_TO_PEDESTRIAN"): "the ego vehicle is yielding to it while it crosses",
     ("HAS_INTERACTION", "YIELD_TO_VEHICLE"): "the ego vehicle is yielding to it in traffic",
@@ -177,72 +124,6 @@ _REASON_PHRASES = {
     ("IN_EGO_CORRIDOR", None): "it lies in the ego vehicle's planned corridor",
     ("NONE", None): "it does not affect the ego vehicle's plan",
 }
-_REASON_FROM_PHRASE = {v: k for k, v in _REASON_PHRASES.items()}
-
-_PLAN_SIDED_PHRASES = {
-    "BYPASS_CONES": "bypass the {category} on the {side}",
-    "OVERTAKE_LANE_CHANGE": "overtake the {category} via lane change on the {side}",
-    "OVERTAKE_STRADDLE": "overtake the {category} by straddling on the {side}",
-}
-_PLAN_SIDED_RES = {
-    kind: re.compile(
-        "^" + phrase.format(category=r"([a-z ]+)", side="(left|right)") + "$"
-    )
-    for kind, phrase in _PLAN_SIDED_PHRASES.items()
-}
-_PLAN_YIELD_RE = re.compile(r"^yield to the ([a-z ]+)$")
-
-
-def _plans_text(plans: List[dict]) -> str:
-    if not plans:
-        return "none"
-    parts = []
-    for plan in plans:
-        kind = plan["kind"]
-        if kind in _PLAN_SIDED_PHRASES:
-            parts.append(
-                _PLAN_SIDED_PHRASES[kind].format(
-                    category=_category_text(plan["category"]),
-                    side=plan["side"].lower(),
-                )
-            )
-        else:  # yield kinds
-            parts.append(f"yield to the {_category_text(plan['category'])}")
-    return "; ".join(parts)
-
-
-def _plans_parse(text: str) -> List[dict]:
-    if text == "none":
-        return []
-    out = []
-    for part in text.split("; "):
-        matched = False
-        for kind, rx in _PLAN_SIDED_RES.items():
-            m = rx.match(part)
-            if m:
-                out.append(
-                    {
-                        "kind": kind,
-                        "side": m.group(2).upper(),
-                        "category": _category_value(m.group(1)),
-                    }
-                )
-                matched = True
-                break
-        if matched:
-            continue
-        m = _PLAN_YIELD_RE.match(part)
-        if not m:
-            raise FormatError(f"cannot parse interaction plan '{part}'")
-        category = _category_value(m.group(1))
-        kind = (
-            "YIELD_TO_PEDESTRIAN"
-            if category == AgentCategory.PEDESTRIAN.value
-            else "YIELD_TO_VEHICLE"
-        )
-        out.append({"kind": kind, "side": None, "category": category})
-    return out
-
 
 _DECISION_TEXT = {
     "KEEP_LANE": "keep lane",
@@ -250,21 +131,6 @@ _DECISION_TEXT = {
     "RIGHT_LANE_CHANGE": "right lane change",
     "STRADDLE": "straddle",
 }
-_DECISION_FROM_TEXT = {v: k for k, v in _DECISION_TEXT.items()}
-
-_WAYPOINT_RE = re.compile(r"\((-?\d+\.\d), (-?\d+\.\d)\)")
-
-
-def _waypoints_text(waypoints) -> str:
-    return ", ".join(f"({_fmt1(x)}, {_fmt1(y)})" for x, y in waypoints)
-
-
-def _waypoints_parse(text: str) -> List[list]:
-    pairs = _WAYPOINT_RE.findall(text)
-    if len(pairs) != PLAN_STEPS:
-        raise FormatError(f"expected {PLAN_STEPS} waypoints, found {len(pairs)}")
-    return [[float(x), float(y)] for x, y in pairs]
-
 
 NAV_COMMAND_TEXT = {
     NavigationCommand.KEEP_FORWARD: "keep forward",
@@ -278,98 +144,190 @@ NAV_COMMAND_TEXT = {
     NavigationCommand.THREE_POINT_TURN_RIGHT: "right 3-point turn",
 }
 
+# the text of each value a table placeholder takes
+_TEXTS = {
+    "category": {c.value: c.value.lower().replace("_", " ") for c in AgentCategory},
+    "side": {s.value: s.value.lower() for s in Side},
+    "lane_mode": {m.value: m.value for m in LaneMode},
+    "verdict": {True: "Yes", False: "No"},
+    "reason_text": _REASON_TEXT,
+    "lane_decision": _DECISION_TEXT,
+    "nav_command": NAV_COMMAND_TEXT,
+}
 
-def _answer_fields(task: QATask, payload: dict) -> dict:
-    if task is QATask.PERCEPTION_OBJECT:
-        return {"category": _category_text(payload["category"])}
-    if task is QATask.PERCEPTION_LANE_ASSOC:
-        return {"lane_mode": payload["lane_mode"]}
-    if task is QATask.REASONING_OBJECT:
-        phrase = _REASON_PHRASES[(payload["reason"], payload.get("kind"))]
-        return {"verdict": "Yes" if payload["critical"] else "No", "reason_text": phrase}
-    if task is QATask.REASONING_GROUNDING:
-        return {"objects": _objects_text(payload["objects"])}
-    if task is QATask.PLANNING:
-        return {
-            "critical_objects": _objects_text(payload["critical_objects"]),
-            "plans": _plans_text(payload["plans"]),
-            "lane_decision": _DECISION_TEXT[payload["lane_decision"]],
-            "waypoints": _waypoints_text(payload["waypoints"]),
-        }
-    raise FormatError(f"unknown task {task}")
+_OBJECT = "a {category} at ({x}, {y})"
+_WAYPOINT = "({x}, {y})"
+_WAYPOINTS = ", ".join([_WAYPOINT] * PLAN_STEPS)
+# interaction plan phrase per kind; a yield's kind follows the category
+_YIELD = "yield to the {category}"
+_PLANS = {
+    "BYPASS_CONES": "bypass the {category} on the {side}",
+    "OVERTAKE_LANE_CHANGE": "overtake the {category} via lane change on the {side}",
+    "OVERTAKE_STRADDLE": "overtake the {category} by straddling on the {side}",
+    "YIELD_TO_PEDESTRIAN": _YIELD,
+    "YIELD_TO_VEHICLE": _YIELD,
+}
+
+
+def _value(name: str, text: str):
+    """The value whose text in the `name` table is `text`."""
+    for value, phrase in _TEXTS[name].items():
+        if phrase == text:
+            return value
+    raise FormatError(f"unknown {name} text {text!r}")
+
+
+def _render(template: str, values: dict) -> str:
+    """`template` with each placeholder replaced by the text of its value."""
+
+    def sub(match):
+        name = match.group(1)
+        if name not in values:
+            raise FormatError(f"template placeholder '{name}' has no value")
+        return _CODECS[name][1](values[name])
+
+    return _PLACEHOLDER.sub(sub, template)
+
+
+@functools.lru_cache(maxsize=None)
+def _template_regex(template: str):
+    names = []
+    pattern = []
+    pos = 0
+    for match in _PLACEHOLDER.finditer(template):
+        pattern.append(re.escape(template[pos : match.start()]))
+        name = match.group(1)
+        if name not in _CODECS:
+            raise FormatError(f"unknown template placeholder '{name}'")
+        names.append(name)
+        pattern.append(_CODECS[name][0])
+        pos = match.end()
+    pattern.append(re.escape(template[pos:]))
+    return re.compile("^" + "".join(pattern) + "$"), names
+
+
+def _parse(template: str, text: str, what: str) -> list:
+    """Invert _render: (placeholder, value) per placeholder, in template order."""
+    rx, names = _template_regex(template)
+    match = rx.match(text)
+    if match is None:
+        raise FormatError(f"{what} does not match {template!r}: {text!r}")
+    return [(name, _CODECS[name][2](part)) for name, part in zip(names, match.groups())]
+
+
+def _objects_text(objects: List[dict]) -> str:
+    return "; ".join(_render(_OBJECT, o) for o in objects) or "none"
+
+
+def _objects_parse(text: str) -> List[dict]:
+    if text == "none":
+        return []
+    return [dict(_parse(_OBJECT, part, "object")) for part in text.split("; ")]
+
+
+def _plans_text(plans: List[dict]) -> str:
+    return "; ".join(_render(_PLANS[plan["kind"]], plan) for plan in plans) or "none"
+
+
+def _plan_parse(text: str) -> dict:
+    for kind, template in _PLANS.items():
+        if _template_regex(template)[0].match(text):
+            plan = {"kind": kind, "side": None, **dict(_parse(template, text, "plan"))}
+            if template is _YIELD:
+                plan["kind"] = yield_kind(AgentCategory(plan["category"])).value
+            return plan
+    raise FormatError(f"cannot parse interaction plan {text!r}")
+
+
+def _plans_parse(text: str) -> List[dict]:
+    return [] if text == "none" else [_plan_parse(part) for part in text.split("; ")]
+
+
+def _waypoints_text(waypoints) -> str:
+    return ", ".join(_render(_WAYPOINT, {"x": x, "y": y}) for x, y in waypoints)
+
+
+def _waypoints_parse(text: str) -> List[list]:
+    values = [value for _, value in _parse(_WAYPOINTS, text, "motion plan")]
+    return [values[i : i + 2] for i in range(0, len(values), 2)]
+
+
+# placeholder -> (pattern, value -> text, text -> value)
+_NUMBER = (r"(-?\d+\.\d)", _fmt1, float)
+_CODECS = {
+    "x": _NUMBER,
+    "y": _NUMBER,
+    "objects": (r"(.*?)", _objects_text, _objects_parse),
+    "critical_objects": (r"(.*?)", _objects_text, _objects_parse),
+    "plans": (r"(.*?)", _plans_text, _plans_parse),
+    "waypoints": (r"(.*?)", _waypoints_text, _waypoints_parse),
+    **{
+        name: (
+            "(" + "|".join(map(re.escape, table.values())) + ")",
+            table.__getitem__,
+            functools.partial(_value, name),
+        )
+        for name, table in _TEXTS.items()
+    },
+}
 
 
 def render_answer(task: QATask, payload: dict, templates: dict) -> str:
-    return _render(templates[task.value]["answer"], _answer_fields(task, payload))
+    if task is QATask.REASONING_OBJECT:
+        payload = {
+            "verdict": payload["critical"],
+            "reason_text": (payload["reason"], payload.get("kind")),
+        }
+    return _render(templates[task.value]["answer"], payload)
 
 
 def parse_answer(task: QATask, text: str, templates: dict) -> dict:
     """Invert render_answer; raises FormatError when the text does not match
     the template grammar."""
-    rx, names = _template_regex(templates[task.value]["answer"])
-    m = rx.match(text)
-    if not m:
-        raise FormatError(f"answer does not match {task.value} template: {text!r}")
-    fields = dict(zip(names, m.groups()))
-    if task is QATask.PERCEPTION_OBJECT:
-        return {"category": _category_value(fields["category"])}
-    if task is QATask.PERCEPTION_LANE_ASSOC:
-        return {"lane_mode": fields["lane_mode"]}
+    fields = dict(_parse(templates[task.value]["answer"], text, f"{task.value} answer"))
     if task is QATask.REASONING_OBJECT:
-        reason, kind = _REASON_FROM_PHRASE[fields["reason_text"]]
-        return {
-            "critical": fields["verdict"] == "Yes",
-            "reason": reason,
-            "kind": kind,
-        }
-    if task is QATask.REASONING_GROUNDING:
-        return {"objects": _objects_parse(fields["objects"])}
-    if task is QATask.PLANNING:
-        return {
-            "critical_objects": _objects_parse(fields["critical_objects"]),
-            "plans": _plans_parse(fields["plans"]),
-            "lane_decision": _DECISION_FROM_TEXT[fields["lane_decision"]],
-            "waypoints": _waypoints_parse(fields["waypoints"]),
-        }
-    raise FormatError(f"unknown task {task}")
+        reason, kind = fields["reason_text"]
+        return {"critical": fields["verdict"], "reason": reason, "kind": kind}
+    return fields
 
 
 # --------------------------------------------------------------------------
 # generation
 
 
-def _ego_frame_position(scene: Scene, track, frame: int):
-    anchor = scene.ego.states[frame].pose
-    st = track.states[frame]
-    local = to_frame((st.pose.x, st.pose.y), anchor)
-    return quant1(float(local[0])), quant1(float(local[1]))
+def _frame_objects(scene: Scene, frame: int) -> dict:
+    """By agent id, (category, ego-frame x, ego-frame y, valid) of every
+    agent at the frame, from one transform of the frame's states."""
+    states = scene.agent_arrays[:, frame]
+    local = to_frame(states["xy"], scene.ego.states[frame].pose).tolist()
+    return {
+        track.id: (track.category, x, y, valid)
+        for track, (x, y), valid in zip(scene.agents, local, states["valid"].tolist())
+    }
 
 
-def _critical_objects(
-    scene: Scene, frame: int, crits: List[Criticality], tracks: dict
-) -> List[dict]:
-    """Category and ego-frame position of each critical agent valid at the frame."""
-    objects = []
-    for crit in crits:
-        if not crit.critical:
-            continue
-        track = tracks[crit.agent_id]
-        if track.states[frame].valid:
-            x, y = _ego_frame_position(scene, track, frame)
-            objects.append({"category": track.category.value, "x": x, "y": y})
-    return objects
+def _object(objects: dict, agent_id: int) -> dict:
+    """The category and quantized ego-frame position of one frame object."""
+    category, x, y, _ = objects[agent_id]
+    return {"category": category.value, "x": quant1(x), "y": quant1(y)}
+
+
+def _critical_objects(objects: dict, crits: List[Criticality]) -> List[dict]:
+    """The frame objects of the critical agents valid at the frame."""
+    return [_object(objects, c.agent_id) for c in crits if c.critical and objects[c.agent_id][3]]
 
 
 def _record(
-    scene: Scene, frame: int, task: QATask, key, question: str, payload: dict, templates: dict
+    scene: Scene, frame: int, task: QATask, key, asked: dict, payload: dict, templates: dict
 ) -> QARecord:
-    """The record of one task at one frame; `key` names its subject in the id."""
+    """The record of one task at one frame; `key` names its subject in the id
+    and `asked` fills the question."""
     return QARecord(
         id=f"{scene.id}:{frame}:{task.value}:{key}",
         scene_id=scene.id,
         frame=frame,
         task=task,
-        question=question,
+        question=_render(templates[task.value]["question"], asked),
         answer=render_answer(task, payload, templates),
         structured=payload,
     )
@@ -380,7 +338,8 @@ def select_agents(
 ) -> List[int]:
     """Critical agents plus a seeded uniform sample of non-critical ones at
     the configured distractor ratio, without replacement."""
-    valid_ids = {t.id for t in scene.agents if t.states[frame].valid}
+    valid = scene.agent_arrays[:, frame]["valid"].tolist()
+    valid_ids = {t.id for t, v in zip(scene.agents, valid) if v}
     critical = sorted(c.agent_id for c in crits if c.critical and c.agent_id in valid_ids)
     others = sorted(
         c.agent_id for c in crits if not c.critical and c.agent_id in valid_ids
@@ -405,21 +364,17 @@ def gen_perception_qas(
     """Object-classification QA per selected agent, plus a lane-association QA
     for those with a lane."""
     records = []
-    tracks = {t.id: t for t in scene.agents}
+    objects = _frame_objects(scene, frame)
     for agent_id in select_agents(scene, frame, crits, config):
-        track = tracks[agent_id]
-        x, y = _ego_frame_position(scene, track, frame)
-        at = {"x": _fmt1(x), "y": _fmt1(y)}
+        obj = _object(objects, agent_id)
+        payload = {"category": obj["category"]}
         task = QATask.PERCEPTION_OBJECT
-        payload = {"category": track.category.value}
-        question = _render(templates[task.value]["question"], at)
-        records.append(_record(scene, frame, task, agent_id, question, payload, templates))
+        records.append(_record(scene, frame, task, agent_id, obj, payload, templates))
         mode = rel.lane_modes[agent_id][frame]
         if mode is not LaneMode.NOTON:
             task = QATask.PERCEPTION_LANE_ASSOC
             payload = {"lane_mode": mode.value}
-            question = _render(templates[task.value]["question"], at)
-            records.append(_record(scene, frame, task, agent_id, question, payload, templates))
+            records.append(_record(scene, frame, task, agent_id, obj, payload, templates))
     return records
 
 
@@ -444,25 +399,20 @@ def gen_reasoning_qas(
     """Criticality QA per selected agent plus one scene-level grounding QA."""
     records = []
     task = QATask.REASONING_OBJECT
-    tracks = {t.id: t for t in scene.agents}
+    objects = _frame_objects(scene, frame)
     crit_by_id = {c.agent_id: c for c in crits}
     for agent_id in select_agents(scene, frame, crits, config):
-        track = tracks[agent_id]
         crit = crit_by_id[agent_id]
-        x, y = _ego_frame_position(scene, track, frame)
-        kind = (
-            _covering_kind(labels, agent_id, frame)
-            if crit.reason is CriticalReason.HAS_INTERACTION
-            else None
-        )
+        kind = None
+        if crit.reason is CriticalReason.HAS_INTERACTION:
+            kind = _covering_kind(labels, agent_id, frame)
         payload = {"critical": crit.critical, "reason": crit.reason.value, "kind": kind}
-        question = _render(templates[task.value]["question"], {"x": _fmt1(x), "y": _fmt1(y)})
-        records.append(_record(scene, frame, task, agent_id, question, payload, templates))
+        obj = _object(objects, agent_id)
+        records.append(_record(scene, frame, task, agent_id, obj, payload, templates))
 
     task = QATask.REASONING_GROUNDING
-    payload = {"objects": _critical_objects(scene, frame, crits, tracks)}
-    question = templates[task.value]["question"]
-    records.append(_record(scene, frame, task, "scene", question, payload, templates))
+    payload = {"objects": _critical_objects(objects, crits)}
+    records.append(_record(scene, frame, task, "scene", {}, payload, templates))
     return records
 
 
@@ -484,18 +434,16 @@ def gen_planning_qas(
             f"scene {scene.id} frame {frame}: no 3 s ground-truth future"
         )
 
-    tracks = {t.id: t for t in scene.agents}
-
-    plans = []
-    for label in labels:
-        if label.covers(frame):
-            plans.append(
-                {
-                    "kind": label.kind.value,
-                    "side": label.side.value if label.side else None,
-                    "category": tracks[label.agent_id].category.value,
-                }
-            )
+    objects = _frame_objects(scene, frame)
+    plans = [
+        {
+            "kind": label.kind.value,
+            "side": label.side.value if label.side else None,
+            "category": objects[label.agent_id][0].value,
+        }
+        for label in labels
+        if label.covers(frame)
+    ]
 
     spf = _steps_per_frame(scene.frame_rate)
     horizon = rel.ego_decisions[frame + 1 : frame + PLAN_STEPS * spf + 1]
@@ -513,13 +461,10 @@ def gen_planning_qas(
         for x, y in ego_future_waypoints(scene, frame)
     ]
     payload = {
-        "critical_objects": _critical_objects(scene, frame, crits, tracks),
+        "critical_objects": _critical_objects(objects, crits),
         "plans": plans,
         "lane_decision": decision.value,
         "waypoints": waypoints,
     }
-    question = _render(
-        templates[QATask.PLANNING.value]["question"],
-        {"nav_command": NAV_COMMAND_TEXT[scene.nav_commands[frame]]},
-    )
-    return _record(scene, frame, QATask.PLANNING, "ego", question, payload, templates)
+    asked = {"nav_command": scene.nav_commands[frame]}
+    return _record(scene, frame, QATask.PLANNING, "ego", asked, payload, templates)

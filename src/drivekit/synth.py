@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .config import Config
+from .config import Config, _is_finite_number, _is_int
 from .errors import ParamError
 from .scene import (
     AgentCategory,
@@ -64,12 +64,30 @@ def _rng(seed: int):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _param_fits(value, default) -> bool:
+    """A bool for a bool default, an int for an int one, a finite number for
+    a float one and a string for a string one; never a bool for a number."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return _is_int(value)
+    if isinstance(default, float):
+        return _is_finite_number(value)
+    return isinstance(value, str)
+
+
 def _merge_params(kind: ScenarioKind, params: Optional[dict]) -> dict:
     merged = dict(DEFAULT_PARAMS[kind])
     if params:
         unknown = sorted(set(params) - set(merged))
         if unknown:
             raise ParamError(f"{kind.value}: unknown params {', '.join(unknown)}")
+        for name, value in params.items():
+            if not _param_fits(value, merged[name]):
+                raise ParamError(
+                    f"{kind.value}: param {name} must have the type of its default "
+                    f"{merged[name]!r}, got {value!r}"
+                )
         merged.update(params)
     return merged
 
@@ -485,7 +503,7 @@ def corpus_manifest(counts: Dict, base_seed: int = 0) -> dict:
     sequential seed ranges; hashed for portability checks."""
     if not isinstance(counts, dict):
         raise ParamError("corpus counts must be an object of kind: count")
-    if isinstance(base_seed, bool) or not isinstance(base_seed, int):
+    if not _is_int(base_seed):
         raise ParamError(f"base_seed must be an integer, got {base_seed!r}")
     norm: Dict[str, int] = {}
     for kind, count in counts.items():
@@ -493,7 +511,7 @@ def corpus_manifest(counts: Dict, base_seed: int = 0) -> dict:
             kind = ScenarioKind(kind)
         except ValueError:
             raise ParamError(f"unknown scenario kind {kind!r}") from None
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        if not _is_int(count) or count < 0:
             raise ParamError(f"count of {kind.value} must be an integer >= 0, got {count!r}")
         norm[kind.value] = count
     total = sum(norm.values())
@@ -528,6 +546,12 @@ def synth_corpus(
     params = {} if params is None else params
     if not isinstance(params, dict) or not all(isinstance(p, dict) for p in params.values()):
         raise ParamError("params must be an object of kind: {param: value}")
+    for name, entry in params.items():  # every entry, counted or not
+        try:
+            kind = ScenarioKind(name)
+        except ValueError:
+            raise ParamError(f"params name an unknown scenario kind {name!r}") from None
+        _merge_params(kind, entry)
     scenes = []
     for name in sorted(manifest["kinds"]):
         entry = manifest["kinds"][name]

@@ -326,6 +326,12 @@ def test_validate_reports_a_missing_file_and_keeps_going(tmp_path, scene_files, 
         '{"counts": {"NOMINAL": 1}, "base_seed": 1.5}',
         '{"counts": {"NOMINAL": 1}, "params": [1]}',
         '{"counts": {"NOMINAL": 1}, "params": {"NOMINAL": 5}}',
+        '{"counts": {"RESUME_FROM_STOP": 1}, "params": {"RESUME_FROM_STOP": {"stop_duration": "x"}}}',
+        '{"counts": {"THREE_POINT_TURN": 1}, "params": {"THREE_POINT_TURN": {"v1": null}}}',
+        '{"counts": {"CONSTRUCTION_ZONE": 1}, "params": {"CONSTRUCTION_ZONE": {"n_cones": 2.7}}}',
+        '{"counts": {"NOMINAL": 1}, "params": {"NOMINAL": {"with_traffic": "no"}}}',
+        '{"counts": {"NOMINAL": 1}, "params": {"NOMINALL": {}}}',
+        '{"counts": {"NOMINAL": 1}, "params": {"CONSTRUCTION_ZONE": {"n_cones": 2.7}}}',
     ],
 )
 def test_synth_bad_spec_is_one_json_error(tmp_path, capsys, spec):
@@ -363,6 +369,38 @@ def test_evaluate_rejects_two_files_of_one_scene(tmp_path, scene_files, capsys):
     assert error["error"] == "REF_ERROR"
     assert scene_files[0] in error["message"] and str(copy) in error["message"]
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["label", "gen-qa", "tokenize"])
+def test_two_files_of_one_scene_are_one_ref_error(tmp_path, scene_files, capsys, command):
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(Path(scene_files[1]).read_bytes())
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), *scene_files, str(copy)]) == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error["error"] == "REF_ERROR"
+    assert scene_files[1] in error["message"] and str(copy) in error["message"]
+
+
+@pytest.mark.parametrize(
+    "agent_id, kind", [(10, "YIELD_TO_PEDESTRIAN"), (30, "YIELD_TO_VEHICLE")]
+)
+def test_gen_qa_sidecar_yield_must_follow_the_category(tmp_path, capsys, agent_id, kind):
+    # agent 10 of nominal-000002 is a car, agent 30 of resume_from_stop-000002
+    # a pedestrian
+    paths = []
+    for name, seed in [("NOMINAL", 2), ("RESUME_FROM_STOP", 2)]:
+        paths.append(str(tmp_path / f"{name}.json"))
+        save_scene_file(synth_scene(name, seed), paths[-1])
+    sidecar = tmp_path / "sidecar.json"
+    label = {"agent_id": agent_id, "kind": kind, "side": None, "frame_span": [0, 5]}
+    sidecar.write_text(json.dumps([label]), "utf-8")
+    out = tmp_path / "qa.jsonl"
+    assert main(["gen-qa", "--out", str(out), "--labels", str(sidecar), *paths]) == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error["error"] == "SCHEMA_ERROR"
+    assert kind in error["message"]
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------

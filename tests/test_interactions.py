@@ -280,3 +280,31 @@ def test_sidecar_different_kind_does_not_override(config):
 def test_label_roundtrip_dict():
     label = InteractionLabel(3, InteractionKind.BYPASS_CONES, Side.RIGHT, (1, 5))
     assert InteractionLabel.from_dict(label.to_dict()) == label
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"agent_id": 3.7},
+        {"agent_id": True},
+        {"agent_id": "5"},
+        {"frame_span": "12"},
+        {"frame_span": [1, 4, 9]},
+        {"frame_span": [1, 4.0]},
+        {"frame_span": [False, 4]},
+        {"side": ""},
+        {"side": False},
+    ],
+)
+def test_label_record_fields_are_not_coerced(record):
+    data = {"agent_id": 3, "kind": "YIELD_TO_VEHICLE", "side": None, "frame_span": [1, 4]}
+    with pytest.raises(SchemaError):
+        InteractionLabel.from_dict({**data, **record})
+
+
+@pytest.mark.parametrize("kind", ["YIELD_TO_PEDESTRIAN", "YIELD_TO_VEHICLE"])
+def test_yield_label_takes_no_side(kind):
+    with pytest.raises(SchemaError, match="takes no side"):
+        InteractionLabel.from_dict(
+            {"agent_id": 3, "kind": kind, "side": "LEFT", "frame_span": [1, 4]}
+        )

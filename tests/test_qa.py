@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cruising_ego, scene_of, state, straight_lane, track
-from drivekit.errors import FormatError, InsufficientFutureError
+from drivekit.errors import FormatError, InsufficientFutureError, SchemaError
 from drivekit.interactions import critical_objects, label_interactions
 from drivekit.qa import (
     QATask,
@@ -14,7 +16,7 @@ from drivekit.qa import (
     parse_answer,
     render_answer,
 )
-from drivekit.relations import compute_relations
+from drivekit.relations import EgoLaneDecision, LaneMode, compute_relations
 from drivekit.scene import AgentCategory
 from drivekit.synth import synth_scene
 
@@ -244,3 +246,148 @@ def test_custom_template_file_is_honored(config, tmp_path):
     text = render_answer(QATask.PERCEPTION_OBJECT, payload, loaded)
     assert text == "Object category: truck."
     assert parse_answer(QATask.PERCEPTION_OBJECT, text, loaded) == payload
+
+
+@pytest.mark.parametrize("template", ["It is an object.", "It is a {category} {category}."])
+def test_answer_template_without_each_field_once_is_rejected(tmp_path, template):
+    templates = load_templates()
+    templates["PERCEPTION_OBJECT"]["answer"] = template
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps(templates), "utf-8")
+    with pytest.raises(SchemaError, match="PERCEPTION_OBJECT answer"):
+        load_templates(path)
+
+
+@pytest.mark.parametrize(
+    "task, question",
+    [
+        ("PERCEPTION_OBJECT", "Where is {foo}?"),
+        ("REASONING_GROUNDING", "Which objects near ({x}, {y}) matter?"),
+        ("PLANNING", "What is the object at ({x}, {y})?"),
+    ],
+)
+def test_question_template_with_unfilled_field_is_rejected(tmp_path, task, question):
+    templates = load_templates()
+    templates[task]["question"] = question
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps(templates), "utf-8")
+    with pytest.raises(SchemaError, match=f"{task} question"):
+        load_templates(path)
+
+
+@pytest.mark.parametrize(
+    "task, text",
+    [
+        (QATask.REASONING_OBJECT, "Yes: because."),
+        (QATask.PERCEPTION_OBJECT, "It is a spaceship."),
+        (QATask.REASONING_GROUNDING, "Critical objects: a unicorn at (1.0, 2.0)."),
+        (
+            QATask.PLANNING,
+            "Critical objects: none. Behavior: none; lane decision: fly. Motion plan: "
+            + ", ".join(["(0.0, 0.0)"] * 6)
+            + ".",
+        ),
+    ],
+)
+def test_unknown_phrase_is_a_format_error(templates, task, text):
+    with pytest.raises(FormatError):
+        parse_answer(task, text, templates)
+
+
+# --------------------------------------------------------------------------
+# the answer grammar as a property
+
+CATEGORIES = [c.value for c in AgentCategory]
+COORD = st.integers(-9999, 9999).map(lambda n: n / 10)
+OBJECTS = st.lists(
+    st.fixed_dictionaries({"category": st.sampled_from(CATEGORIES), "x": COORD, "y": COORD}),
+    max_size=4,
+)
+SIDED_PLAN = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["BYPASS_CONES", "OVERTAKE_LANE_CHANGE", "OVERTAKE_STRADDLE"]),
+        "side": st.sampled_from(["LEFT", "RIGHT"]),
+        "category": st.sampled_from(CATEGORIES),
+    }
+)
+YIELD_PLAN = st.sampled_from(CATEGORIES).map(
+    lambda c: {
+        "kind": "YIELD_TO_PEDESTRIAN" if c == "PEDESTRIAN" else "YIELD_TO_VEHICLE",
+        "side": None,
+        "category": c,
+    }
+)
+REASONS = [
+    ("HAS_INTERACTION", kind)
+    for kind in [
+        "BYPASS_CONES",
+        "YIELD_TO_PEDESTRIAN",
+        "YIELD_TO_VEHICLE",
+        "OVERTAKE_STRADDLE",
+        "OVERTAKE_LANE_CHANGE",
+    ]
+] + [("IN_EGO_CORRIDOR", None), ("NONE", None)]
+PAYLOADS = {
+    QATask.PERCEPTION_OBJECT: st.fixed_dictionaries({"category": st.sampled_from(CATEGORIES)}),
+    QATask.PERCEPTION_LANE_ASSOC: st.fixed_dictionaries(
+        {"lane_mode": st.sampled_from([m.value for m in LaneMode])}
+    ),
+    QATask.REASONING_OBJECT: st.tuples(st.booleans(), st.sampled_from(REASONS)).map(
+        lambda t: {"critical": t[0], "reason": t[1][0], "kind": t[1][1]}
+    ),
+    QATask.REASONING_GROUNDING: st.fixed_dictionaries({"objects": OBJECTS}),
+    QATask.PLANNING: st.fixed_dictionaries(
+        {
+            "critical_objects": OBJECTS,
+            "plans": st.lists(SIDED_PLAN | YIELD_PLAN, max_size=3),
+            "lane_decision": st.sampled_from([d.value for d in EgoLaneDecision]),
+            "waypoints": st.lists(st.lists(COORD, min_size=2, max_size=2), min_size=6, max_size=6),
+        }
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), task=st.sampled_from(list(QATask)))
+def test_every_valid_payload_round_trips(templates, data, task):
+    payload = data.draw(PAYLOADS[task])
+    assert parse_answer(task, render_answer(task, payload, templates), templates) == payload
+
+
+# arbitrary text in each slot of the answer grammar: a category, a side, a
+# lane mode, a verdict, a reason, a lane decision, a number, an object, a plan
+PHRASE = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["car", "traffic cone", "left", "LEFT", "Yes", "none", "keep lane", "1.0"]),
+)
+OBJECT_TEXT = st.builds("a {} at ({}, {})".format, PHRASE, PHRASE, PHRASE)
+PLAN_TEXT = st.one_of(
+    st.builds("bypass the {} on the {}".format, PHRASE, PHRASE),
+    st.builds("overtake the {} via lane change on the {}".format, PHRASE, PHRASE),
+    st.builds("yield to the {}".format, PHRASE),
+    PHRASE,
+)
+LIST_TEXT = lambda item: st.lists(item, max_size=3).map("; ".join)  # noqa: E731
+ANSWER_TEXT = {
+    QATask.PERCEPTION_OBJECT: st.builds("It is a {}.".format, PHRASE),
+    QATask.PERCEPTION_LANE_ASSOC: st.builds("{}, relative to the ego lane.".format, PHRASE),
+    QATask.REASONING_OBJECT: st.builds("{}: {}.".format, PHRASE, PHRASE),
+    QATask.REASONING_GROUNDING: st.builds("Critical objects: {}.".format, LIST_TEXT(OBJECT_TEXT)),
+    QATask.PLANNING: st.builds(
+        "Critical objects: {}. Behavior: {}; lane decision: {}. Motion plan: {}.".format,
+        LIST_TEXT(OBJECT_TEXT),
+        LIST_TEXT(PLAN_TEXT),
+        PHRASE,
+        st.lists(st.builds("({}, {})".format, PHRASE, PHRASE), max_size=7).map(", ".join),
+    ),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), task=st.sampled_from(list(QATask)))
+def test_answer_shaped_text_raises_only_format_error(templates, data, task):
+    text = data.draw(ANSWER_TEXT[task])
+    try:
+        parse_answer(task, text, templates)
+    except FormatError:
+        pass
