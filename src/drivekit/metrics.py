@@ -189,12 +189,10 @@ def apply_frame_mask(samples, scenes: Dict[str, Scene]) -> Tuple[list, int]:
 # exact assignment
 
 
-def _opt_cost(c: np.ndarray, row_start: int, cols: list) -> float:
-    if row_start >= c.shape[0] or not cols:
-        return 0.0
-    sub = c[row_start:, cols]
-    ri, ci = linear_sum_assignment(sub)
-    return float(sub[ri, ci].sum())
+def _solve(c: np.ndarray) -> Tuple[int, float]:
+    """One optimal assignment of `c`: row 0's column and the row-order cost."""
+    rows, cols = linear_sum_assignment(c)
+    return int(cols[0]), float(c[rows, cols].sum())
 
 
 def hungarian(cost_matrix) -> list:
@@ -213,27 +211,22 @@ def hungarian(cost_matrix) -> list:
     if not np.all(np.isfinite(c)):
         raise ValueError("costs must be finite")
 
-    result: List[Optional[int]] = [None] * n
     avail = list(range(m))
-    matches_needed = min(n, m)
+    result: List[Optional[int]] = []
     for i in range(n):
-        rows_after = n - i - 1
-        best_total = None
-        best_col: Optional[int] = None
-        for col in avail:
-            total = float(c[i, col]) + _opt_cost(c, i + 1, [x for x in avail if x != col])
-            if best_total is None or total < best_total:
-                best_total = total
-                best_col = col
-        if rows_after >= matches_needed:  # leaving this row unassigned is feasible
-            total = _opt_cost(c, i + 1, avail)
-            if best_total is None or total < best_total:
-                best_total = total
-                best_col = None
-        if best_col is not None:
-            result[i] = best_col
-            avail.remove(best_col)
-            matches_needed -= 1
+        # zero-cost columns after the real ones stand for "unassigned"
+        k = len(avail)
+        sub = np.hstack([c[i:, avail], np.zeros((n - i, max(n - i - k, 0)))])
+        pick, cost = _solve(sub)
+        pick = min(pick, k)  # the zero-cost columns are interchangeable
+        # walk row i down to the lowest column that still admits an optimum
+        while pick > 0:
+            sub[0, pick:] = np.inf
+            lower, lower_cost = _solve(sub)
+            if lower_cost > cost:
+                break
+            pick, cost = lower, lower_cost
+        result.append(avail.pop(pick) if pick < k else None)
     return result
 
 

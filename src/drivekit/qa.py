@@ -203,7 +203,7 @@ def _template_regex(template: str):
         pattern.append(_CODECS[name][0])
         pos = match.end()
     pattern.append(re.escape(template[pos:]))
-    return re.compile("^" + "".join(pattern) + "$"), names
+    return re.compile("^" + "".join(pattern) + r"\Z"), names
 
 
 def _parse(template: str, text: str, what: str) -> list:
@@ -253,7 +253,8 @@ def _waypoints_parse(text: str) -> List[list]:
 
 
 # placeholder -> (pattern, value -> text, text -> value)
-_NUMBER = (r"(-?\d+\.\d)", _fmt1, float)
+# the text _fmt1 renders: ASCII digits, no leading zero, never "-0.0"
+_NUMBER = (r"(0\.0|-?0\.[1-9]|-?[1-9][0-9]*\.[0-9])", _fmt1, float)
 _CODECS = {
     "x": _NUMBER,
     "y": _NUMBER,

@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DrivekitError, LengthError, RefError, SchemaError, parse_json, read_text
+from .errors import (
+    AlignError, DrivekitError, LengthError, RefError, SchemaError, parse_json, read_text
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -495,8 +497,10 @@ def _lane_from_doc(doc, where: str) -> Lane:
 def load_scene(document) -> Scene:
     """Parse and validate a scene document (JSON text or an already-parsed dict).
 
-    Raises SchemaError for malformed fields, RefError for dangling lane
-    references, LengthError for per-frame array mismatches; never anything else.
+    Raises SchemaError for malformed fields (a frame rate that does not give a
+    whole number of frames per 0.5 s plan step included), RefError for dangling
+    lane references, LengthError for per-frame array mismatches; never anything
+    else.
     """
     if isinstance(document, (str, bytes, bytearray)):
         document = parse_json(document, SchemaError, "scene")
@@ -537,7 +541,7 @@ def load_scene(document) -> Scene:
     else:
         raise SchemaError("scenario_tag must be a string or null")
 
-    return Scene(
+    scene = Scene(
         id=scene_id,
         frame_rate=frame_rate,
         lanes=tuple(lanes),
@@ -546,6 +550,13 @@ def load_scene(document) -> Scene:
         nav_commands=tuple(nav),
         scenario_tag=tag,
     )
+    from .metrics import _steps_per_frame  # metrics imports this module
+
+    try:  # after Scene has rejected a rate that is not finite and > 0
+        _steps_per_frame(frame_rate)
+    except AlignError as exc:
+        raise SchemaError(f"scene: {exc.message}") from None
+    return scene
 
 
 def load_scene_file(path) -> Scene:

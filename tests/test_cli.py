@@ -44,6 +44,20 @@ def test_validate_bad_file(tmp_path, scene_files, capsys):
     assert lines[1]["ok"] is True
 
 
+def test_validate_rejects_a_frame_rate_off_the_plan_step(tmp_path, scene_files, capsys):
+    # 3 Hz gives 1.5 frames per 0.5 s plan step: rejected at load, not mid-run by gen-qa
+    doc = json.loads(Path(scene_files[1]).read_text("utf-8"))
+    doc["frame_rate_hz"] = 3
+    odd = tmp_path / "odd_rate.json"
+    odd.write_text(json.dumps(doc), "utf-8")
+    assert main(["validate", str(odd), scene_files[0]]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().split("\n")]
+    assert lines[0]["ok"] is False
+    assert lines[0]["error"] == "SCHEMA_ERROR"
+    assert "3.0 Hz" in lines[0]["message"]
+    assert lines[1]["ok"] is True
+
+
 def test_label_outputs_are_deterministic(tmp_path, scene_files):
     out_a = tmp_path / "labels_a.jsonl"
     out_b = tmp_path / "labels_b.jsonl"

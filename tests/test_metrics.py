@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import drivekit.metrics
 from conftest import cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import AlignError
 from drivekit.geometry import obb_corners, obb_overlap
 from drivekit.metrics import (
+    _FORBIDDEN,
     PlanSample,
     apply_frame_mask,
     classification_accuracy,
@@ -532,3 +537,38 @@ def test_lexicographic_canonicalization_matches_enumeration():
         exp_cost, exp_vec = brute_force_lex_assignment(c)
         assert got_cost == exp_cost
         assert got_vec == exp_vec
+
+
+SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6))
+SMALL_INT_COSTS = arrays(float, SHAPES, elements=st.integers(0, 2).map(float))
+# built as grounding_prf builds them: distances beyond the gate are forbidden
+GATED_COSTS = arrays(float, SHAPES, elements=st.floats(0.0, 4.0)).map(
+    lambda d: np.where(d > 2.0, _FORBIDDEN + d, d)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=st.one_of(SMALL_INT_COSTS, GATED_COSTS))
+def test_hungarian_matches_lexicographic_enumeration(c):
+    got = hungarian(c)
+    got_vec = [c.shape[1] if j is None else j for j in got]
+    got_cost = sum(c[i, j] for i, j in enumerate(got) if j is not None)
+    exp_cost, exp_vec = brute_force_lex_assignment(c)
+    assert got_vec == exp_vec
+    assert got_cost == exp_cost
+
+
+def test_hungarian_solves_at_most_twice_per_row_without_ties(monkeypatch):
+    solve = drivekit.metrics.linear_sum_assignment
+    calls = []
+
+    def counting(c):
+        calls.append(c.shape)
+        return solve(c)
+
+    monkeypatch.setattr(drivekit.metrics, "linear_sum_assignment", counting)
+    rng = np.random.default_rng(17)
+    for shape in [(30, 30), (10, 4), (4, 10)]:
+        calls.clear()
+        hungarian(rng.uniform(0.0, 10.0, shape))
+        assert len(calls) <= 2 * shape[0], shape

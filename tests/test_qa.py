@@ -294,6 +294,17 @@ def test_unknown_phrase_is_a_format_error(templates, task, text):
         parse_answer(task, text, templates)
 
 
+@pytest.mark.parametrize(
+    "objects",
+    [f"a car at ({n}, 2.0)." for n in ["01.0", "\u0663.\u0663", "-0.0", "+1.0", "1.00"]]
+    + ["a car at (1.0, 2.0).\n"],
+)
+def test_text_no_render_produces_is_a_format_error(templates, objects):
+    # only quant1's canonical text, with nothing after the answer, parses
+    with pytest.raises(FormatError):
+        parse_answer(QATask.REASONING_GROUNDING, "Critical objects: " + objects, templates)
+
+
 # --------------------------------------------------------------------------
 # the answer grammar as a property
 
