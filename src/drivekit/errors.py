@@ -69,16 +69,24 @@ class FileError(DrivekitError):
     code = "FILE_ERROR"
 
 
+def read_bytes(path) -> bytes:
+    """The bytes of the file at `path`. An OSError raises FileError naming `path`."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FileError(f"{path}: {exc.strerror}") from None
+
+
 def read_text(path, error=SchemaError) -> str:
     """The text of the UTF-8 file at `path`, read with universal newlines.
     An OSError raises FileError and bad UTF-8 raises `error`, both naming `path`."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise FileError(f"{path}: {exc.strerror}") from None
+        text = read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not valid UTF-8: {exc}") from None
+    # universal newlines; most files hold no "\r", and the scan for one is cheap
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def parse_json(text, error, where):

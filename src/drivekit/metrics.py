@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -189,12 +190,6 @@ def apply_frame_mask(samples, scenes: Dict[str, Scene]) -> Tuple[list, int]:
 # exact assignment
 
 
-def _solve(c: np.ndarray) -> Tuple[int, float]:
-    """One optimal assignment of `c`: row 0's column and the row-order cost."""
-    rows, cols = linear_sum_assignment(c)
-    return int(cols[0]), float(c[rows, cols].sum())
-
-
 def hungarian(cost_matrix) -> list:
     """Minimum-total-cost assignment (one column per row, min(n, m) matches).
 
@@ -211,22 +206,35 @@ def hungarian(cost_matrix) -> list:
     if not np.all(np.isfinite(c)):
         raise ValueError("costs must be finite")
 
-    avail = list(range(m))
+    # zero-cost columns after the real ones stand for "unassigned"
+    full = np.hstack([c, np.zeros((n, max(n - m, 0)))])
+    # an optimum of rows i.. is, on rows i+1.., an optimum of the columns its
+    # row i leaves free, so one solve carries down the rows and only the walk
+    # solves again
+    assign = linear_sum_assignment(full)[1]
+    avail = list(range(full.shape[1]))  # free columns, ascending
     result: List[Optional[int]] = []
     for i in range(n):
-        # zero-cost columns after the real ones stand for "unassigned"
-        k = len(avail)
-        sub = np.hstack([c[i:, avail], np.zeros((n - i, max(n - i - k, 0)))])
-        pick, cost = _solve(sub)
-        pick = min(pick, k)  # the zero-cost columns are interchangeable
-        # walk row i down to the lowest column that still admits an optimum
-        while pick > 0:
-            sub[0, pick:] = np.inf
-            lower, lower_cost = _solve(sub)
-            if lower_cost > cost:
-                break
-            pick, cost = lower, lower_cost
-        result.append(avail.pop(pick) if pick < k else None)
+        k = bisect_left(avail, m)  # free real columns
+        # a row on a zero-cost column is unassigned; those columns are
+        # interchangeable, so its pick is the first free one
+        pick = k if assign[i] >= m else bisect_left(avail, assign[i])
+        if pick > 0:
+            # walk row i down to the lowest column that still admits an optimum
+            cols = np.array(avail)
+            sub = full[i:, cols]
+            rows = np.arange(n - i)
+            cost = float(full[rows + i, assign[i:]].sum())
+            while pick > 0:
+                sub[0, pick:] = np.inf
+                lower = linear_sum_assignment(sub)[1]
+                lower_cost = float(sub[rows, lower].sum())
+                if lower_cost > cost:
+                    break
+                pick, cost = int(lower[0]), lower_cost
+                assign[i:] = cols[lower]
+        result.append(avail[pick] if pick < k else None)
+        del avail[pick]
     return result
 
 

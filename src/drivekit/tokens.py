@@ -31,7 +31,7 @@ from typing import Tuple
 import numpy as np
 
 from .config import seeded_rng
-from .errors import FormatError, LengthError, MagicError, TruncatedError, VersionError
+from .errors import FormatError, LengthError, MagicError, TruncatedError, VersionError, read_bytes
 from .scene import AgentCategory, LaneSemantic, Scene
 
 TRACK_DIM = 256
@@ -316,8 +316,7 @@ def read_bundle(source) -> TokenBundle:
     elif hasattr(source, "read"):
         data = source.read()
     else:
-        with open(source, "rb") as fh:
-            data = fh.read()
+        data = read_bytes(source)
     return _parse(data)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 import drivekit.metrics
 from conftest import cruising_ego, scene_of, state, straight_lane, track
@@ -572,3 +573,70 @@ def test_hungarian_solves_at_most_twice_per_row_without_ties(monkeypatch):
         calls.clear()
         hungarian(rng.uniform(0.0, 10.0, shape))
         assert len(calls) <= 2 * shape[0], shape
+
+
+def per_row_hungarian(c: np.ndarray) -> list:
+    """Oracle: `hungarian` with a fresh solve of rows i.. at every row i over
+    the free columns, padded with zero-cost "unassigned" columns, then the
+    same walk down to the lowest column of equal cost."""
+    n, m = c.shape
+    avail = list(range(m))
+    result = []
+    for i in range(n):
+        k = len(avail)
+        sub = np.hstack([c[i:, avail], np.zeros((n - i, max(n - i - k, 0)))])
+        rows, cols = linear_sum_assignment(sub)
+        pick, cost = min(int(cols[0]), k), float(sub[rows, cols].sum())
+        while pick > 0:
+            sub[0, pick:] = np.inf
+            rows, cols = linear_sum_assignment(sub)
+            lower_cost = float(sub[rows, cols].sum())
+            if lower_cost > cost:
+                break
+            pick, cost = int(cols[0]), lower_cost
+        result.append(avail.pop(pick) if pick < k else None)
+    return result
+
+
+WIDE_FLOAT_COSTS = arrays(
+    float, st.tuples(st.integers(1, 8), st.integers(1, 8)), elements=st.floats(0.0, 1e13)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=st.one_of(SMALL_INT_COSTS, GATED_COSTS, WIDE_FLOAT_COSTS))
+def test_hungarian_matches_per_row_oracle(c):
+    assert hungarian(c) == per_row_hungarian(c)
+
+
+def test_hungarian_matches_per_row_oracle_on_tie_heavy_matrices():
+    # integer costs tie often, so the walk adopts lower columns; with costs
+    # 0..29 the n > m solves also put unassigned rows on zero-cost columns out
+    # of column order
+    rng = np.random.default_rng(44)
+    for high in (3, 30):
+        for shape in [(90, 90), (40, 40), (70, 25), (90, 20), (60, 45), (25, 70), (20, 90)]:
+            c = rng.integers(0, high, shape).astype(float)
+            assert hungarian(c) == per_row_hungarian(c), (high, shape)
+
+
+def test_hungarian_carries_one_full_solve_down_the_rows(monkeypatch):
+    solve = drivekit.metrics.linear_sum_assignment
+    calls = []
+
+    def counting(c):
+        calls.append(c.shape)
+        return solve(c)
+
+    monkeypatch.setattr(drivekit.metrics, "linear_sum_assignment", counting)
+    rng = np.random.default_rng(17)
+    for shape in [(30, 30), (10, 4), (4, 10)]:
+        calls.clear()
+        hungarian(rng.uniform(0.0, 10.0, shape))
+        assert len(calls) <= shape[0] + 1, shape
+        # each row's optimum is its first free column: no row re-solves
+        c = rng.uniform(1.0, 10.0, shape)
+        np.fill_diagonal(c, 0.0)
+        calls.clear()
+        hungarian(c)
+        assert len(calls) == 1, shape

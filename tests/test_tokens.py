@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import (
     DrivekitError,
+    FileError,
     FormatError,
     LengthError,
     MagicError,
@@ -206,6 +209,18 @@ def test_file_roundtrip(tmp_path):
     path = tmp_path / "frame.tokb"
     write_bundle(bundle, path)
     assert read_bundle(path) == bundle
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("absent.tokb", errno.ENOENT), ("", errno.EISDIR)],
+    ids=["missing", "directory"],
+)
+def test_unreadable_bundle_path_is_file_error(tmp_path, name, code):
+    path = tmp_path / name
+    with pytest.raises(FileError) as exc:
+        read_bundle(path)
+    assert exc.value.to_dict() == {"error": "FILE_ERROR", "message": f"{path}: {os.strerror(code)}"}
 
 
 def test_duplicate_ids_rejected():
