@@ -195,7 +195,9 @@ def hungarian(cost_matrix) -> list:
 
     Returns a column index per row, None for unassigned rows. Among equal-cost
     optima the lexicographically smallest assignment vector wins (None sorts
-    after every real column), so output is deterministic.
+    after every real column), so output is deterministic. The total is the
+    float sum of the assigned costs added in row order, so two assignments
+    whose totals round to the same float are equal-cost.
     """
     c = np.asarray(cost_matrix, dtype=float)
     if c.ndim != 2:
@@ -213,6 +215,7 @@ def hungarian(cost_matrix) -> list:
     # solves again
     assign = linear_sum_assignment(full)[1]
     avail = list(range(full.shape[1]))  # free columns, ascending
+    fixed = 0.0  # row-order total of the rows already fixed
     result: List[Optional[int]] = []
     for i in range(n):
         k = bisect_left(avail, m)  # free real columns
@@ -224,18 +227,25 @@ def hungarian(cost_matrix) -> list:
             cols = np.array(avail)
             sub = full[i:, cols]
             rows = np.arange(n - i)
-            cost = float(full[rows + i, assign[i:]].sum())
+            cost = _row_order_total(fixed, full[rows + i, assign[i:]])
             while pick > 0:
                 sub[0, pick:] = np.inf
                 lower = linear_sum_assignment(sub)[1]
-                lower_cost = float(sub[rows, lower].sum())
+                lower_cost = _row_order_total(fixed, sub[rows, lower])
                 if lower_cost > cost:
                     break
                 pick, cost = int(lower[0]), lower_cost
                 assign[i:] = cols[lower]
+        fixed += full[i, avail[pick]]
         result.append(avail[pick] if pick < k else None)
         del avail[pick]
     return result
+
+
+def _row_order_total(fixed: float, costs: np.ndarray) -> float:
+    """`fixed` plus `costs`, added one at a time in row order (`.sum()` adds
+    pairwise, which can round to a different float)."""
+    return float(np.add.accumulate(np.concatenate(([fixed], costs)))[-1])
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -559,6 +561,20 @@ def test_hungarian_matches_lexicographic_enumeration(c):
     assert got_cost == exp_cost
 
 
+def test_hungarian_ties_assignments_whose_row_order_totals_round_equal():
+    # a later row's cost difference is absorbed into the total by rounding,
+    # so the assignments tie and the lexicographically smaller one wins
+    for c, expected in [
+        ([[1, 1, 1, 1], [7.9e-28, 7.9e-28, 0, 7.9e-28]], [0, 1]),
+        ([[1, 1], [3.3e-236, 1], [0, 1]], [1, 0, None]),
+        ([[_FORBIDDEN + 3] * 3, [1, 1e-5, 0]], [0, 1]),
+    ]:
+        c = np.array(c, dtype=float)
+        assert hungarian(c) == expected
+        exp_vec = brute_force_lex_assignment(c)[1]
+        assert [c.shape[1] if j is None else j for j in expected] == exp_vec
+
+
 def test_hungarian_solves_at_most_twice_per_row_without_ties(monkeypatch):
     solve = drivekit.metrics.linear_sum_assignment
     calls = []
@@ -578,22 +594,30 @@ def test_hungarian_solves_at_most_twice_per_row_without_ties(monkeypatch):
 def per_row_hungarian(c: np.ndarray) -> list:
     """Oracle: `hungarian` with a fresh solve of rows i.. at every row i over
     the free columns, padded with zero-cost "unassigned" columns, then the
-    same walk down to the lowest column of equal cost."""
+    same walk down to the lowest column of equal cost. Costs are totals of
+    the whole matrix, added in row order."""
     n, m = c.shape
     avail = list(range(m))
+    fixed = 0.0
     result = []
+
+    def total(sub, rows, cols):
+        # not sum(): from Python 3.12 it compensates float rounding
+        return functools.reduce(operator.add, sub[rows, cols].tolist(), fixed)
+
     for i in range(n):
         k = len(avail)
         sub = np.hstack([c[i:, avail], np.zeros((n - i, max(n - i - k, 0)))])
         rows, cols = linear_sum_assignment(sub)
-        pick, cost = min(int(cols[0]), k), float(sub[rows, cols].sum())
+        pick, cost = min(int(cols[0]), k), total(sub, rows, cols)
         while pick > 0:
             sub[0, pick:] = np.inf
             rows, cols = linear_sum_assignment(sub)
-            lower_cost = float(sub[rows, cols].sum())
+            lower_cost = total(sub, rows, cols)
             if lower_cost > cost:
                 break
             pick, cost = int(cols[0]), lower_cost
+        fixed += c[i, avail[pick]] if pick < k else 0.0
         result.append(avail.pop(pick) if pick < k else None)
     return result
 
