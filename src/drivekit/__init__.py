@@ -48,7 +48,6 @@ from .tokens import (
     MotionToken,
     TokenBundle,
     TrackToken,
-    concat_agent_token,
     fixture_decode,
     fixture_encode,
     read_bundle,
@@ -75,6 +74,6 @@ from .planners import (
     replay_planner,
 )
 from .qa import QARecord, QATask, gen_perception_qas, gen_planning_qas, gen_reasoning_qas
-from .synth import corpus_manifest, synth_corpus, synth_scene, synth_three_point_turn
+from .synth import corpus_manifest, synth_corpus, synth_scene
 
 __version__ = "0.1.0"

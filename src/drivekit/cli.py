@@ -10,6 +10,7 @@ Config precedence: flag > config file > default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -49,27 +50,24 @@ def _resolve_config(args) -> Config:
     return config
 
 
-def _run_scene(fn, config: Config, extra: tuple, path: str):
-    scene = load_scene_file(path)
-    return scene.id, path, fn(scene, config, *extra)
-
-
-def _per_scene(args, fn, *extra) -> list:
-    """fn(scene, config, *extra) for every scene file, fanned out over --jobs
-    worker processes; the results come back in scene-id order. Two files of
-    one scene id raise RefError."""
-    run = functools.partial(_run_scene, fn, _resolve_config(args), extra)
+def _per_scene(args, fn=None, **extra) -> list:
+    """Load every scene file, then fn(scene, config, **extra) for each scene,
+    both fanned out over --jobs worker processes; the results come back in
+    scene-id order. Two files of one scene id raise RefError before fn runs on
+    any scene. Without fn, the scenes themselves come back."""
+    config = _resolve_config(args)
     paths = sorted(args.scenes)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, paths))
-    else:
-        results = [run(path) for path in paths]
-    results.sort(key=lambda r: r[0])
-    for (scene_id, first, _), (other_id, second, _) in zip(results, results[1:]):
-        if scene_id == other_id:
-            raise RefError(f"{first} and {second} both hold scene {scene_id}")
-    return [result for _, _, result in results]
+    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        run = pool.map if pool else map
+        loaded = sorted(zip(run(load_scene_file, paths), paths), key=lambda pair: pair[0].id)
+        for (scene, first), (other, second) in zip(loaded, loaded[1:]):
+            if scene.id == other.id:
+                raise RefError(f"{first} and {second} both hold scene {scene.id}")
+        scenes = [scene for scene, _ in loaded]
+        if fn is None:
+            return scenes
+        return list(run(functools.partial(fn, config=config, **extra), scenes))
 
 
 def _write_records(args, results) -> int:
@@ -182,7 +180,7 @@ def _qa_scene(scene, config: Config, sidecar, templates: dict) -> list:
 def cmd_gen_qa(args) -> int:
     sidecar = _load_sidecar(args.labels) if args.labels else None
     templates = load_templates(args.templates)
-    return _write_records(args, _per_scene(args, _qa_scene, sidecar, templates))
+    return _write_records(args, _per_scene(args, _qa_scene, sidecar=sidecar, templates=templates))
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +219,7 @@ def _tokenize_scene(scene, config: Config, out_dir: Path) -> int:
 def cmd_tokenize(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundles = sum(_per_scene(args, _tokenize_scene, out_dir))
+    bundles = sum(_per_scene(args, _tokenize_scene, out_dir=out_dir))
     print(_dump({"bundles": bundles, "out_dir": str(out_dir)}))
     return 0
 
@@ -286,13 +284,9 @@ def _plan_svg(pred, gt) -> str:
     )
 
 
-def _scene_itself(scene, config: Config):
-    return scene
-
-
 def cmd_evaluate(args) -> int:
     config = _resolve_config(args)
-    scenes = {scene.id: scene for scene in _per_scene(args, _scene_itself)}
+    scenes = {scene.id: scene for scene in _per_scene(args)}
     plans = _load_plans(args.plans)
     missing = sorted({p.scene_id for p in plans} - set(scenes))
     if missing:

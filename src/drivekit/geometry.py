@@ -117,7 +117,10 @@ class LaneIndex:
         )
 
 
-_PAIRS_PER_BATCH = 1 << 16  # (pose, segment) pairs per _project call
+# (pose, segment) pairs per _project call: its working arrays stay at
+# 64-128 KB, small enough that the allocator reuses heap memory for them
+# instead of mapping fresh pages for every chunk
+_PAIRS_PER_BATCH = 1 << 13
 
 
 def _project(xy: np.ndarray, index: LaneIndex):
@@ -203,40 +206,45 @@ class LaneAssociation:
 
 
 def associate_lane(
-    poses, index: LaneIndex, config: Config, check_heading: bool = True
+    xy, heading, index: LaneIndex, config: Config, check_heading=True
 ) -> List[Optional[LaneAssociation]]:
-    """Best eligible lane for each pose, or None (NOTON downstream).
+    """Best eligible lane for each of P poses, given as (P, 2) positions and
+    (P,) wrapped headings, or None (NOTON downstream).
 
-    Eligible: |d| <= half_width + margin and, when check_heading, heading
-    within theta_align of the tangent of the projected segment. Minimum |d|
-    wins; ties break by lane id order.
+    Eligible: |d| <= half_width + margin and, where check_heading holds (one
+    bool for every pose, or one per pose), heading within theta_align of the
+    tangent of the projected segment. Minimum |d| wins; ties break by lane id
+    order.
     """
-    if not poses or not index.ids:
-        return [None] * len(poses)
-    xy = np.array([(p.x, p.y) for p in poses], dtype=float)
-    # bound the (pose, segment) working arrays on long tracks and large maps
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    heading = np.asarray(heading, dtype=float)
+    check = np.broadcast_to(np.asarray(check_heading, dtype=bool), heading.shape)
+    out: List[Optional[LaneAssociation]] = [None] * len(xy)
+    if not index.ids:
+        return out
+    # bound the (pose, segment) working arrays on long tracks and large maps;
+    # only per-pose results leave a chunk
     step = max(1, _PAIRS_PER_BATCH // len(index.starts))
-    s, d, seg = (
-        np.concatenate(part)
-        for part in zip(*(_project(xy[i : i + step], index) for i in range(0, len(xy), step)))
-    )
-    absd = np.abs(d)
-    ok = absd <= index.half_widths + config.lane_margin
-    if check_heading:
-        heading = np.array([p.heading for p in poses], dtype=float)
-        ok &= np.abs(_wrap_angles(heading[:, None] - index.tangents[seg])) <= config.theta_align
-    best = np.argmin(np.where(ok, absd, np.inf), axis=1)
-    out: List[Optional[LaneAssociation]] = []
-    for row, k in enumerate(best.tolist()):
-        if not ok[row, k]:
-            out.append(None)
-            continue
-        fc = FrenetCoord(
-            s=float(s[row, k]),
-            d=float(d[row, k]),
-            segment_index=int(index.local[seg[row, k]]),
+    for lo in range(0, len(xy), step):
+        s, d, seg = _project(xy[lo : lo + step], index)
+        absd = np.abs(d)
+        misalign = np.abs(_wrap_angles(heading[lo : lo + step, None] - index.tangents[seg]))
+        ok = (absd <= index.half_widths + config.lane_margin) & (
+            (misalign <= config.theta_align) | ~check[lo : lo + step, None]
         )
-        out.append(LaneAssociation(lane_id=index.ids[k], frenet=fc))
+        best = np.argmin(np.where(ok, absd, np.inf), axis=1)
+        rows = np.flatnonzero(ok[np.arange(len(best)), best])
+        lane = best[rows]
+        picked = zip(
+            rows.tolist(),
+            lane.tolist(),
+            s[rows, lane].tolist(),
+            d[rows, lane].tolist(),
+            index.local[seg[rows, lane]].tolist(),
+        )
+        for row, k, s_k, d_k, local in picked:
+            fc = FrenetCoord(s=s_k, d=d_k, segment_index=local)
+            out[lo + row] = LaneAssociation(lane_id=index.ids[k], frenet=fc)
     return out
 
 

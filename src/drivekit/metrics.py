@@ -72,21 +72,20 @@ def traj_l2(pred, gt) -> HorizonValues:
     return HorizonValues.from_steps(np.hypot(*(p - g).T))
 
 
-def heading_l2(pred, gt, initial_heading: float = 0.0, eps_move: float = 1e-3) -> HorizonValues:
+def heading_l2(pred, gt, eps_move: float = 1e-3) -> HorizonValues:
     p = _as_plan_xy(pred)
     g = _as_plan_xy(gt)
-    hp = headings_xy(p, initial_heading, eps_move)
-    hg = headings_xy(g, initial_heading, eps_move)
+    # plans sit in the anchor ego frame, whose heading is 0
+    hp = headings_xy(p, 0.0, eps_move)
+    hg = headings_xy(g, 0.0, eps_move)
     err = np.array([abs(wrap_angle(a - b)) for a, b in zip(hp, hg)])
     return HorizonValues.from_steps(err)
 
 
-def lon_weighted_l2(
-    pred, gt, w_lon: float = 2.0, initial_heading: float = 0.0, eps_move: float = 1e-3
-) -> HorizonValues:
+def lon_weighted_l2(pred, gt, w_lon: float = 2.0, eps_move: float = 1e-3) -> HorizonValues:
     p = _as_plan_xy(pred)
     g = _as_plan_xy(gt)
-    hg = headings_xy(g, initial_heading, eps_move)
+    hg = headings_xy(g, 0.0, eps_move)
     e = p - g
     steps = np.empty(PLAN_STEPS)
     for k in range(PLAN_STEPS):
@@ -164,13 +163,13 @@ class PlanSample:
         object.__setattr__(self, "waypoints", wp)
 
 
-def future_complete(track, frame: int, frame_rate: float, steps: int = PLAN_STEPS) -> bool:
+def future_complete(track, frame: int, frame_rate: float) -> bool:
     """True when every future plan step has a valid state to compare against."""
     spf = _steps_per_frame(frame_rate)
-    last = frame + steps * spf
+    last = frame + PLAN_STEPS * spf
     if frame < 0 or last >= len(track.states):
         return False
-    return all(track.states[frame + k * spf].valid for k in range(steps + 1))
+    return all(track.states[frame + k * spf].valid for k in range(PLAN_STEPS + 1))
 
 
 def apply_frame_mask(samples, scenes: Dict[str, Scene]) -> Tuple[list, int]:
@@ -357,8 +356,8 @@ def evaluate_plans(plans, scenes: Dict[str, Scene], config: Config) -> MetricRep
         gt = ego_future_waypoints(scene, sample.frame)
         pred = np.asarray(sample.waypoints, dtype=float)
         l2s.append(traj_l2(pred, gt))
-        headings.append(heading_l2(pred, gt, 0.0, config.eps_move))
-        lonws.append(lon_weighted_l2(pred, gt, config.w_lon, 0.0, config.eps_move))
+        headings.append(heading_l2(pred, gt, config.eps_move))
+        lonws.append(lon_weighted_l2(pred, gt, config.w_lon, config.eps_move))
         fractions.append(
             plan_collision_fraction(scene, sample.frame, pred, config.eps_move)
         )

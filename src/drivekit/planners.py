@@ -24,14 +24,14 @@ def _trajectory(xy) -> Trajectory:
     )
 
 
-def ego_future_waypoints(scene: Scene, frame: int, steps: int = PLAN_STEPS) -> np.ndarray:
+def ego_future_waypoints(scene: Scene, frame: int) -> np.ndarray:
     """Ground-truth ego future resampled to plan steps, in the anchor ego frame."""
-    if not future_complete(scene.ego, frame, scene.frame_rate, steps):
+    if not future_complete(scene.ego, frame, scene.frame_rate):
         raise InsufficientFutureError(
             f"scene {scene.id} frame {frame}: ground-truth future incomplete"
         )
     spf = _steps_per_frame(scene.frame_rate)
-    pts = scene.ego.arrays["xy"][frame + spf * np.arange(1, steps + 1)]
+    pts = scene.ego.arrays["xy"][frame + spf * np.arange(1, PLAN_STEPS + 1)]
     return to_frame(pts, scene.ego.states[frame].pose)
 
 
@@ -77,7 +77,8 @@ def lane_follow_planner(
     config = config or Config()
     state = scene.ego.states[frame]
     index = LaneIndex.build(scene.lanes)
-    [assoc] = associate_lane([state.pose], index, config, check_heading=True)
+    ego = scene.ego.arrays[frame : frame + 1]
+    [assoc] = associate_lane(ego["xy"], ego["heading"], index, config)
     if assoc is None:
         raise NoLaneError(f"scene {scene.id} frame {frame}: ego is not on any lane")
     lane = index.by_id[assoc.lane_id]

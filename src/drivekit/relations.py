@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -296,38 +296,42 @@ def compute_relations(scene: Scene, config: Config) -> RelationOutputs:
     """Run the full per-scene relation pipeline once; downstream labeling and
     QA generation consume this container."""
     index = LaneIndex.build(scene.lanes)
-    ego_assoc = associate_lane(
-        [st.pose for st in scene.ego.states], index, config, check_heading=True
+    n = scene.n_frames
+    ego, agents = scene.ego.arrays, scene.agent_arrays
+    # one association for the ego's frames (all valid), then every valid
+    # agent state in agent-id, frame order
+    valid = agents["valid"]
+    agent_of, frame_of = np.nonzero(valid)
+    check_heading = np.array(
+        [track.category not in POSITION_ONLY_CATEGORIES for track in scene.agents], dtype=bool
     )
+    found = associate_lane(
+        np.concatenate((ego["xy"], agents["xy"][valid])),
+        np.concatenate((ego["heading"], agents["heading"][valid])),
+        index,
+        config,
+        np.concatenate((np.ones(n, dtype=bool), check_heading[agent_of])),
+    )
+    ego_assoc = found[:n]
 
-    lane_modes: Dict[int, tuple] = {}
-    lon_gaps: Dict[int, tuple] = {}
-    for track in scene.agents:
-        check_heading = track.category not in POSITION_ONLY_CATEGORIES
-        valid = [f for f, st in enumerate(track.states) if st.valid]
-        found = associate_lane(
-            [track.states[f].pose for f in valid], index, config, check_heading
+    modes = [[LaneMode.NOTON] * n for _ in scene.agents]
+    gaps: List[List[Optional[float]]] = [[None] * n for _ in scene.agents]
+    for a, f, la in zip(agent_of.tolist(), frame_of.tolist(), found[n:]):
+        ego_la = ego_assoc[f]
+        modes[a][f], gaps[a][f] = agent_ego_lane_mode(
+            la.lane_id if la else None,
+            ego_la.lane_id if ego_la else None,
+            index,
+            la.frenet.s if la else None,
+            ego_la.frenet.s if ego_la else None,
+            config,
         )
-        modes = [LaneMode.NOTON] * len(track.states)
-        gaps: List[Optional[float]] = [None] * len(track.states)
-        for f, la in zip(valid, found):
-            ego_la = ego_assoc[f]
-            modes[f], gaps[f] = agent_ego_lane_mode(
-                la.lane_id if la else None,
-                ego_la.lane_id if ego_la else None,
-                index,
-                la.frenet.s if la else None,
-                ego_la.frenet.s if ego_la else None,
-                config,
-            )
-        lane_modes[track.id] = tuple(modes)
-        lon_gaps[track.id] = tuple(gaps)
 
     return RelationOutputs(
         ego_decisions=tuple(ego_lane_decisions(scene, ego_assoc)),
         nav_commands=tuple(label_nav_commands(scene, config, ego_assoc)),
-        lane_modes=lane_modes,
-        lon_gaps=lon_gaps,
+        lane_modes={track.id: tuple(m) for track, m in zip(scene.agents, modes)},
+        lon_gaps={track.id: tuple(g) for track, g in zip(scene.agents, gaps)},
     )
 
 

@@ -230,27 +230,6 @@ def _three_point_turn_curve(start_pose: Pose2, params: Optional[dict]):
     return pose_at, t1 + t2 + t3
 
 
-def synth_three_point_turn(start_pose: Pose2, params: Optional[dict] = None) -> list:
-    """Ego states for a 3-phase turn: forward arc, reverse arc with opposite
-    steer, forward arc; the middle phase carries negative longitudinal speeds.
-
-    Samples at 2 Hz relative to maneuver start; a final off-grid sample lands
-    exactly on the maneuver end, so the last heading is start + pi.
-
-    Returns (t, x, y, heading, speed) tuples.
-    """
-    pose_at, total = _three_point_turn_curve(start_pose, params)
-    out = []
-    t = 0.0
-    while t < total - 1e-9:
-        x, y, h, v = pose_at(t)
-        out.append((t, x, y, h, v))
-        t += FRAME_DT
-    x, y, h, v = pose_at(total)
-    out.append((total, x, y, h, v))
-    return out
-
-
 # --------------------------------------------------------------------------
 # scene builders
 

@@ -111,11 +111,6 @@ class AgentToken(_Token):
         return self.values[TRACK_DIM:]
 
 
-def concat_agent_token(track: TrackToken, motion: MotionToken) -> AgentToken:
-    """Agent token = track token followed by motion token."""
-    return AgentToken(np.concatenate((track.values, motion.values)))
-
-
 @dataclass(frozen=True)
 class TokenBundle:
     """One frame's tokens. Construction rejects, with FormatError, anything

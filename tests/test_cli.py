@@ -394,6 +394,8 @@ def test_two_files_of_one_scene_are_one_ref_error(tmp_path, scene_files, capsys,
     error = _one_error_line(capsys.readouterr().err)
     assert error["error"] == "REF_ERROR"
     assert scene_files[1] in error["message"] and str(copy) in error["message"]
+    # the ids are checked before any scene runs: no bundle, no JSONL file
+    assert not out.is_file() and not any(out.glob("*"))
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import straight_lane
 from drivekit.config import Config
 from drivekit.geometry import (
+    _PAIRS_PER_BATCH,
     FrenetCoord,
     LaneAssociation,
     LaneIndex,
@@ -120,9 +121,15 @@ def test_point_at_arclength_interpolates_and_extends():
 # lane association
 
 
+def associate(poses, index, config, check_heading=True):
+    """associate_lane over a list of Pose2."""
+    xy = [(p.x, p.y) for p in poses]
+    return associate_lane(xy, [p.heading for p in poses], index, config, check_heading)
+
+
 def lane_of(pose, lanes, config, check_heading=True):
     """Associated lane id of one pose, or None."""
-    [assoc] = associate_lane([pose], LaneIndex.build(lanes), config, check_heading)
+    [assoc] = associate([pose], LaneIndex.build(lanes), config, check_heading)
     return assoc.lane_id if assoc else None
 
 
@@ -193,14 +200,14 @@ def test_association_invariant_under_rigid_transform(config):
 def test_associate_lane_returns_frenet(config):
     index = LaneIndex.build([straight_lane(1, y=0.0)])
     poses = [Pose2(12.0, 0.4, 0.0), Pose2(20.0, 10.0, 0.0), Pose2(31.0, -0.2, 0.1)]
-    first, off_lane, last = associate_lane(poses, index, config)
+    first, off_lane, last = associate(poses, index, config)
     assert first.lane_id == 1
     assert abs(first.frenet.s - 12.0) < 1e-12
     assert abs(first.frenet.d - 0.4) < 1e-12
     assert off_lane is None
     assert last.lane_id == 1 and last.frenet.segment_index == 6
-    assert associate_lane([], index, config) == []
-    assert associate_lane(poses, LaneIndex.build([]), config) == [None, None, None]
+    assert associate([], index, config) == []
+    assert associate(poses, LaneIndex.build([]), config) == [None, None, None]
 
 
 def test_long_track_on_a_large_map_matches_per_pose_calls(config):
@@ -209,8 +216,8 @@ def test_long_track_on_a_large_map_matches_per_pose_calls(config):
     rng = np.random.default_rng(5)
     xs, ys, hs = rng.uniform(-5, 1005, 300), rng.uniform(-2, 6, 300), rng.uniform(-1, 1, 300)
     poses = [Pose2(x, y, h) for x, y, h in zip(xs, ys, hs)]
-    batched = associate_lane(poses, index, config)
-    assert batched == [associate_lane([p], index, config)[0] for p in poses]
+    batched = associate(poses, index, config)
+    assert batched == [associate([p], index, config)[0] for p in poses]
     assert sum(a is not None for a in batched) > 100
 
 
@@ -399,9 +406,34 @@ def test_association_matches_scalar_oracle(lane_specs, poses, check_heading, rnd
     config = Config()
     lanes = [Lane(id=3 * k + 1, centerline=poly, half_width=hw) for k, (poly, hw) in enumerate(lane_specs)]
     rnd.shuffle(lanes)  # the index orders lanes by id itself
-    got = associate_lane(poses, LaneIndex.build(lanes), config, check_heading)
+    got = associate(poses, LaneIndex.build(lanes), config, check_heading)
     expected = [oracle_associate(p, lanes, config, check_heading) for p in poses]
     assert repr(got) == repr(expected)
+
+
+@DIFF
+@given(
+    st.lists(
+        st.tuples(polyline, st.sampled_from([0.5, 1.0, 1.85, 3.0])), min_size=1, max_size=5
+    ),
+    st.lists(st.tuples(pose, st.booleans()), min_size=1, max_size=8),
+)
+def test_one_batch_with_a_per_pose_heading_check_matches_single_calls(lane_specs, rows):
+    config = Config()
+    lanes = [Lane(id=3 * k + 1, centerline=poly, half_width=hw) for k, (poly, hw) in enumerate(lane_specs)]
+    index = LaneIndex.build(lanes)
+    single = [associate([p], index, config, check)[0] for p, check in rows]
+    # the rows repeat until the batch spans more than one projection chunk
+    reps = _PAIRS_PER_BATCH // len(index.starts) // len(rows) + 2
+    poses, checks = zip(*rows)
+    got = associate_lane(
+        np.tile([(p.x, p.y) for p in poses], (reps, 1)),
+        np.tile([p.heading for p in poses], reps),
+        index,
+        config,
+        np.tile(checks, reps),
+    )
+    assert repr(got) == repr(single * reps)
 
 
 box = st.tuples(
@@ -427,39 +459,39 @@ def test_polyline_obb_distance_matches_scalar_oracle(pts, boxes):
 def test_association_ties_and_boundaries(config):
     # two lanes at equal |d|: the lower id wins, whatever the input order
     lanes = [straight_lane(7, y=2.0), straight_lane(4, y=0.0)]
-    [assoc] = associate_lane([Pose2(20.0, 1.0, 0.0)], LaneIndex.build(lanes), config)
+    [assoc] = associate([Pose2(20.0, 1.0, 0.0)], LaneIndex.build(lanes), config)
     assert assoc.lane_id == 4 and assoc.frenet.d == 1.0
 
     # |d| exactly at half_width + lane_margin is eligible; one ulp past it is not
     index = LaneIndex.build([straight_lane(1, half_width=1.5)])
     edge = [Pose2(20.0, 2.0, 0.0), Pose2(20.0, math.nextafter(2.0, math.inf), 0.0)]
-    assert [a is not None for a in associate_lane(edge, index, config)] == [True, False]
+    assert [a is not None for a in associate(edge, index, config)] == [True, False]
 
     # a point equidistant from two segments takes the smaller s
     corner = Lane(id=1, centerline=((0.0, 0.0), (2.0, 0.0), (2.0, 2.0)), half_width=1.85)
-    [assoc] = associate_lane([Pose2(1.0, 1.0, 0.0)], LaneIndex.build([corner]), config)
+    [assoc] = associate([Pose2(1.0, 1.0, 0.0)], LaneIndex.build([corner]), config)
     assert assoc.frenet == FrenetCoord(s=1.0, d=1.0, segment_index=0)
 
     # heading exactly at theta_align is aligned; one ulp past it is not
     index = LaneIndex.build([straight_lane(1)])
     at = Pose2(20.0, 0.0, config.theta_align)
     past = Pose2(20.0, 0.0, math.nextafter(config.theta_align, math.inf))
-    assert [a is not None for a in associate_lane([at, past], index, config)] == [True, False]
+    assert [a is not None for a in associate([at, past], index, config)] == [True, False]
 
     # headings at +-pi wrap to pi: aligned only when theta_align admits pi
     flipped = [Pose2(20.0, 0.0, math.pi), Pose2(20.0, 0.0, -math.pi)]
-    assert associate_lane(flipped, index, config) == [None, None]
+    assert associate(flipped, index, config) == [None, None]
     wide = config.replace(theta_align=math.pi)
-    assert all(a is not None for a in associate_lane(flipped, index, wide))
+    assert all(a is not None for a in associate(flipped, index, wide))
 
     # poses beyond both polyline ends clamp s to [0, L]
     lanes = [straight_lane(1, length=50.0)]
     beyond = [Pose2(-1.0, 0.5, 0.0), Pose2(51.0, -0.5, 0.0)]
-    got = associate_lane(beyond, LaneIndex.build(lanes), config)
+    got = associate(beyond, LaneIndex.build(lanes), config)
     assert [a.frenet.s for a in got] == [0.0, 50.0]
     assert got == [oracle_associate(p, lanes, config) for p in beyond]
     for p in beyond + flipped + [at, past]:
-        assert associate_lane([p], LaneIndex.build(lanes), wide) == [oracle_associate(p, lanes, wide)]
+        assert associate([p], LaneIndex.build(lanes), wide) == [oracle_associate(p, lanes, wide)]
 
 
 def test_one_point_corridor_is_point_distance():

@@ -88,7 +88,7 @@ def test_heading_rotated_quarter_turn():
 def test_heading_stationary_pred_carries_initial():
     gt = straight_plan()
     pred = np.zeros((6, 2))
-    out = heading_l2(pred, gt, initial_heading=0.0)
+    out = heading_l2(pred, gt)
     assert out.ave_all == 0.0  # carried heading equals the gt heading
 
 

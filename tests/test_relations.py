@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import drivekit.relations
 from conftest import cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import DegenerateError, TopologyCycleError
-from drivekit.geometry import LaneIndex, associate_lane
+from drivekit.geometry import POSITION_ONLY_CATEGORIES, LaneIndex, associate_lane
 from drivekit.relations import (
     EgoLaneDecision,
     HomotopyClass,
     LaneMode,
+    RelationOutputs,
     agent_ego_lane_mode,
     classify_homotopy,
     compute_relations,
@@ -24,6 +26,7 @@ from drivekit.scene import (
     LaneSemantic,
     NavigationCommand,
     Pose2,
+    ScenarioKind,
 )
 from drivekit.synth import synth_scene
 
@@ -32,10 +35,15 @@ def lane_index(lanes):
     return LaneIndex.build(lanes)
 
 
+def associate(states, index, config, check_heading=True):
+    """associate_lane over a list of AgentState."""
+    xy = [(st.pose.x, st.pose.y) for st in states]
+    return associate_lane(xy, [st.pose.heading for st in states], index, config, check_heading)
+
+
 def ego_assoc(scene, config):
     """The ego's per-frame lane association, as compute_relations makes it."""
-    poses = [st.pose for st in scene.ego.states]
-    return associate_lane(poses, lane_index(scene.lanes), config, check_heading=True)
+    return associate(scene.ego.states, lane_index(scene.lanes), config)
 
 
 # --------------------------------------------------------------------------
@@ -430,3 +438,103 @@ def test_overtake_mode_sequence_and_totality(config):
     assert len(modes) == scene.n_frames
     assert len(rel.ego_decisions) == scene.n_frames
     assert len(rel.nav_commands) == scene.n_frames
+
+
+# --------------------------------------------------------------------------
+# one association per scene
+
+
+def per_track_relations(scene, config):
+    """Oracle: compute_relations with one association call for the ego and
+    one per agent track, each over that track's valid states."""
+    index = lane_index(scene.lanes)
+    ego = associate(scene.ego.states, index, config)
+    lane_modes, lon_gaps = {}, {}
+    for tr in scene.agents:
+        valid = [f for f, st in enumerate(tr.states) if st.valid]
+        check_heading = tr.category not in POSITION_ONLY_CATEGORIES
+        found = associate([tr.states[f] for f in valid], index, config, check_heading)
+        modes = [LaneMode.NOTON] * len(tr.states)
+        gaps = [None] * len(tr.states)
+        for f, la in zip(valid, found):
+            modes[f], gaps[f] = agent_ego_lane_mode(
+                la.lane_id if la else None,
+                ego[f].lane_id if ego[f] else None,
+                index,
+                la.frenet.s if la else None,
+                ego[f].frenet.s if ego[f] else None,
+                config,
+            )
+        lane_modes[tr.id] = tuple(modes)
+        lon_gaps[tr.id] = tuple(gaps)
+    return RelationOutputs(
+        ego_decisions=tuple(ego_lane_decisions(scene, ego)),
+        nav_commands=tuple(label_nav_commands(scene, config, ego)),
+        lane_modes=lane_modes,
+        lon_gaps=lon_gaps,
+    )
+
+
+def many_agent_scene(seed, n_agents=40, n_frames=24):
+    """Four chained lanes a side, agents of every category strewn over the
+    road at random headings, about a fifth of their states invalid."""
+    rng = np.random.default_rng(seed)
+    lanes = [
+        straight_lane(1, y=0.0, length=60.0, left=2, successors=(3,)),
+        straight_lane(2, y=3.7, length=60.0, right=1, successors=(4,)),
+        straight_lane(3, y=0.0, length=60.0, x0=60.0, left=4, predecessors=(1,)),
+        straight_lane(4, y=3.7, length=60.0, x0=60.0, right=3, predecessors=(2,)),
+    ]
+    categories = list(AgentCategory)
+    agents = []
+    for k in range(n_agents):
+        x0, y0 = rng.uniform(-5.0, 110.0), rng.uniform(-3.0, 7.0)
+        heading = rng.choice([0.0, math.pi, rng.uniform(-math.pi, math.pi)])
+        speed = rng.uniform(0.0, 10.0)
+        states = [
+            state(
+                x0 + speed * 0.5 * f * math.cos(heading),
+                y0 + speed * 0.5 * f * math.sin(heading) + rng.normal(0.0, 0.2),
+                heading + rng.normal(0.0, 0.3),
+                speed,
+                valid=bool(rng.random() > 0.2),
+            )
+            for f in range(n_frames)
+        ]
+        agents.append(track(10 + k, states, categories[k % len(categories)]))
+    ego = cruising_ego(n_frames, speed=9.0, x0=2.0, heading=0.03)
+    return scene_of(lanes, agents, ego, scene_id=f"many-{seed}")
+
+
+def relation_scenes():
+    for kind in ScenarioKind:
+        for seed in (0, 3):
+            yield synth_scene(kind, seed)
+    for seed in (1, 2):
+        yield many_agent_scene(seed)
+
+
+def test_one_association_per_scene_matches_the_per_track_calls(config):
+    categories = set()
+    for scene in relation_scenes():
+        got = compute_relations(scene, config)
+        expected = per_track_relations(scene, config)
+        assert got == expected, scene.id
+        assert repr(got.lon_gaps) == repr(expected.lon_gaps), scene.id
+        categories.update(tr.category for tr in scene.agents)
+    assert POSITION_ONLY_CATEGORIES <= categories
+
+
+def test_compute_relations_makes_one_association_call_per_scene(config, monkeypatch):
+    calls = []
+
+    def counting(xy, *args, **kwargs):
+        calls.append(len(xy))
+        return associate_lane(xy, *args, **kwargs)
+
+    monkeypatch.setattr(drivekit.relations, "associate_lane", counting)
+    for scene in relation_scenes():
+        calls.clear()
+        compute_relations(scene, config)
+        valid = sum(st.valid for tr in scene.agents for st in tr.states)
+        assert calls == [scene.n_frames + valid], scene.id

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from drivekit.errors import ParamError
@@ -14,10 +15,10 @@ from drivekit.scene import (
     wrap_angle,
 )
 from drivekit.synth import (
+    _three_point_turn_curve,
     corpus_manifest,
     synth_corpus,
     synth_scene,
-    synth_three_point_turn,
 )
 
 ALL_KINDS = [
@@ -64,27 +65,26 @@ def test_three_point_turn_net_heading_and_reversal():
 
 
 def test_three_point_turn_primitive_closed_form():
-    states = synth_three_point_turn(Pose2(0.0, 0.0, 0.3))
+    pose_at, total = _three_point_turn_curve(Pose2(0.0, 0.0, 0.3), None)
     # net heading change is exactly pi by arc composition
-    assert abs(wrap_angle(states[-1][3] - 0.3 - math.pi)) < 1e-2
-    speeds = [s[4] for s in states]
+    assert abs(wrap_angle(pose_at(total)[2] - 0.3 - math.pi)) < 1e-2
+    speeds = [pose_at(t)[3] for t in [*np.arange(0.0, total, 0.5), total]]
     assert any(v < 0 for v in speeds)  # reversal phase present
     assert speeds[0] > 0 and speeds[-1] > 0
-    # the last sample lands on the closed-form duration: sum of r * arc / |v|
-    # over the default arcs (radius 6 m; 100, 50, 30 degrees; 5, 2.5, 3 m/s)
-    total = 6 * math.radians(100) / 5 + 6 * math.radians(50) / 2.5 + 6 * math.radians(30) / 3
-    assert states[-1][0] == pytest.approx(total, rel=1e-12)
+    # the maneuver lasts the closed-form duration: sum of r * arc / |v| over
+    # the default arcs (radius 6 m; 100, 50, 30 degrees; 5, 2.5, 3 m/s)
+    expected = 6 * math.radians(100) / 5 + 6 * math.radians(50) / 2.5 + 6 * math.radians(30) / 3
+    assert total == pytest.approx(expected, rel=1e-12)
+    # and the scene holds its frames on the 0.5 s grid
+    nav = synth_scene("THREE_POINT_TURN", 0).nav_commands
+    turning = [c for c in nav if c is NavigationCommand.THREE_POINT_TURN_LEFT]
+    assert len(turning) == math.floor(expected / 0.5) + 1
 
 
 def test_three_point_turn_param_validation():
-    with pytest.raises(ParamError):
-        synth_three_point_turn(Pose2(0, 0, 0), {"radius1": -1.0})
-    with pytest.raises(ParamError):
-        synth_three_point_turn(Pose2(0, 0, 0), {"v2": 2.0})
-    with pytest.raises(ParamError):
-        synth_three_point_turn(Pose2(0, 0, 0), {"arc1_deg": 140.0, "arc2_deg": 50.0})
-    with pytest.raises(ParamError):
-        synth_scene("THREE_POINT_TURN", 0, {"bogus": 1})
+    for params in ({"radius1": -1.0}, {"v2": 2.0}, {"arc1_deg": 140.0, "arc2_deg": 50.0}, {"bogus": 1}):
+        with pytest.raises(ParamError):
+            synth_scene("THREE_POINT_TURN", 0, params)
 
 
 def test_nav_closure_on_three_point_turn(config):

@@ -29,7 +29,6 @@ from drivekit.tokens import (
     MotionToken,
     TokenBundle,
     TrackToken,
-    concat_agent_token,
     fixture_decode,
     fixture_encode,
     read_bundle,
@@ -39,9 +38,9 @@ from drivekit.synth import synth_scene
 
 
 def test_concat_track_then_motion():
-    token = concat_agent_token(TrackToken([0.0] * 256), MotionToken([1.0] * 256))
-    assert np.array_equal(token.values[:256], [0.0] * 256)
-    assert np.array_equal(token.values[256:], [1.0] * 256)
+    token = AgentToken([0.0] * 256 + [1.0] * 256)
+    assert np.array_equal(token.track, [0.0] * 256)
+    assert np.array_equal(token.motion, [1.0] * 256)
 
 
 def test_concat_wrong_lengths():
@@ -55,7 +54,7 @@ def test_concat_preserves_slices_exactly():
     rng = np.random.default_rng(1)
     a = TrackToken(rng.standard_normal(256).astype(np.float32))
     b = MotionToken(rng.standard_normal(256).astype(np.float32))
-    token = concat_agent_token(a, b)
+    token = AgentToken(np.concatenate((a.values, b.values)))
     assert np.array_equal(token.track, a.values)
     assert np.array_equal(token.motion, b.values)
 
