@@ -29,10 +29,6 @@ class FrenetCoord:
     segment_index: int
 
 
-def polyline_array(polyline) -> np.ndarray:
-    return np.asarray(polyline, dtype=float)
-
-
 def cumulative_lengths(pts: np.ndarray) -> np.ndarray:
     seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
     return np.concatenate(([0.0], np.cumsum(seg)))
@@ -84,7 +80,7 @@ class LaneIndex:
         starts, vectors, len2, seg_len, cum, tangents, counts = [], [], [], [], [], [], []
         lengths = {}
         for lid, centerline in zip(by_id, centerlines):
-            pts = polyline_array(centerline)
+            pts = np.asarray(centerline, dtype=float)
             d = pts[1:] - pts[:-1]
             l2 = np.einsum("ij,ij->i", d, d)
             sl = np.sqrt(l2)
@@ -171,7 +167,7 @@ def project_to_polyline(point, polyline) -> FrenetCoord:
 
 
 def tangent_heading(polyline, segment_index: int) -> float:
-    pts = polyline_array(polyline)
+    pts = np.asarray(polyline, dtype=float)
     dx = pts[segment_index + 1, 0] - pts[segment_index, 0]
     dy = pts[segment_index + 1, 1] - pts[segment_index, 1]
     return math.atan2(dy, dx)
@@ -179,7 +175,7 @@ def tangent_heading(polyline, segment_index: int) -> float:
 
 def point_at_arclength(polyline, s: float) -> tuple:
     """Point at arc length s; beyond the ends, extend along the end tangent."""
-    pts = polyline_array(polyline)
+    pts = np.asarray(polyline, dtype=float)
     cum = cumulative_lengths(pts)
     total = float(cum[-1])
     if s <= 0.0:

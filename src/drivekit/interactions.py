@@ -160,21 +160,6 @@ def _overtake_kind(decisions) -> Optional[InteractionKind]:
     return None
 
 
-def _stopped_runs(speeds, v_stop: float) -> list:
-    runs = []
-    start = None
-    for f, v in enumerate(speeds):
-        stopped = abs(v) < v_stop
-        if stopped and start is None:
-            start = f
-        elif not stopped and start is not None:
-            runs.append((start, f - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(speeds) - 1))
-    return runs
-
-
 def label_interactions(
     scene: Scene, rel: RelationOutputs, config: Config
 ) -> List[InteractionLabel]:
@@ -186,7 +171,8 @@ def label_interactions(
     agent sits AHEAD within d_yield and has cleared by the resume frame.
     """
     labels: List[InteractionLabel] = []
-    stop_runs = _stopped_runs(scene.ego.arrays["speed"], config.v_stop)
+    stopped = (np.abs(scene.ego.arrays["speed"]) < config.v_stop).tolist()
+    stop_runs = [(start, end) for run, start, end in _mode_runs(stopped) if run]
 
     for track in scene.agents:
         modes = rel.lane_modes[track.id]
@@ -253,7 +239,7 @@ def critical_objects(
     """Criticality per agent at a frame: an active interaction label, or a
     footprint within the dilated ego corridor; interaction takes precedence."""
     corridor = ego_corridor(scene, frame, config)
-    dilation = 0.5 * scene.ego.states[frame].box[1] + config.corridor_margin
+    dilation = 0.5 * float(scene.ego.arrays["box"][frame, 1]) + config.corridor_margin
     interacting = {l.agent_id for l in labels if l.covers(frame)}
     in_corridor = set()
     states = scene.agent_arrays[:, frame]

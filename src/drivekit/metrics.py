@@ -23,13 +23,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .config import Config
+from .config import Config, _is_finite_number
 from .errors import AlignError, SchemaError
 from .geometry import from_frame, obb_corners, obb_overlap
-from .scene import Scene, Trajectory, headings_xy, wrap_angle
+from .scene import (
+    PLAN_DT, PLAN_STEPS, Scene, Trajectory, frames_per_step, headings_xy, wrap_angle
+)
 
-PLAN_STEPS = 6
-PLAN_DT = 0.5
 _HORIZON_INDEX = {1: 1, 2: 3, 3: 5}  # seconds -> step index
 _FORBIDDEN = 1e12
 
@@ -100,22 +100,13 @@ def lon_weighted_l2(pred, gt, w_lon: float = 2.0, eps_move: float = 1e-3) -> Hor
 # collision
 
 
-def _steps_per_frame(frame_rate: float) -> int:
-    spf = PLAN_DT * frame_rate
-    if abs(spf - round(spf)) > 1e-9 or round(spf) < 1:
-        raise AlignError(
-            f"frame rate {frame_rate} Hz does not align with {PLAN_DT} s plan steps"
-        )
-    return int(round(spf))
-
-
 def plan_collision_fraction(scene: Scene, frame: int, plan, eps_move: float = 1e-3) -> float:
     """Fraction of the 6 steps whose ego footprint overlaps any other agent's
     ground-truth box at that timestamp (separating-axis test)."""
     wp = _as_plan_xy(plan)
-    spf = _steps_per_frame(scene.frame_rate)
-    anchor = scene.ego.states[frame].pose
-    ego_len, ego_wid = scene.ego.states[frame].box
+    spf = scene.plan_stride
+    anchor = scene.ego.pose(frame)
+    ego_len, ego_wid = scene.ego.arrays["box"][frame].tolist()
     wp_global = from_frame(wp, anchor)
     local_headings = headings_xy(wp, 0.0, eps_move)
 
@@ -155,21 +146,20 @@ class PlanSample:
             raise SchemaError(f"plan sample scene_id must be a string, got {self.scene_id!r}")
         if isinstance(self.frame, bool) or not isinstance(self.frame, int):
             raise SchemaError(f"plan sample frame must be an integer, got {self.frame!r}")
-        wp = tuple((float(x), float(y)) for x, y in self.waypoints)
+        wp = tuple((x, y) for x, y in self.waypoints)
         if len(wp) != PLAN_STEPS:
             raise AlignError(f"plan sample needs {PLAN_STEPS} waypoints")
-        if not all(math.isfinite(v) for xy in wp for v in xy):
-            raise SchemaError("plan sample waypoints must be finite")
-        object.__setattr__(self, "waypoints", wp)
+        if not all(_is_finite_number(v) for xy in wp for v in xy):
+            raise SchemaError("plan sample waypoints must be finite numbers")
+        object.__setattr__(self, "waypoints", tuple((float(x), float(y)) for x, y in wp))
 
 
 def future_complete(track, frame: int, frame_rate: float) -> bool:
     """True when every future plan step has a valid state to compare against."""
-    spf = _steps_per_frame(frame_rate)
-    last = frame + PLAN_STEPS * spf
-    if frame < 0 or last >= len(track.states):
+    spf = frames_per_step(frame_rate)
+    if frame < 0 or frame + PLAN_STEPS * spf >= len(track.arrays):
         return False
-    return all(track.states[frame + k * spf].valid for k in range(PLAN_STEPS + 1))
+    return bool(track.arrays["valid"][frame : frame + PLAN_STEPS * spf + 1 : spf].all())
 
 
 def apply_frame_mask(samples, scenes: Dict[str, Scene]) -> Tuple[list, int]:
@@ -302,6 +292,12 @@ def classification_accuracy(pairs) -> Optional[float]:
 # aggregation and report output
 
 
+# (MetricReport field and report.json key, CSV column prefix) per metric
+# family, each reported at these horizons
+_FAMILIES = (("l2", "l2"), ("heading", "heading"), ("lon_weighted", "lonw"))
+_HORIZONS = ("1s", "2s", "3s", "ave123", "ave_all")
+
+
 @dataclass(frozen=True)
 class MetricReport:
     l2: Optional[HorizonValues]
@@ -312,25 +308,16 @@ class MetricReport:
     n_masked: int
 
     def to_dict(self) -> dict:
-        def horizon(hv: Optional[HorizonValues]) -> Optional[dict]:
-            if hv is None:
-                return None
-            return {
-                "1s": hv.at[1],
-                "2s": hv.at[2],
-                "3s": hv.at[3],
-                "ave123": hv.ave123,
-                "ave_all": hv.ave_all,
-            }
-
-        return {
-            "l2": horizon(self.l2),
-            "heading": horizon(self.heading),
-            "lon_weighted": horizon(self.lon_weighted),
-            "collision_pct": self.collision_rate_ave_all,
-            "n_samples": self.n_samples,
-            "n_masked": self.n_masked,
-        }
+        out = {}
+        for family, _ in _FAMILIES:
+            hv = getattr(self, family)
+            out[family] = None if hv is None else dict(
+                zip(_HORIZONS, (hv.at[1], hv.at[2], hv.at[3], hv.ave123, hv.ave_all))
+            )
+        out["collision_pct"] = self.collision_rate_ave_all
+        out["n_samples"] = self.n_samples
+        out["n_masked"] = self.n_masked
+        return out
 
 
 def _mean_horizon(values: List[HorizonValues]) -> Optional[HorizonValues]:
@@ -371,22 +358,7 @@ def evaluate_plans(plans, scenes: Dict[str, Scene], config: Config) -> MetricRep
     )
 
 
-CSV_COLUMNS = [
-    "l2_1s",
-    "l2_2s",
-    "l2_3s",
-    "l2_ave123",
-    "l2_ave_all",
-    "heading_1s",
-    "heading_2s",
-    "heading_3s",
-    "heading_ave123",
-    "heading_ave_all",
-    "lonw_1s",
-    "lonw_2s",
-    "lonw_3s",
-    "lonw_ave123",
-    "lonw_ave_all",
+CSV_COLUMNS = [f"{prefix}_{h}" for _, prefix in _FAMILIES for h in _HORIZONS] + [
     "collision_pct",
     "n_samples",
     "n_masked",
@@ -396,26 +368,11 @@ CSV_COLUMNS = [
 def report_csv(report: MetricReport) -> str:
     """Single-row CSV in the fixed table layout (1s/2s/3s/ave123/ave_all per
     metric family, then collision percent)."""
-
-    def cells(hv: Optional[HorizonValues]) -> list:
-        if hv is None:
-            return [""] * 5
-        return [
-            f"{v:.6f}" for v in (hv.at[1], hv.at[2], hv.at[3], hv.ave123, hv.ave_all)
-        ]
-
-    row = (
-        cells(report.l2)
-        + cells(report.heading)
-        + cells(report.lon_weighted)
-        + [
-            ""
-            if report.collision_rate_ave_all is None
-            else f"{report.collision_rate_ave_all:.6f}",
-            str(report.n_samples),
-            str(report.n_masked),
-        ]
-    )
+    d = report.to_dict()
+    values = [None if d[f] is None else d[f][h] for f, _ in _FAMILIES for h in _HORIZONS]
+    values.append(d["collision_pct"])
+    row = ["" if v is None else f"{v:.6f}" for v in values]
+    row += [str(report.n_samples), str(report.n_masked)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

@@ -12,8 +12,8 @@ import numpy as np
 from .config import Config
 from .errors import InsufficientFutureError, NoLaneError
 from .geometry import LaneIndex, associate_lane, point_at_arclength, to_frame
-from .metrics import PLAN_DT, PLAN_STEPS, _steps_per_frame, future_complete
-from .scene import Scene, Trajectory
+from .metrics import future_complete
+from .scene import PLAN_DT, PLAN_STEPS, Scene, Trajectory
 
 
 def _trajectory(xy) -> Trajectory:
@@ -30,9 +30,8 @@ def ego_future_waypoints(scene: Scene, frame: int) -> np.ndarray:
         raise InsufficientFutureError(
             f"scene {scene.id} frame {frame}: ground-truth future incomplete"
         )
-    spf = _steps_per_frame(scene.frame_rate)
-    pts = scene.ego.arrays["xy"][frame + spf * np.arange(1, PLAN_STEPS + 1)]
-    return to_frame(pts, scene.ego.states[frame].pose)
+    pts = scene.ego.arrays["xy"][frame + scene.plan_stride * np.arange(1, PLAN_STEPS + 1)]
+    return to_frame(pts, scene.ego.pose(frame))
 
 
 def replay_planner(scene: Scene, frame: int) -> Trajectory:
@@ -42,7 +41,7 @@ def replay_planner(scene: Scene, frame: int) -> Trajectory:
 
 def constant_velocity_planner(scene: Scene, frame: int) -> Trajectory:
     """Extrapolates the current ego velocity vector for 3 s."""
-    speed = scene.ego.states[frame].speed
+    speed = float(scene.ego.arrays["speed"][frame])
     xy = [(speed * PLAN_DT * (k + 1), 0.0) for k in range(PLAN_STEPS)]
     return _trajectory(xy)
 
@@ -75,19 +74,17 @@ def lane_follow_planner(
     """Advances along the associated lane centerline by arc length; past the
     lane end it continues along the final tangent."""
     config = config or Config()
-    state = scene.ego.states[frame]
     index = LaneIndex.build(scene.lanes)
     ego = scene.ego.arrays[frame : frame + 1]
     [assoc] = associate_lane(ego["xy"], ego["heading"], index, config)
     if assoc is None:
         raise NoLaneError(f"scene {scene.id} frame {frame}: ego is not on any lane")
     lane = index.by_id[assoc.lane_id]
-    speed = target_speed if target_speed is not None else abs(state.speed)
-    anchor = state.pose
+    speed = target_speed if target_speed is not None else abs(float(ego["speed"][0]))
     pts = np.array(
         [
             point_at_arclength(lane.centerline, assoc.frenet.s + speed * PLAN_DT * (k + 1))
             for k in range(PLAN_STEPS)
         ]
     )
-    return _trajectory(to_frame(pts, anchor))
+    return _trajectory(to_frame(pts, scene.ego.pose(frame)))

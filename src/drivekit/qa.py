@@ -23,9 +23,9 @@ from .config import Config, seeded_rng
 from .errors import FormatError, InsufficientFutureError, SchemaError, parse_json, read_text
 from .geometry import to_frame
 from .interactions import Criticality, CriticalReason, InteractionLabel, Side, yield_kind
-from .metrics import PLAN_STEPS, _steps_per_frame, future_complete
+from .metrics import future_complete
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
-from .scene import AgentCategory, NavigationCommand, Scene
+from .scene import PLAN_STEPS, AgentCategory, NavigationCommand, Scene
 
 
 class QATask(enum.Enum):
@@ -300,7 +300,7 @@ def _frame_objects(scene: Scene, frame: int) -> dict:
     """By agent id, (category, ego-frame x, ego-frame y, valid) of every
     agent at the frame, from one transform of the frame's states."""
     states = scene.agent_arrays[:, frame]
-    local = to_frame(states["xy"], scene.ego.states[frame].pose).tolist()
+    local = to_frame(states["xy"], scene.ego.pose(frame)).tolist()
     return {
         track.id: (track.category, x, y, valid)
         for track, (x, y), valid in zip(scene.agents, local, states["valid"].tolist())
@@ -446,8 +446,7 @@ def gen_planning_qas(
         if label.covers(frame)
     ]
 
-    spf = _steps_per_frame(scene.frame_rate)
-    horizon = rel.ego_decisions[frame + 1 : frame + PLAN_STEPS * spf + 1]
+    horizon = rel.ego_decisions[frame + 1 : frame + PLAN_STEPS * scene.plan_stride + 1]
     decision = EgoLaneDecision.KEEP_LANE
     for d in horizon:
         if d in (EgoLaneDecision.LEFT_LANE_CHANGE, EgoLaneDecision.RIGHT_LANE_CHANGE):

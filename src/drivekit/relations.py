@@ -9,7 +9,9 @@ AHEAD -> LEFT -> BEHIND as the ego laps it through the adjacent lane.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -192,6 +194,7 @@ def ego_lane_decisions(scene: Scene, ego_assoc: list) -> list:
     lane-change on association-switch frames, straddle while the footprint
     crosses the divider, keep-lane otherwise."""
     lanes_by_id = {ln.id: ln for ln in scene.lanes}
+    ego_widths = scene.ego.arrays["box"][:, 1].tolist()
     decisions = []
     prev_lane: Optional[int] = None
     for f, la in enumerate(ego_assoc):
@@ -207,8 +210,7 @@ def ego_lane_decisions(scene: Scene, ego_assoc: list) -> list:
             elif prev.right_neighbor == la.lane_id:
                 decision = EgoLaneDecision.RIGHT_LANE_CHANGE
         if decision is EgoLaneDecision.KEEP_LANE:
-            ego_width = scene.ego.states[f].box[1]
-            if abs(la.frenet.d) > lane.half_width - 0.5 * ego_width:
+            if abs(la.frenet.d) > lane.half_width - 0.5 * ego_widths[f]:
                 decision = EgoLaneDecision.STRADDLE
         decisions.append(decision)
         prev_lane = la.lane_id
@@ -245,51 +247,34 @@ def label_nav_commands(scene: Scene, config: Config, ego_assoc: list) -> list:
     commands = []
     for t in range(n):
         end = min(t + window, n - 1)
-        dpsi = sum(deltas[t:end])
-        reversal = reversing[t : end + 1].any()
+        # added left to right: from Python 3.12 on, sum() compensates rounding
+        dpsi = functools.reduce(operator.add, deltas[t:end], 0.0)
+        turn = None
         if abs(dpsi) >= config.theta_uturn:
-            if reversal:
-                cmd = (
-                    NavigationCommand.THREE_POINT_TURN_LEFT
-                    if dpsi > 0
-                    else NavigationCommand.THREE_POINT_TURN_RIGHT
-                )
-            else:
-                cmd = (
-                    NavigationCommand.U_TURN_LEFT
-                    if dpsi > 0
-                    else NavigationCommand.U_TURN_RIGHT
-                )
+            turn = "THREE_POINT_TURN" if reversing[t : end + 1].any() else "U_TURN"
         elif abs(dpsi) >= config.theta_turn:
             if on_intersection[t]:
-                cmd = (
-                    NavigationCommand.TURN_LEFT
-                    if dpsi > 0
-                    else NavigationCommand.TURN_RIGHT
-                )
-            else:
-                dist = 0.0
-                upcoming = math.inf
-                for k in range(t, n - 1):
-                    if on_intersection[k]:
-                        upcoming = dist
-                        break
-                    dist += float(step[k])
-                else:
-                    if n >= 1 and on_intersection[n - 1]:
-                        upcoming = dist
-                if upcoming < config.d_prep:
-                    cmd = (
-                        NavigationCommand.PREPARE_TURN_LEFT
-                        if dpsi > 0
-                        else NavigationCommand.PREPARE_TURN_RIGHT
-                    )
-                else:
-                    cmd = NavigationCommand.KEEP_FORWARD
-        else:
-            cmd = NavigationCommand.KEEP_FORWARD
-        commands.append(cmd)
+                turn = "TURN"
+            elif _distance_to_intersection(on_intersection, step, t) < config.d_prep:
+                turn = "PREPARE_TURN"
+        side = "LEFT" if dpsi > 0 else "RIGHT"
+        commands.append(
+            NavigationCommand.KEEP_FORWARD if turn is None else NavigationCommand[f"{turn}_{side}"]
+        )
     return commands
+
+
+def _distance_to_intersection(on_intersection: list, step, t: int) -> float:
+    """Path length from frame t to the first frame at or after it on an
+    intersection lane, added left to right over the per-frame steps; inf when
+    no such frame follows."""
+    dist = 0.0
+    for k in range(t, len(on_intersection)):
+        if on_intersection[k]:
+            return dist
+        if k < len(step):
+            dist += float(step[k])
+    return math.inf
 
 
 def compute_relations(scene: Scene, config: Config) -> RelationOutputs:

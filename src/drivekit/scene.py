@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AlignError, DrivekitError, LengthError, RefError, SchemaError, parse_json, read_text
-)
+from .errors import DrivekitError, LengthError, RefError, SchemaError, parse_json, read_text
 
 TWO_PI = 2.0 * math.pi
+PLAN_STEPS = 6  # waypoints per plan
+PLAN_DT = 0.5  # seconds between plan waypoints
 
 # one record per agent state: the AgentState floats, bit for bit
 STATE_DTYPE = np.dtype(
@@ -35,6 +35,16 @@ def wrap_angle(a: float) -> float:
     elif a <= -math.pi:
         a += TWO_PI
     return a
+
+
+def frames_per_step(frame_rate: float) -> int:
+    """Scene frames per plan step; SchemaError unless that is a whole number >= 1."""
+    spf = PLAN_DT * frame_rate
+    if abs(spf - round(spf)) > 1e-9 or round(spf) < 1:
+        raise SchemaError(
+            f"frame rate {frame_rate} Hz does not align with {PLAN_DT} s plan steps"
+        )
+    return int(round(spf))
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -130,6 +140,11 @@ class AgentTrack:
         arr.flags.writeable = False
         return arr
 
+    def pose(self, frame: int) -> Pose2:
+        """The pose at `frame`, read from the state records."""
+        x, y = self.arrays["xy"][frame].tolist()
+        return Pose2(x, y, float(self.arrays["heading"][frame]))
+
 
 @dataclass(frozen=True)
 class Lane:
@@ -172,9 +187,12 @@ class Scene:
     def __post_init__(self):
         if not self.id:
             raise SchemaError("scene id must be non-empty")
+        if "/" in self.id or "\0" in self.id:  # ids name output files
+            raise SchemaError(f"scene id {self.id!r} must not contain '/' or NUL")
         _require_finite("frame_rate", self.frame_rate)
         if self.frame_rate <= 0:
             raise SchemaError("frame_rate must be > 0")
+        frames_per_step(self.frame_rate)  # raises for a rate off the plan step
         object.__setattr__(self, "lanes", tuple(sorted(self.lanes, key=lambda l: l.id)))
         object.__setattr__(self, "agents", tuple(sorted(self.agents, key=lambda a: a.id)))
         object.__setattr__(self, "nav_commands", tuple(self.nav_commands))
@@ -222,6 +240,11 @@ class Scene:
     @property
     def n_frames(self) -> int:
         return len(self.ego.states)
+
+    @property
+    def plan_stride(self) -> int:
+        """Frames per plan step."""
+        return frames_per_step(self.frame_rate)
 
     @cached_property
     def agent_arrays(self) -> np.ndarray:
@@ -497,10 +520,10 @@ def _lane_from_doc(doc, where: str) -> Lane:
 def load_scene(document) -> Scene:
     """Parse and validate a scene document (JSON text or an already-parsed dict).
 
-    Raises SchemaError for malformed fields (a frame rate that does not give a
-    whole number of frames per 0.5 s plan step included), RefError for dangling
-    lane references, LengthError for per-frame array mismatches; never anything
-    else.
+    Raises SchemaError for malformed fields (a scene id holding '/' or NUL, and
+    a frame rate that does not give a whole number of frames per 0.5 s plan
+    step, included), RefError for dangling lane references, LengthError for
+    per-frame array mismatches; never anything else.
     """
     if isinstance(document, (str, bytes, bytearray)):
         document = parse_json(document, SchemaError, "scene")
@@ -541,7 +564,7 @@ def load_scene(document) -> Scene:
     else:
         raise SchemaError("scenario_tag must be a string or null")
 
-    scene = Scene(
+    return Scene(
         id=scene_id,
         frame_rate=frame_rate,
         lanes=tuple(lanes),
@@ -550,13 +573,6 @@ def load_scene(document) -> Scene:
         nav_commands=tuple(nav),
         scenario_tag=tag,
     )
-    from .metrics import _steps_per_frame  # metrics imports this module
-
-    try:  # after Scene has rejected a rate that is not finite and > 0
-        _steps_per_frame(frame_rate)
-    except AlignError as exc:
-        raise SchemaError(f"scene: {exc.message}") from None
-    return scene
 
 
 def load_scene_file(path) -> Scene:

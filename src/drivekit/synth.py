@@ -152,16 +152,11 @@ def _lateral_shift_profile(x: float, xa: float, xb: float, xc: float, xd: float,
 def _two_lane_road(length: float, width: float, side: str) -> Tuple[List[Lane], float]:
     """Ego lane (id 1) plus a neighbor lane (id 2) on the given side."""
     offset = width if side == "left" else -width
-    if side == "left":
-        lanes = [
-            _straight_lane(1, 0.0, length, width / 2, left=2),
-            _straight_lane(2, offset, length, width / 2, right=1),
-        ]
-    else:
-        lanes = [
-            _straight_lane(1, 0.0, length, width / 2, right=2),
-            _straight_lane(2, offset, length, width / 2, left=1),
-        ]
+    back = "right" if side == "left" else "left"
+    lanes = [
+        _straight_lane(1, 0.0, length, width / 2, **{side: 2}),
+        _straight_lane(2, offset, length, width / 2, **{back: 1}),
+    ]
     return lanes, offset
 
 

@@ -156,6 +156,18 @@ def test_tokenize_command(tmp_path, scene_files):
     assert len(bundle.agent_tokens) == len(scene.agents)
 
 
+def test_tokenize_rejects_a_scene_id_that_leaves_the_out_dir(tmp_path, scene_files, capsys):
+    doc = json.loads(Path(scene_files[1]).read_text("utf-8"))
+    doc["id"] = "../escaped"
+    path = tmp_path / "scenes" / "escaped.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(doc), "utf-8")
+    before = set(tmp_path.rglob("*"))
+    assert main(["tokenize", "--out", str(tmp_path / "out" / "tok"), str(path)]) == 1
+    assert _one_error_line(capsys.readouterr().err)["error"] == "SCHEMA_ERROR"
+    assert not [p for p in set(tmp_path.rglob("*")) - before if p.is_file()]
+
+
 def _write_replay_plans(scene_paths, plan_path):
     lines = []
     for path in scene_paths:
@@ -357,7 +369,16 @@ def test_synth_bad_spec_is_one_json_error(tmp_path, capsys, spec):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("field, value", [("scene_id", [1]), ("frame", 3.7), ("frame", True)])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scene_id", [1]),
+        ("frame", 3.7),
+        ("frame", True),
+        ("waypoints", [["1.5", 0.0]] + [[1.0, 0.0]] * 5),
+        ("waypoints", [[1.5, True]] + [[1.0, 0.0]] * 5),
+    ],
+)
 def test_evaluate_rejects_mistyped_plan_fields(tmp_path, scene_files, capsys, field, value):
     plans = tmp_path / "plans.jsonl"
     _write_replay_plans(scene_files[:1], plans)

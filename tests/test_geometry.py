@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import straight_lane
 from drivekit.config import Config
+import drivekit.geometry
 from drivekit.geometry import (
-    _PAIRS_PER_BATCH,
     FrenetCoord,
     LaneAssociation,
     LaneIndex,
@@ -423,16 +424,19 @@ def test_one_batch_with_a_per_pose_heading_check_matches_single_calls(lane_specs
     lanes = [Lane(id=3 * k + 1, centerline=poly, half_width=hw) for k, (poly, hw) in enumerate(lane_specs)]
     index = LaneIndex.build(lanes)
     single = [associate([p], index, config, check)[0] for p, check in rows]
-    # the rows repeat until the batch spans more than one projection chunk
-    reps = _PAIRS_PER_BATCH // len(index.starts) // len(rows) + 2
+    # with a small chunk, a few repeats of the rows span several projection
+    # chunks, whose boundaries fall at varying offsets into the rows
+    pairs = 37
+    reps = pairs // len(index.starts) // len(rows) + 2
     poses, checks = zip(*rows)
-    got = associate_lane(
-        np.tile([(p.x, p.y) for p in poses], (reps, 1)),
-        np.tile([p.heading for p in poses], reps),
-        index,
-        config,
-        np.tile(checks, reps),
-    )
+    with mock.patch.object(drivekit.geometry, "_PAIRS_PER_BATCH", pairs):
+        got = associate_lane(
+            np.tile([(p.x, p.y) for p in poses], (reps, 1)),
+            np.tile([p.heading for p in poses], reps),
+            index,
+            config,
+            np.tile(checks, reps),
+        )
     assert repr(got) == repr(single * reps)
 
 

@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,6 +346,23 @@ def test_intersection_turn_labels(config):
         assert commands[f] is NavigationCommand.KEEP_FORWARD
     for f in range(14, 21):
         assert commands[f] is NavigationCommand.KEEP_FORWARD
+
+
+def test_nav_heading_change_adds_left_to_right(config):
+    # the changes add up, left to right, to 0.9899999999999999, one ulp under
+    # 0.99, while their exact total reaches 0.99; a compensated sum (sum() on
+    # Python 3.12) would read TURN_LEFT here
+    headings = [-0.74, -0.45, -0.27, -0.04, 0.07, 0.13, 0.25]
+    deltas = [b - a for a, b in zip(headings, headings[1:])]
+    assert functools.reduce(operator.add, deltas) < 0.99 <= sum(map(Fraction, deltas))
+    lane = straight_lane(1, length=100.0, semantic=LaneSemantic.INTERSECTION)
+    ego = [state(10.0 + 2.0 * k, 0.0, h, 4.0) for k, h in enumerate(headings)]
+    scene = scene_of([lane], [], ego)
+    assoc = ego_assoc(scene, config)
+    at_total = config.replace(theta_turn=0.99)
+    assert label_nav_commands(scene, at_total, assoc)[0] is NavigationCommand.KEEP_FORWARD
+    below = config.replace(theta_turn=math.nextafter(0.99, 0.0))
+    assert label_nav_commands(scene, below, assoc)[0] is NavigationCommand.TURN_LEFT
 
 
 def test_three_point_turn_closure(config):

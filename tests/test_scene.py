@@ -92,6 +92,8 @@ def test_frame_length_mismatch_is_length_error():
         lambda d: d["ego"]["states"][0].__setitem__("x", float("nan")),
         lambda d: d["nav_commands"].__setitem__(0, "WARP"),
         lambda d: d.__setitem__("scenario_tag", "MYSTERY"),
+        lambda d: d.__setitem__("id", "../escaped"),  # ids name output files
+        lambda d: d.__setitem__("id", "mi\0ni"),
     ],
 )
 def test_malformed_fields_are_schema_errors(mutate):
