@@ -13,7 +13,6 @@ from .scene import (
     Pose2,
     ScenarioKind,
     Scene,
-    Trajectory,
     load_scene,
     load_scene_file,
     save_scene,

@@ -210,6 +210,7 @@ def cmd_synth(args) -> int:
 
 
 def _tokenize_scene(scene, config: Config, out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)  # once every scene has loaded
     for frame in range(scene.n_frames):
         bundle = fixture_encode(scene, frame, config.seed)
         write_bundle(bundle, out_dir / f"{scene.id}_f{frame:04d}.tokb")
@@ -218,7 +219,6 @@ def _tokenize_scene(scene, config: Config, out_dir: Path) -> int:
 
 def cmd_tokenize(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bundles = sum(_per_scene(args, _tokenize_scene, out_dir=out_dir))
     print(_dump({"bundles": bundles, "out_dir": str(out_dir)}))
     return 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, parse_json, read_text
+from .errors import ParamError, as_finite, is_int, parse_json, read_text
 
 
 def seeded_rng(*key) -> np.random.Generator:
@@ -22,22 +22,6 @@ def seeded_rng(*key) -> np.random.Generator:
     seeded_rng(seed, scene_id, frame, "qa")."""
     digest = hashlib.sha256(":".join(map(str, key)).encode("utf-8")).digest()
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    """An int or float (not a bool) that converts to a finite float; an int
-    too large for a float does not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -104,11 +88,10 @@ class Config:
         if unknown:
             raise ParamError(f"unknown config keys: {', '.join(unknown)}")
         for name, value in data.items():
-            if isinstance(getattr(defaults, name), int):
-                if not _is_int(value):
-                    raise ParamError(f"config {name} must be an integer, got {value!r}")
-            elif not _is_finite_number(value):
-                raise ParamError(f"config {name} must be a finite number, got {value!r}")
+            if not isinstance(getattr(defaults, name), int):
+                as_finite(value, f"config {name}", ParamError)
+            elif not is_int(value):
+                raise ParamError(f"config {name} must be an integer, got {value!r}")
         config = cls(**data)
         if not config.theta_turn < config.theta_uturn:
             raise ParamError(

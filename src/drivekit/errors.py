@@ -1,5 +1,8 @@
-"""Exception hierarchy, each error with a stable code, and the one input-file reader."""
+"""Exception hierarchy, each error with a stable code, the one input-file
+reader, and the integer and number rules that every input value meets."""
 import json
+import math
+from numbers import Real
 
 
 class DrivekitError(Exception):
@@ -67,6 +70,28 @@ class FormatError(DrivekitError):
 
 class FileError(DrivekitError):
     code = "FILE_ERROR"
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_finite(value, name: str, error=SchemaError) -> float:
+    """`value` as a float: a real number (numpy scalars included), not a bool,
+    finite as a float. Anything else raises `error` naming `name`."""
+    if type(value) is not float:  # a float, the common case, needs no type test
+        # int/float before the Real ABC, which costs several times more
+        real = isinstance(value, (int, float)) or isinstance(value, Real)
+        if isinstance(value, bool) or not real:
+            raise error(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond float range
+            raise error(f"{name} is too large for a float") from None
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def read_bytes(path) -> bytes:

@@ -12,8 +12,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import Config, _is_int
-from .errors import SchemaError
+from .config import Config
+from .errors import SchemaError, is_int
 from .geometry import polyline_obb_distance
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
 from .scene import AgentCategory, Scene
@@ -93,9 +93,9 @@ class InteractionLabel:
             side = None if side is None else Side(side)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad interaction label record: {exc!r}") from None
-        if not _is_int(agent_id):
+        if not is_int(agent_id):
             raise SchemaError(f"label agent_id must be an integer, got {agent_id!r}")
-        if not isinstance(span, list) or len(span) != 2 or not all(map(_is_int, span)):
+        if not isinstance(span, list) or len(span) != 2 or not all(map(is_int, span)):
             raise SchemaError(f"label frame_span must be two integers, got {span!r}")
         return cls(agent_id=agent_id, kind=kind, side=side, frame_span=(span[0], span[1]))
 
@@ -228,7 +228,9 @@ def label_interactions(
 
 def ego_corridor(scene: Scene, frame: int, config: Config) -> np.ndarray:
     """Ego ground-truth path over the next t_corridor seconds, as points."""
-    last = min(scene.n_frames - 1, frame + round(config.t_corridor * scene.frame_rate))
+    # clamped from above only: a negative horizon keeps its empty corridor
+    steps = round(min(config.t_corridor * scene.frame_rate, scene.n_frames))
+    last = min(scene.n_frames - 1, frame + steps)
     states = scene.ego.arrays[frame : last + 1]
     return states["xy"][states["valid"]]
 

@@ -23,29 +23,41 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .config import Config, _is_finite_number
-from .errors import AlignError, SchemaError
+from .config import Config
+from .errors import AlignError, SchemaError, as_finite, is_int
 from .geometry import from_frame, obb_corners, obb_overlap
-from .scene import (
-    PLAN_DT, PLAN_STEPS, Scene, Trajectory, frames_per_step, headings_xy, wrap_angle
-)
+from .scene import PLAN_STEPS, Scene, frames_per_step, wrap_angle
 
 _HORIZON_INDEX = {1: 1, 2: 3, 3: 5}  # seconds -> step index
 _FORBIDDEN = 1e12
 
 
 def _as_plan_xy(plan) -> np.ndarray:
-    if isinstance(plan, Trajectory):
-        times = plan.times()
-        if len(times) != PLAN_STEPS or np.max(
-            np.abs(times - PLAN_DT * np.arange(1, PLAN_STEPS + 1))
-        ) > 1e-9:
-            raise AlignError("trajectory is not 6 waypoints at 0.5 s steps")
-        return plan.xy()
     arr = np.asarray(plan, dtype=float)
     if arr.shape != (PLAN_STEPS, 2):
         raise AlignError(f"plan must be ({PLAN_STEPS}, 2), got {arr.shape}")
     return arr
+
+
+def headings_xy(xy, eps_move: float = 1e-3) -> list:
+    """Per-point headings of a plan's positions in the anchor ego frame.
+
+    heading_k points along segment k -> k+1; the final point repeats the last
+    segment heading; segments shorter than eps_move carry the previous heading
+    forward, starting from the anchor heading 0.
+    """
+    headings = []
+    prev = 0.0
+    for k in range(len(xy) - 1):
+        dx = xy[k + 1][0] - xy[k][0]
+        dy = xy[k + 1][1] - xy[k][1]
+        if math.hypot(dx, dy) < eps_move:
+            headings.append(prev)
+        else:
+            prev = wrap_angle(math.atan2(dy, dx))
+            headings.append(prev)
+    headings.append(prev)
+    return headings
 
 
 @dataclass(frozen=True)
@@ -76,8 +88,8 @@ def heading_l2(pred, gt, eps_move: float = 1e-3) -> HorizonValues:
     p = _as_plan_xy(pred)
     g = _as_plan_xy(gt)
     # plans sit in the anchor ego frame, whose heading is 0
-    hp = headings_xy(p, 0.0, eps_move)
-    hg = headings_xy(g, 0.0, eps_move)
+    hp = headings_xy(p, eps_move)
+    hg = headings_xy(g, eps_move)
     err = np.array([abs(wrap_angle(a - b)) for a, b in zip(hp, hg)])
     return HorizonValues.from_steps(err)
 
@@ -85,7 +97,7 @@ def heading_l2(pred, gt, eps_move: float = 1e-3) -> HorizonValues:
 def lon_weighted_l2(pred, gt, w_lon: float = 2.0, eps_move: float = 1e-3) -> HorizonValues:
     p = _as_plan_xy(pred)
     g = _as_plan_xy(gt)
-    hg = headings_xy(g, 0.0, eps_move)
+    hg = headings_xy(g, eps_move)
     e = p - g
     steps = np.empty(PLAN_STEPS)
     for k in range(PLAN_STEPS):
@@ -108,7 +120,7 @@ def plan_collision_fraction(scene: Scene, frame: int, plan, eps_move: float = 1e
     anchor = scene.ego.pose(frame)
     ego_len, ego_wid = scene.ego.arrays["box"][frame].tolist()
     wp_global = from_frame(wp, anchor)
-    local_headings = headings_xy(wp, 0.0, eps_move)
+    local_headings = headings_xy(wp, eps_move)
 
     # steps that land inside the scene, and every (step, valid agent) pair in
     # step-major, agent-minor order
@@ -144,14 +156,15 @@ class PlanSample:
     def __post_init__(self):
         if not isinstance(self.scene_id, str):
             raise SchemaError(f"plan sample scene_id must be a string, got {self.scene_id!r}")
-        if isinstance(self.frame, bool) or not isinstance(self.frame, int):
+        if not is_int(self.frame):
             raise SchemaError(f"plan sample frame must be an integer, got {self.frame!r}")
         wp = tuple((x, y) for x, y in self.waypoints)
         if len(wp) != PLAN_STEPS:
             raise AlignError(f"plan sample needs {PLAN_STEPS} waypoints")
-        if not all(_is_finite_number(v) for xy in wp for v in xy):
-            raise SchemaError("plan sample waypoints must be finite numbers")
-        object.__setattr__(self, "waypoints", tuple((float(x), float(y)) for x, y in wp))
+        object.__setattr__(self, "waypoints", tuple(
+            (as_finite(x, "plan sample waypoint"), as_finite(y, "plan sample waypoint"))
+            for x, y in wp
+        ))
 
 
 def future_complete(track, frame: int, frame_rate: float) -> bool:

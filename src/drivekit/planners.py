@@ -1,7 +1,7 @@
 """Reference planners that exercise the evaluation harness end to end.
 
-Every planner emits exactly 6 waypoints at uniform 0.5 s spacing in the
-anchor-frame ego coordinates.
+Every planner returns a plan: a (6, 2) float array of the ego positions at
+0.5 s, 1.0 s, ..., 3.0 s in the anchor ego frame.
 """
 from __future__ import annotations
 
@@ -13,15 +13,7 @@ from .config import Config
 from .errors import InsufficientFutureError, NoLaneError
 from .geometry import LaneIndex, associate_lane, point_at_arclength, to_frame
 from .metrics import future_complete
-from .scene import PLAN_DT, PLAN_STEPS, Scene, Trajectory
-
-
-def _trajectory(xy) -> Trajectory:
-    return Trajectory(
-        waypoints=tuple(
-            (PLAN_DT * (k + 1), float(x), float(y)) for k, (x, y) in enumerate(xy)
-        )
-    )
+from .scene import PLAN_DT, PLAN_STEPS, Scene
 
 
 def ego_future_waypoints(scene: Scene, frame: int) -> np.ndarray:
@@ -34,25 +26,20 @@ def ego_future_waypoints(scene: Scene, frame: int) -> np.ndarray:
     return to_frame(pts, scene.ego.pose(frame))
 
 
-def replay_planner(scene: Scene, frame: int) -> Trajectory:
+def replay_planner(scene: Scene, frame: int) -> np.ndarray:
     """Oracle planner: replays the ground-truth ego future."""
-    return _trajectory(ego_future_waypoints(scene, frame))
+    return ego_future_waypoints(scene, frame)
 
 
-def constant_velocity_planner(scene: Scene, frame: int) -> Trajectory:
+def constant_velocity_planner(scene: Scene, frame: int) -> np.ndarray:
     """Extrapolates the current ego velocity vector for 3 s."""
     speed = float(scene.ego.arrays["speed"][frame])
-    xy = [(speed * PLAN_DT * (k + 1), 0.0) for k in range(PLAN_STEPS)]
-    return _trajectory(xy)
+    return np.array([(speed * PLAN_DT * (k + 1), 0.0) for k in range(PLAN_STEPS)])
 
 
-def plan_record(scene_id: str, frame: int, trajectory: Trajectory) -> dict:
-    """One plan-file record: {scene_id, frame, waypoints[6][2]}."""
-    return {
-        "scene_id": scene_id,
-        "frame": frame,
-        "waypoints": [[x, y] for _, x, y in trajectory.waypoints],
-    }
+def plan_record(scene_id: str, frame: int, plan) -> dict:
+    """One plan-file record: {scene_id, frame, waypoints[6][2]} of a (6, 2) plan."""
+    return {"scene_id": scene_id, "frame": frame, "waypoints": np.asarray(plan, float).tolist()}
 
 
 def write_plan_file(records, path) -> None:
@@ -70,7 +57,7 @@ def lane_follow_planner(
     frame: int,
     target_speed: Optional[float] = None,
     config: Optional[Config] = None,
-) -> Trajectory:
+) -> np.ndarray:
     """Advances along the associated lane centerline by arc length; past the
     lane end it continues along the final tangent."""
     config = config or Config()
@@ -87,4 +74,4 @@ def lane_follow_planner(
             for k in range(PLAN_STEPS)
         ]
     )
-    return _trajectory(to_frame(pts, scene.ego.pose(frame)))
+    return to_frame(pts, scene.ego.pose(frame))

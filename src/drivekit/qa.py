@@ -345,7 +345,7 @@ def select_agents(
     others = sorted(
         c.agent_id for c in crits if not c.critical and c.agent_id in valid_ids
     )
-    want = min(len(others), round(config.distractor_ratio * len(critical)))
+    want = round(min(max(config.distractor_ratio * len(critical), 0), len(others)))
     if want and others:
         rng = seeded_rng(config.seed, scene.id, frame, "qa")
         sampled = sorted(rng.choice(others, size=want, replace=False).tolist())

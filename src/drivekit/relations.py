@@ -243,7 +243,8 @@ def label_nav_commands(scene: Scene, config: Config, ego_assoc: list) -> list:
         for la in ego_assoc
     ]
 
-    window = max(1, round(config.nav_window_s * scene.frame_rate))
+    # a window past the scene end reads the same as one to its end
+    window = max(1, round(min(config.nav_window_s * scene.frame_rate, n)))
     commands = []
     for t in range(n):
         end = min(t + window, n - 1)

@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DrivekitError, LengthError, RefError, SchemaError, parse_json, read_text
+from .errors import (
+    DrivekitError, LengthError, RefError, SchemaError, as_finite, is_int, parse_json, read_text
+)
 
 TWO_PI = 2.0 * math.pi
 PLAN_STEPS = 6  # waypoints per plan
@@ -45,12 +47,6 @@ def frames_per_step(frame_rate: float) -> int:
             f"frame rate {frame_rate} Hz does not align with {PLAN_DT} s plan steps"
         )
     return int(round(spf))
-
-
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise SchemaError(f"{name} must be finite, got {v!r}")
 
 
 class AgentCategory(enum.Enum):
@@ -91,6 +87,17 @@ class ScenarioKind(enum.Enum):
     CONSTRUCTION_ZONE = "CONSTRUCTION_ZONE"
 
 
+def _member(value, enum_cls, name: str) -> None:
+    if not isinstance(value, enum_cls):
+        raise SchemaError(f"{name} must be a {enum_cls.__name__}, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    if not is_int(value):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Pose2:
     """2D pose; heading wrapped to (-pi, pi] at construction."""
@@ -100,8 +107,9 @@ class Pose2:
     heading: float
 
     def __post_init__(self):
-        _require_finite("pose", self.x, self.y, self.heading)
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
+        object.__setattr__(self, "x", as_finite(self.x, "x"))
+        object.__setattr__(self, "y", as_finite(self.y, "y"))
+        object.__setattr__(self, "heading", wrap_angle(as_finite(self.heading, "heading")))
 
 
 @dataclass(frozen=True)
@@ -112,12 +120,17 @@ class AgentState:
     valid: bool = True
 
     def __post_init__(self):
-        _require_finite("speed", self.speed)
-        if len(self.box) != 2:
-            raise SchemaError("box must be (length, width)")
-        _require_finite("box", *self.box)
-        object.__setattr__(self, "box", (float(self.box[0]), float(self.box[1])))
-        if self.valid and (self.box[0] <= 0 or self.box[1] <= 0):
+        _member(self.pose, Pose2, "pose")
+        object.__setattr__(self, "speed", as_finite(self.speed, "speed"))
+        try:
+            length, width = self.box
+        except (TypeError, ValueError):
+            raise SchemaError(f"box must be (length, width), got {self.box!r}") from None
+        box = (as_finite(length, "length"), as_finite(width, "width"))
+        object.__setattr__(self, "box", box)
+        if not isinstance(self.valid, bool):
+            raise SchemaError(f"valid must be a bool, got {self.valid!r}")
+        if self.valid and (box[0] <= 0 or box[1] <= 0):
             raise SchemaError("box extents must be positive for valid states")
 
 
@@ -128,6 +141,9 @@ class AgentTrack:
     states: tuple  # one AgentState per scene frame
 
     def __post_init__(self):
+        if _integer(self.id, "track id") < 0:
+            raise SchemaError(f"track id {self.id} must be non-negative")
+        _member(self.category, AgentCategory, "category")
         object.__setattr__(self, "states", tuple(self.states))
 
     @cached_property
@@ -146,6 +162,14 @@ class AgentTrack:
         return Pose2(x, y, float(self.arrays["heading"][frame]))
 
 
+def _point(pt, name: str) -> tuple:
+    try:
+        x, y = pt
+    except (TypeError, ValueError):
+        raise SchemaError(f"{name} must be [x, y], got {pt!r}") from None
+    return as_finite(x, name), as_finite(y, name)
+
+
 @dataclass(frozen=True)
 class Lane:
     id: int
@@ -158,20 +182,24 @@ class Lane:
     semantic: LaneSemantic = LaneSemantic.NORMAL
 
     def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.centerline)
+        if _integer(self.id, "lane id") < 0:
+            raise SchemaError(f"lane id {self.id} must be non-negative")
+        pts = tuple(_point(pt, f"centerline[{i}]") for i, pt in enumerate(self.centerline))
         if len(pts) < 2:
             raise SchemaError(f"lane {self.id}: centerline needs >= 2 points")
-        for x, y in pts:
-            _require_finite(f"lane {self.id} centerline", x, y)
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x0 == x1 and y0 == y1:
                 raise SchemaError(f"lane {self.id}: zero-length centerline segment")
         object.__setattr__(self, "centerline", pts)
-        _require_finite(f"lane {self.id} half_width", self.half_width)
+        object.__setattr__(self, "half_width", as_finite(self.half_width, "half_width"))
         if self.half_width <= 0:
             raise SchemaError(f"lane {self.id}: half_width must be > 0")
-        object.__setattr__(self, "successors", tuple(self.successors))
-        object.__setattr__(self, "predecessors", tuple(self.predecessors))
+        for name in ("left_neighbor", "right_neighbor"):
+            if getattr(self, name) is not None:
+                _integer(getattr(self, name), name)
+        for name in ("successors", "predecessors"):
+            object.__setattr__(self, name, tuple(_integer(r, name) for r in getattr(self, name)))
+        _member(self.semantic, LaneSemantic, "semantic")
 
 
 @dataclass(frozen=True)
@@ -185,17 +213,21 @@ class Scene:
     scenario_tag: Optional[ScenarioKind] = None
 
     def __post_init__(self):
-        if not self.id:
-            raise SchemaError("scene id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise SchemaError(f"scene id must be a non-empty string, got {self.id!r}")
         if "/" in self.id or "\0" in self.id:  # ids name output files
             raise SchemaError(f"scene id {self.id!r} must not contain '/' or NUL")
-        _require_finite("frame_rate", self.frame_rate)
+        object.__setattr__(self, "frame_rate", as_finite(self.frame_rate, "frame_rate"))
         if self.frame_rate <= 0:
             raise SchemaError("frame_rate must be > 0")
         frames_per_step(self.frame_rate)  # raises for a rate off the plan step
         object.__setattr__(self, "lanes", tuple(sorted(self.lanes, key=lambda l: l.id)))
         object.__setattr__(self, "agents", tuple(sorted(self.agents, key=lambda a: a.id)))
         object.__setattr__(self, "nav_commands", tuple(self.nav_commands))
+        for i, command in enumerate(self.nav_commands):
+            _member(command, NavigationCommand, f"nav_commands[{i}]")
+        if self.scenario_tag is not None:
+            _member(self.scenario_tag, ScenarioKind, "scenario_tag")
 
         n = len(self.ego.states)
         if n == 0:
@@ -218,15 +250,10 @@ class Scene:
             raise SchemaError("agent ids must be unique")
         if self.ego.id in set(ids):
             raise SchemaError("ego id collides with an agent id")
-        for track_id in ids + [self.ego.id]:
-            if track_id < 0:
-                raise SchemaError(f"track id {track_id} must be non-negative")
 
         lane_ids = {ln.id for ln in self.lanes}
         if len(lane_ids) != len(self.lanes):
             raise SchemaError("lane ids must be unique")
-        if any(lid < 0 for lid in lane_ids):
-            raise SchemaError("lane ids must be non-negative")
         for ln in self.lanes:
             refs = list(ln.successors) + list(ln.predecessors)
             if ln.left_neighbor is not None:
@@ -257,73 +284,20 @@ class Scene:
         return arr
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Planner output: (time, x, y) waypoints in the anchor ego frame."""
-
-    waypoints: tuple
-
-    def __post_init__(self):
-        wps = tuple((float(t), float(x), float(y)) for t, x, y in self.waypoints)
-        if not wps:
-            raise SchemaError("trajectory needs >= 1 waypoint")
-        for t, x, y in wps:
-            _require_finite("waypoint", t, x, y)
-        for (t0, _, _), (t1, _, _) in zip(wps, wps[1:]):
-            if t1 <= t0:
-                raise SchemaError("waypoint times must be strictly increasing")
-        object.__setattr__(self, "waypoints", wps)
-
-    def xy(self):
-        return np.array([(x, y) for _, x, y in self.waypoints], dtype=float)
-
-    def times(self):
-        return np.array([t for t, _, _ in self.waypoints], dtype=float)
-
-
-# --------------------------------------------------------------------------
-# heading reconstruction
-
-
-def headings_xy(xy, initial_heading: float, eps_move: float = 1e-3):
-    """Per-point headings of a polyline of positions.
-
-    heading_k points along segment k -> k+1; the final point repeats the last
-    segment heading; segments shorter than eps_move carry the previous heading
-    forward (initial_heading seeds the carry chain).
-    """
-    headings = []
-    prev = wrap_angle(initial_heading)
-    n = len(xy)
-    for k in range(n - 1):
-        dx = xy[k + 1][0] - xy[k][0]
-        dy = xy[k + 1][1] - xy[k][1]
-        if math.hypot(dx, dy) < eps_move:
-            headings.append(prev)
-        else:
-            prev = wrap_angle(math.atan2(dy, dx))
-            headings.append(prev)
-    headings.append(prev if n > 1 else wrap_angle(initial_heading))
-    return headings
-
-
 # --------------------------------------------------------------------------
 # canonical serialization
 
-def format_float(x: float) -> str:
+def _canonical(x: float) -> str:
     """Canonical 9-significant-digit float formatting (idempotent on reload)."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SchemaError(f"expected a number, got {type(x).__name__}")
-    if not math.isfinite(x):
-        raise SchemaError(f"non-finite value {x!r} cannot be serialized")
+    x = as_finite(x, "a serialized number")
     if x == 0.0:
         x = 0.0  # collapse -0.0
-    return format(float(x), ".9g")
+    return format(x, ".9g")
 
 
 def quantize(x: float) -> float:
     """Round-trip a float through the canonical 9-digit representation."""
-    return float(format_float(x))
+    return float(_canonical(x))
 
 
 def canonical_dumps(obj) -> str:
@@ -343,7 +317,7 @@ def _dump(obj, out: list) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(format_float(obj))
+        out.append(_canonical(obj))
     elif isinstance(obj, str):
         out.append(_json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
@@ -417,161 +391,99 @@ def save_scene(scene: Scene) -> str:
     return canonical_dumps(scene_to_doc(scene))
 
 
-def _get(doc: dict, key: str, kinds, where: str):
-    if key not in doc:
-        raise SchemaError(f"{where}: missing key '{key}'")
-    value = doc[key]
-    if kinds is not None and not isinstance(value, kinds):
-        raise SchemaError(f"{where}: key '{key}' has wrong type")
-    if isinstance(value, bool) and kinds is not bool:
-        raise SchemaError(f"{where}: key '{key}' has wrong type")
+_STATE_KEYS = ("x", "y", "heading", "speed", "length", "width", "valid")
+_LANE_KEYS = (
+    "id", "centerline", "half_width", "left_neighbor", "right_neighbor",
+    "successors", "predecessors", "semantic",
+)
+
+
+def _at(where: str, build, *args):
+    """build(*args), with `where` put before the message of any error it raises."""
+    try:
+        return build(*args)
+    except DrivekitError as exc:
+        raise type(exc)(f"{where}: {exc.message}") from None
+
+
+def _fields(doc, keys) -> list:
+    """The values of `keys` in the JSON object `doc`."""
+    if not isinstance(doc, dict):
+        raise SchemaError("must be an object")
+    try:
+        return [doc[key] for key in keys]
+    except KeyError as exc:
+        raise SchemaError(f"missing key {exc}") from None
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"'{name}' must be a list")
     return value
 
 
-def _float(value, where: str, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: '{name}' has wrong type")
+def _enum(value, enum_cls):
+    """The member of `enum_cls` named `value`."""
     try:
-        return float(value)
-    except OverflowError:  # an integer beyond float range
-        raise SchemaError(f"{where}: '{name}' is too large for a float") from None
-
-
-def _number(doc: dict, key: str, where: str) -> float:
-    if key not in doc:
-        raise SchemaError(f"{where}: missing key '{key}'")
-    return _float(doc[key], where, key)
-
-
-def _opt_int(doc: dict, key: str, where: str):
-    v = _get(doc, key, None, where)
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{where}: key '{key}' must be an integer or null")
-    return v
-
-
-def _int_list(doc: dict, key: str, where: str) -> list:
-    v = _get(doc, key, list, where)
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise SchemaError(f"{where}: '{key}' must hold integers")
-    return v
-
-
-def _enum(doc: dict, key: str, enum_cls, where: str):
-    v = _get(doc, key, str, where)
-    try:
-        return enum_cls(v)
+        return enum_cls(value)
     except ValueError:
-        raise SchemaError(f"{where}: '{v}' is not a valid {enum_cls.__name__}") from None
+        raise SchemaError(f"{value!r} is not a valid {enum_cls.__name__}") from None
 
 
-def _state_from_doc(doc, where: str) -> AgentState:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: state must be an object")
-    valid = _get(doc, "valid", bool, where)
-    return AgentState(
-        pose=Pose2(
-            _number(doc, "x", where), _number(doc, "y", where), _number(doc, "heading", where)
-        ),
-        speed=_number(doc, "speed", where),
-        box=(_number(doc, "length", where), _number(doc, "width", where)),
-        valid=valid,
-    )
+def _state_from_doc(doc) -> AgentState:
+    x, y, heading, speed, length, width, valid = _fields(doc, _STATE_KEYS)
+    return AgentState(Pose2(x, y, heading), speed, (length, width), valid)
 
 
 def _track_from_doc(doc, where: str) -> AgentTrack:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: must be an object")
-    track_id = _get(doc, "id", int, where)
-    states = _get(doc, "states", list, where)
-    return AgentTrack(
-        id=track_id,
-        category=_enum(doc, "category", AgentCategory, where),
-        states=tuple(
-            _state_from_doc(st, f"{where} state[{i}]") for i, st in enumerate(states)
-        ),
-    )
+    track_id, category, states = _at(where, _fields, doc, ("id", "category", "states"))
+    states = [
+        _at(f"{where} state[{i}]", _state_from_doc, st)
+        for i, st in enumerate(_at(where, _list, states, "states"))
+    ]
+    return _at(where, lambda: AgentTrack(track_id, _enum(category, AgentCategory), states))
 
 
-def _lane_from_doc(doc, where: str) -> Lane:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: must be an object")
-    centerline = _get(doc, "centerline", list, where)
-    pts = []
-    for i, pt in enumerate(centerline):
-        if not isinstance(pt, list) or len(pt) != 2:
-            raise SchemaError(f"{where}: centerline[{i}] must be [x, y]")
-        pts.append((_float(pt[0], where, "centerline"), _float(pt[1], where, "centerline")))
+def _lane_from_doc(doc) -> Lane:
+    lane_id, centerline, half_width, left, right, succ, pred, semantic = _fields(doc, _LANE_KEYS)
     return Lane(
-        id=_get(doc, "id", int, where),
-        centerline=tuple(pts),
-        half_width=_number(doc, "half_width", where),
-        left_neighbor=_opt_int(doc, "left_neighbor", where),
-        right_neighbor=_opt_int(doc, "right_neighbor", where),
-        successors=tuple(_int_list(doc, "successors", where)),
-        predecessors=tuple(_int_list(doc, "predecessors", where)),
-        semantic=_enum(doc, "semantic", LaneSemantic, where),
+        lane_id, _list(centerline, "centerline"), half_width, left, right,
+        _list(succ, "successors"), _list(pred, "predecessors"), _enum(semantic, LaneSemantic),
     )
 
 
 def load_scene(document) -> Scene:
     """Parse and validate a scene document (JSON text or an already-parsed dict).
 
-    Raises SchemaError for malformed fields (a scene id holding '/' or NUL, and
-    a frame rate that does not give a whole number of frames per 0.5 s plan
-    step, included), RefError for dangling lane references, LengthError for
-    per-frame array mismatches; never anything else.
+    The document is mapped to the scene dataclasses, which check every value;
+    an error names where in the document it is. Raises SchemaError for
+    malformed fields (a scene id holding '/' or NUL, and a frame rate that does
+    not give a whole number of frames per 0.5 s plan step, included), RefError
+    for dangling lane references, LengthError for per-frame array mismatches;
+    never anything else.
     """
     if isinstance(document, (str, bytes, bytearray)):
         document = parse_json(document, SchemaError, "scene")
-    if not isinstance(document, dict):
-        raise SchemaError("scene document must be a JSON object")
-
-    scene_id = _get(document, "id", str, "scene")
-    if "frame_rate_hz" in document:
-        frame_rate = _number(document, "frame_rate_hz", "scene")
-    else:
-        frame_rate = 2.0
-    lanes = [
-        _lane_from_doc(doc, f"lane[{i}]")
-        for i, doc in enumerate(_get(document, "lanes", list, "scene"))
-    ]
-    agents = [
-        _track_from_doc(doc, f"agent[{i}]")
-        for i, doc in enumerate(_get(document, "agents", list, "scene"))
-    ]
-    ego = _track_from_doc(_get(document, "ego", dict, "scene"), "ego")
-    nav_raw = _get(document, "nav_commands", list, "scene")
-    nav = []
-    for i, item in enumerate(nav_raw):
-        if not isinstance(item, str):
-            raise SchemaError(f"nav_commands[{i}] must be a string")
-        try:
-            nav.append(NavigationCommand(item))
-        except ValueError:
-            raise SchemaError(f"nav_commands[{i}]: unknown command '{item}'") from None
-    tag_raw = document.get("scenario_tag")
-    if tag_raw is None:
-        tag = None
-    elif isinstance(tag_raw, str):
-        try:
-            tag = ScenarioKind(tag_raw)
-        except ValueError:
-            raise SchemaError(f"unknown scenario_tag '{tag_raw}'") from None
-    else:
-        raise SchemaError("scenario_tag must be a string or null")
-
+    keys = ("id", "lanes", "agents", "ego", "nav_commands")
+    scene_id, lanes, agents, ego, nav = _at("scene", _fields, document, keys)
+    tag = document.get("scenario_tag")
     return Scene(
         id=scene_id,
-        frame_rate=frame_rate,
-        lanes=tuple(lanes),
-        agents=tuple(agents),
-        ego=ego,
-        nav_commands=tuple(nav),
-        scenario_tag=tag,
+        frame_rate=document.get("frame_rate_hz", 2.0),
+        lanes=tuple(
+            _at(f"lane[{i}]", _lane_from_doc, doc)
+            for i, doc in enumerate(_at("scene", _list, lanes, "lanes"))
+        ),
+        agents=tuple(
+            _track_from_doc(doc, f"agent[{i}]")
+            for i, doc in enumerate(_at("scene", _list, agents, "agents"))
+        ),
+        ego=_track_from_doc(ego, "ego"),
+        nav_commands=tuple(
+            _at(f"nav_commands[{i}]", _enum, item, NavigationCommand)
+            for i, item in enumerate(_at("scene", _list, nav, "nav_commands"))
+        ),
+        scenario_tag=None if tag is None else _at("scenario_tag", _enum, tag, ScenarioKind),
     )
 
 

@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .config import Config, _is_finite_number, _is_int
-from .errors import ParamError
+from .config import Config
+from .errors import ParamError, as_finite, is_int
 from .scene import (
     AgentCategory,
     AgentState,
@@ -64,29 +64,21 @@ def _rng(seed: int):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _param_fits(value, default) -> bool:
-    """A bool for a bool default, an int for an int one, a finite number for
-    a float one and a string for a string one; never a bool for a number."""
-    if isinstance(default, bool):
-        return isinstance(value, bool)
-    if isinstance(default, int):
-        return _is_int(value)
-    if isinstance(default, float):
-        return _is_finite_number(value)
-    return isinstance(value, str)
-
-
 def _merge_params(kind: ScenarioKind, params: Optional[dict]) -> dict:
+    """The defaults of `kind` updated by `params`. A value has the type of its
+    default: a bool, an int (not a bool), a finite number or a string."""
     merged = dict(DEFAULT_PARAMS[kind])
     if params:
         unknown = sorted(set(params) - set(merged))
         if unknown:
             raise ParamError(f"{kind.value}: unknown params {', '.join(unknown)}")
         for name, value in params.items():
-            if not _param_fits(value, merged[name]):
+            default, what = merged[name], f"{kind.value}: param {name}"
+            if isinstance(default, float):
+                as_finite(value, what, ParamError)
+            elif not (is_int(value) if type(default) is int else isinstance(value, type(default))):
                 raise ParamError(
-                    f"{kind.value}: param {name} must have the type of its default "
-                    f"{merged[name]!r}, got {value!r}"
+                    f"{what} must have the type of its default {default!r}, got {value!r}"
                 )
         merged.update(params)
     return merged
@@ -464,6 +456,8 @@ def synth_scene(
     """Deterministic scene of the given kind; identical (kind, seed, params)
     always yields a byte-identical scene."""
     kind = ScenarioKind(kind) if not isinstance(kind, ScenarioKind) else kind
+    if not is_int(seed) or seed < 0:
+        raise ParamError(f"seed must be an integer >= 0, got {seed!r}")
     merged = _merge_params(kind, params)
     return _BUILDERS[kind](seed, merged, config or Config())
 
@@ -477,15 +471,15 @@ def corpus_manifest(counts: Dict, base_seed: int = 0) -> dict:
     sequential seed ranges; hashed for portability checks."""
     if not isinstance(counts, dict):
         raise ParamError("corpus counts must be an object of kind: count")
-    if not _is_int(base_seed):
-        raise ParamError(f"base_seed must be an integer, got {base_seed!r}")
+    if not is_int(base_seed) or base_seed < 0:
+        raise ParamError(f"base_seed must be an integer >= 0, got {base_seed!r}")
     norm: Dict[str, int] = {}
     for kind, count in counts.items():
         try:
             kind = ScenarioKind(kind)
         except ValueError:
             raise ParamError(f"unknown scenario kind {kind!r}") from None
-        if not _is_int(count) or count < 0:
+        if not is_int(count) or count < 0:
             raise ParamError(f"count of {kind.value} must be an integer >= 0, got {count!r}")
         norm[kind.value] = count
     total = sum(norm.values())

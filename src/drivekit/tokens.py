@@ -31,7 +31,9 @@ from typing import Tuple
 import numpy as np
 
 from .config import seeded_rng
-from .errors import FormatError, LengthError, MagicError, TruncatedError, VersionError, read_bytes
+from .errors import (
+    FormatError, LengthError, MagicError, TruncatedError, VersionError, is_int, read_bytes
+)
 from .scene import AgentCategory, LaneSemantic, Scene
 
 TRACK_DIM = 256
@@ -57,10 +59,6 @@ _AGENT_ONEHOT_END = _AGENT_ATTR_SLOTS + len(CATEGORY_ORDER)
 # fixed fixture slots in a map token
 _MAP_ATTR_SLOTS = 4  # x0, y0, x1, y1
 _MAP_ONEHOT_END = _MAP_ATTR_SLOTS + len(SEMANTIC_ORDER)
-
-
-def _is_uint(value, bits: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +139,7 @@ class TokenBundle:
             raise FormatError(f"scene id {self.scene_id!r} is not a utf-8 string") from None
         if len(sid) > 0xFFFF:
             raise FormatError("scene id too long for TOKB header")
-        if not _is_uint(self.frame, 32):
+        if not (is_int(self.frame) and 0 <= self.frame < 2**32):
             raise FormatError(f"frame {self.frame!r} is not an int in [0, 2**32)")
         try:
             with np.errstate(over="ignore"):
@@ -156,7 +154,7 @@ class TokenBundle:
             ("map", self.map_tokens, MapToken),
         ):
             for i, token in pairs:
-                if not _is_uint(i, 64):
+                if not (is_int(i) and 0 <= i < 2**64):
                     raise FormatError(f"{name} token id {i!r} is not an int in u64 range")
                 if type(token) is not cls:
                     raise FormatError(f"{name} token {i} is not a {cls.__name__}")

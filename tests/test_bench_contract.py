@@ -1,6 +1,7 @@
 """What the benchmark in bench/run.py needs from drivekit: every traced
-target is a module-level function under its own name, and importing drivekit
-imports scipy.optimize (its import time is reported on its own)."""
+target is a module-level function under its own name, importing drivekit
+imports scipy.optimize (its import time is reported on its own), and the
+input files bench/gen.py builds with drivekit hash to the recorded digests."""
 import importlib
 import inspect
 import subprocess
@@ -10,7 +11,10 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
 
+import gate  # noqa: E402
+import gen  # noqa: E402
 import run as bench_run  # noqa: E402
+from drivekit import save_scene_file  # noqa: E402
 
 
 def test_every_traced_target_is_a_drivekit_function():
@@ -26,3 +30,19 @@ def test_importing_drivekit_imports_scipy_optimize():
         env=bench_run.child_env(), check=True, capture_output=True, text=True,
     )
     assert bench_run.importtime_cumulative(proc.stderr, "scipy.optimize") > 0
+
+
+def test_generated_inputs_match_the_recorded_digests(tmp_path):
+    # input variant 0: a scene-model or plan-record change that moves one byte
+    # of the benchmark's inputs fails here, not only in a benchmark run
+    dense = gen.dense_scene(0)
+    save_scene_file(dense, tmp_path / "dense.json")
+    gen.write_plans([dense], tmp_path / "dense_plans.jsonl")
+    gen.write_plans(gen.corpus_scenes(0), tmp_path / "corpus_plans.jsonl")
+    digests = {name: gate.file_digest(tmp_path / name) for name in (
+        "dense.json", "dense_plans.jsonl", "corpus_plans.jsonl")}
+    assert digests == {
+        "dense.json": gate.load_recorded("dense", 0)["scene"],
+        "dense_plans.jsonl": gate.load_recorded("dense", 0)["plans"],
+        "corpus_plans.jsonl": gate.load_recorded("corpus", 0)["plans"],
+    }

@@ -251,6 +251,36 @@ def test_config_file_and_flag_precedence(tmp_path, scene_files):
     assert out_flag.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "key, value, kind, same_as",
+    [
+        ("nav_window_s", 1e308, "CONSTRUCTION_ZONE", "scene_s"),
+        ("nav_window_s", 1e308, "OVERTAKE_ONCOMING", "scene_s"),
+        ("t_corridor", 1e308, "CONSTRUCTION_ZONE", "scene_s"),
+        ("t_corridor", 1e308, "OVERTAKE_ONCOMING", "scene_s"),
+        ("distractor_ratio", 1e308, "CONSTRUCTION_ZONE", 1e6),
+        ("distractor_ratio", -1.0, "OVERTAKE_ONCOMING", 0.0),
+    ],
+)
+def test_config_values_beyond_the_scene_are_clamped(tmp_path, key, value, kind, same_as):
+    # each value ended in a traceback on this scene; now it reads like a value
+    # at the clamp, which runs either way
+    scene = synth_scene(kind, 0)
+    path = tmp_path / "scene.json"
+    save_scene_file(scene, path)
+    if same_as == "scene_s":
+        same_as = scene.n_frames / scene.frame_rate
+    outputs = []
+    for v in (value, same_as):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: v}), "utf-8")
+        for command in ("label", "gen-qa"):
+            out = tmp_path / f"{command}.jsonl"
+            assert main([command, "--config", str(cfg), "--out", str(out), str(path)]) == 0
+            outputs.append(out.read_bytes())
+    assert outputs[:2] == outputs[2:]
+
+
 def test_bad_config_key_fails(tmp_path, scene_files, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text('{"not_a_key": 1}', "utf-8")
@@ -350,6 +380,7 @@ def test_validate_reports_a_missing_file_and_keeps_going(tmp_path, scene_files, 
         '{"counts": {"NOMINAL": -1}}',
         '{"counts": [1]}',
         '{"counts": {"NOMINAL": 1}, "base_seed": 1.5}',
+        '{"counts": {"NOMINAL": 1}, "base_seed": -1}',
         '{"counts": {"NOMINAL": 1}, "params": [1]}',
         '{"counts": {"NOMINAL": 1}, "params": {"NOMINAL": 5}}',
         '{"counts": {"RESUME_FROM_STOP": 1}, "params": {"RESUME_FROM_STOP": {"stop_duration": "x"}}}',
@@ -491,6 +522,7 @@ BAD_INPUT = st.one_of(
 )
 SLOTS = {
     "scene": lambda bad, scene, out: ["label", "--out", out, bad],
+    "tokenize scene": lambda bad, scene, out: ["tokenize", "--out", out, bad],
     "config": lambda bad, scene, out: ["label", "--config", bad, "--out", out, scene],
     "spec": lambda bad, scene, out: ["synth", "--spec", bad, "--out", out],
     "labels": lambda bad, scene, out: ["gen-qa", "--labels", bad, "--out", out, scene],

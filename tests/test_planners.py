@@ -40,7 +40,7 @@ def test_replay_collision_equals_gt_overlap(config):
     car = track(3, [state(30.0, 0.0, 0.0, 0.0, (4.5, 1.8))] * 14)
     scene = scene_of(lanes, [car], ego)
     plan = replay_planner(scene, 0)
-    frac = plan_collision_fraction(scene, 0, plan.xy())
+    frac = plan_collision_fraction(scene, 0, plan)
 
     # direct GT check: which of the 6 future frames overlap the car's box
     from drivekit.geometry import obb_corners, obb_overlap
@@ -63,47 +63,44 @@ def test_waypoint_contract_six_uniform_steps(config):
         lambda s, f: lane_follow_planner(s, f, config=config),
     )
     for planner in planners:
-        traj = planner(scene, 0)
-        times = traj.times()
-        assert len(times) == 6
-        assert np.allclose(np.diff(times), 0.5, atol=1e-12)
-        assert times[0] == pytest.approx(0.5)
+        plan = planner(scene, 0)
+        assert isinstance(plan, np.ndarray)
+        assert plan.shape == (6, 2) and plan.dtype == float
 
 
 def test_constant_velocity_stationary_at_origin(config):
     lanes = [straight_lane(1)]
     ego = [state(40.0, 0.0, 0.0, 0.0) for _ in range(10)]
     scene = scene_of(lanes, [], ego)
-    traj = constant_velocity_planner(scene, 0)
-    assert np.allclose(traj.xy(), 0.0)
+    plan = constant_velocity_planner(scene, 0)
+    assert np.allclose(plan, 0.0)
 
 
 def test_constant_velocity_matches_gt_on_straight(config):
     lanes = [straight_lane(1, length=120.0)]
     scene = scene_of(lanes, [], cruising_ego(20, speed=10.0))
-    traj = constant_velocity_planner(scene, 2)
+    plan = constant_velocity_planner(scene, 2)
     expected = np.array([(5.0 * (k + 1), 0.0) for k in range(6)])
-    assert np.allclose(traj.xy(), expected, atol=1e-9)
+    assert np.allclose(plan, expected, atol=1e-9)
     gt = ego_future_waypoints(scene, 2)
-    assert traj_l2(traj.xy(), gt).ave_all < 1e-9
+    assert traj_l2(plan, gt).ave_all < 1e-9
 
 
 def test_constant_velocity_heading_error_on_curves(config):
     scene = synth_scene("THREE_POINT_TURN", 1)
     # anchor just before the turning begins
     frame = 3
-    traj = constant_velocity_planner(scene, frame)
+    plan = constant_velocity_planner(scene, frame)
     gt = ego_future_waypoints(scene, frame)
     from drivekit.metrics import heading_l2
 
-    assert heading_l2(traj.xy(), gt).ave_all > 0.05
+    assert heading_l2(plan, gt).ave_all > 0.05
 
 
 def test_lane_follow_straight_is_collinear(config):
     lanes = [straight_lane(1, length=120.0)]
     scene = scene_of(lanes, [], cruising_ego(10, speed=8.0))
-    traj = lane_follow_planner(scene, 0, config=config)
-    xy = traj.xy()
+    xy = lane_follow_planner(scene, 0, config=config)
     assert np.allclose(xy[:, 1], 0.0, atol=1e-9)
     assert np.allclose(xy[:, 0], 4.0 * np.arange(1, 7), atol=1e-9)
 
@@ -121,10 +118,10 @@ def test_lane_follow_tracks_circular_arc(config):
     v = 6.0
     ego = [state(0.0, 0.0, 0.0, v)] * 8
     scene = scene_of([arc], [], ego)
-    traj = lane_follow_planner(scene, 0, config=config)
+    plan = lane_follow_planner(scene, 0, config=config)
     from drivekit.geometry import from_frame
 
-    world = from_frame(traj.xy(), scene.ego.states[0].pose)
+    world = from_frame(plan, scene.ego.states[0].pose)
     radii = np.hypot(world[:, 0], world[:, 1] - r)
     assert np.max(np.abs(radii - r)) < 1e-6
 
@@ -133,7 +130,7 @@ def test_lane_follow_extends_past_lane_end(config):
     lanes = [straight_lane(1, length=20.0)]
     ego = [state(15.0, 0.0, 0.0, 8.0)] * 8
     scene = scene_of(lanes, [], ego)
-    xy = lane_follow_planner(scene, 0, config=config).xy()
+    xy = lane_follow_planner(scene, 0, config=config)
     assert np.allclose(xy[:, 1], 0.0, atol=1e-9)  # continues along the tangent
     assert xy[-1, 0] == pytest.approx(24.0)
 
@@ -149,7 +146,7 @@ def test_lane_follow_without_lane_errors(config):
 def test_lane_follow_target_speed_override(config):
     lanes = [straight_lane(1, length=120.0)]
     scene = scene_of(lanes, [], cruising_ego(10, speed=8.0))
-    xy = lane_follow_planner(scene, 0, target_speed=4.0, config=config).xy()
+    xy = lane_follow_planner(scene, 0, target_speed=4.0, config=config)
     assert xy[-1, 0] == pytest.approx(12.0)
 
 

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from conftest import cruising_ego, scene_of, straight_lane, state, track
 from drivekit.cli import main
 from drivekit.errors import DrivekitError, LengthError, RefError, SchemaError
+from drivekit.metrics import headings_xy
 from drivekit.scene import (
     STATE_DTYPE,
     AgentCategory,
     AgentState,
     AgentTrack,
+    Lane,
     Pose2,
-    headings_xy,
     load_scene,
     load_scene_file,
     save_scene,
@@ -66,6 +67,48 @@ def test_minimal_document_loads():
     assert scene.n_frames == 6
     assert len(scene.agents) == 0
     assert scene.lanes[0].half_width == 1.85
+
+
+def _lane(**fields):
+    return Lane(**{"id": 1, "centerline": ((0.0, 0.0), (10.0, 0.0)), "half_width": 1.85, **fields})
+
+
+BAD_CONSTRUCTIONS = {  # each dataclass checks its own fields, built in code or loaded
+    "pose_x_str": lambda: Pose2("1", 0.0, 0.0),
+    "pose_x_bool": lambda: Pose2(True, 0.0, 0.0),
+    "state_valid_int": lambda: state(0.0, 0.0, valid=1),
+    "lane_id_str": lambda: _lane(id="x"),
+    "lane_successor_str": lambda: _lane(successors=("2",)),
+    "track_id_str": lambda: AgentTrack(id="7", category=AgentCategory.CAR, states=()),
+    "scene_id_int": lambda: scene_of([straight_lane()], [], cruising_ego(4), scene_id=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONSTRUCTIONS))
+def test_constructors_reject_mistyped_fields(name):
+    with pytest.raises(SchemaError):
+        BAD_CONSTRUCTIONS[name]()
+
+
+def test_numpy_scalars_construct_as_floats():
+    pose = Pose2(np.float32(1.5), np.int64(2), 0.25)
+    st = AgentState(pose, np.float32(3.0), (np.int64(4), np.float32(1.5)))
+    lane = _lane(centerline=((np.int64(0), np.float32(0.5)), (10, 0.5)), half_width=np.float32(2))
+    scene = scene_of([lane], [], [st] * 4, frame_rate=np.int64(2))
+    numbers = [pose.x, pose.y, pose.heading, st.speed, *st.box, *lane.centerline[0], lane.half_width]
+    assert numbers == [1.5, 2.0, 0.25, 3.0, 4.0, 1.5, 0.0, 0.5, 2.0]
+    assert all(type(v) is float for v in numbers + [scene.frame_rate])
+
+
+def test_load_errors_name_their_location():
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["ego"]["states"][3]["speed"] = float("nan")
+    with pytest.raises(SchemaError, match=r"^ego state\[3\]: speed must be finite"):
+        load_scene(doc)
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["lanes"][0]["successors"] = [True]
+    with pytest.raises(SchemaError, match=r"^lane\[0\]: successors must be an integer"):
+        load_scene(doc)
 
 
 def test_dangling_lane_reference_is_ref_error():
@@ -214,7 +257,7 @@ def test_invalid_ego_state_rejected():
 
 def test_headings_straight_line_all_zero():
     xy = [(1.0 * (k + 1), 0.0) for k in range(6)]
-    assert headings_xy(xy, initial_heading=1.0) == [0.0] * 6
+    assert headings_xy(xy) == [0.0] * 6
 
 
 def test_headings_quarter_circle_tracks_analytic_tangent():
@@ -223,7 +266,7 @@ def test_headings_quarter_circle_tracks_analytic_tangent():
     r = 10.0
     phis = np.linspace(-math.pi / 2, 0.0, 6)
     xy = [(r * math.cos(p), r * math.sin(p)) for p in phis]
-    headings = headings_xy(xy, 0.0)
+    headings = headings_xy(xy)
     dphi = phis[1] - phis[0]
     for k in range(5):
         analytic = phis[k] + math.pi / 2  # tangent at segment start
@@ -235,8 +278,9 @@ def test_headings_quarter_circle_tracks_analytic_tangent():
 
 
 def test_headings_degenerate_carries_initial():
+    # no segment moves, so every point carries the anchor heading 0
     xy = [(2.0, 3.0), (2.0, 3.0), (2.0, 3.0)]
-    assert headings_xy(xy, initial_heading=1.0) == [1.0, 1.0, 1.0]
+    assert headings_xy(xy) == [0.0, 0.0, 0.0]
 
 
 def test_headings_wrapped_and_finite_on_random_paths():
@@ -247,7 +291,7 @@ def test_headings_wrapped_and_finite_on_random_paths():
         # inject duplicate points to exercise the carry-forward rule
         if n > 3:
             pts[2] = pts[1]
-        out = headings_xy(pts, float(rng.uniform(-3, 3)))
+        out = headings_xy(pts)
         assert len(out) == n
         for h in out:
             assert math.isfinite(h)
