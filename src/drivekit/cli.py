@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import Config
 from .errors import (
-    DrivekitError, FileError, ParamError, RefError, SchemaError, parse_json, read_text
+    DrivekitError, FileError, ParamError, RefError, SchemaError, _at, parse_json, read_text
 )
 from .interactions import (
     InteractionKind,
@@ -133,10 +133,7 @@ def _load_sidecar(path) -> list:
     records = parse_json(read_text(path), SchemaError, path)
     if not isinstance(records, list) or not all(isinstance(d, dict) for d in records):
         raise SchemaError(f"{path}: label sidecar must be a JSON list of objects")
-    try:
-        return [(d.get("scene_id"), InteractionLabel.from_dict(d)) for d in records]
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc.message}") from None
+    return _at(path, lambda: [(d.get("scene_id"), InteractionLabel.from_dict(d)) for d in records])
 
 
 _TASK_ORDER = {task: i for i, task in enumerate(QATask)}
@@ -237,17 +234,10 @@ def _load_plans(path):
         where = f"{path}:{i + 1}"
         record = parse_json(line, SchemaError, where)
         try:
-            plans.append(
-                PlanSample(
-                    scene_id=record["scene_id"],
-                    frame=record["frame"],
-                    waypoints=record["waypoints"],
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            fields = record["scene_id"], record["frame"], record["waypoints"]
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"{where}: bad plan record: {exc}") from None
-        except DrivekitError as exc:
-            raise type(exc)(f"{where}: {exc.message}") from None
+        plans.append(_at(where, PlanSample, *fields))
     return plans
 
 

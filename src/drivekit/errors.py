@@ -94,6 +94,14 @@ def as_finite(value, name: str, error=SchemaError) -> float:
     return value
 
 
+def _at(where, build, *args):
+    """build(*args), with `where` put before the message of any error it raises."""
+    try:
+        return build(*args)
+    except DrivekitError as exc:
+        raise type(exc)(f"{where}: {exc.message}") from None
+
+
 def read_bytes(path) -> bytes:
     """The bytes of the file at `path`. An OSError raises FileError naming `path`."""
     try:

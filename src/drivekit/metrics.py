@@ -24,9 +24,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .config import Config
-from .errors import AlignError, SchemaError, as_finite, is_int
+from .errors import AlignError, SchemaError, is_int
 from .geometry import from_frame, obb_corners, obb_overlap
-from .scene import PLAN_STEPS, Scene, frames_per_step, wrap_angle
+from .scene import PLAN_STEPS, Scene, _points, frames_per_step, wrap_angle
 
 _HORIZON_INDEX = {1: 1, 2: 3, 3: 5}  # seconds -> step index
 _FORBIDDEN = 1e12
@@ -158,13 +158,10 @@ class PlanSample:
             raise SchemaError(f"plan sample scene_id must be a string, got {self.scene_id!r}")
         if not is_int(self.frame):
             raise SchemaError(f"plan sample frame must be an integer, got {self.frame!r}")
-        wp = tuple((x, y) for x, y in self.waypoints)
+        wp = _points(self.waypoints, "plan sample waypoints")
         if len(wp) != PLAN_STEPS:
             raise AlignError(f"plan sample needs {PLAN_STEPS} waypoints")
-        object.__setattr__(self, "waypoints", tuple(
-            (as_finite(x, "plan sample waypoint"), as_finite(y, "plan sample waypoint"))
-            for x, y in wp
-        ))
+        object.__setattr__(self, "waypoints", wp)
 
 
 def future_complete(track, frame: int, frame_rate: float) -> bool:

@@ -215,20 +215,6 @@ def _parse(template: str, text: str, what: str) -> list:
     return [(name, _CODECS[name][2](part)) for name, part in zip(names, match.groups())]
 
 
-def _objects_text(objects: List[dict]) -> str:
-    return "; ".join(_render(_OBJECT, o) for o in objects) or "none"
-
-
-def _objects_parse(text: str) -> List[dict]:
-    if text == "none":
-        return []
-    return [dict(_parse(_OBJECT, part, "object")) for part in text.split("; ")]
-
-
-def _plans_text(plans: List[dict]) -> str:
-    return "; ".join(_render(_PLANS[plan["kind"]], plan) for plan in plans) or "none"
-
-
 def _plan_parse(text: str) -> dict:
     for kind, template in _PLANS.items():
         if _template_regex(template)[0].match(text):
@@ -239,8 +225,14 @@ def _plan_parse(text: str) -> dict:
     raise FormatError(f"cannot parse interaction plan {text!r}")
 
 
-def _plans_parse(text: str) -> List[dict]:
-    return [] if text == "none" else [_plan_parse(part) for part in text.split("; ")]
+def _phrases(render, parse) -> tuple:
+    """The codec of a list rendered as its items' phrases joined by "; ", or
+    "none" when empty, from one item's `render` and `parse`."""
+    return (
+        r"(.*?)",
+        lambda items: "; ".join(map(render, items)) or "none",
+        lambda text: [] if text == "none" else [parse(part) for part in text.split("; ")],
+    )
 
 
 def _waypoints_text(waypoints) -> str:
@@ -255,12 +247,15 @@ def _waypoints_parse(text: str) -> List[list]:
 # placeholder -> (pattern, value -> text, text -> value)
 # the text _fmt1 renders: ASCII digits, no leading zero, never "-0.0"
 _NUMBER = (r"(0\.0|-?0\.[1-9]|-?[1-9][0-9]*\.[0-9])", _fmt1, float)
+_OBJECTS = _phrases(
+    functools.partial(_render, _OBJECT), lambda part: dict(_parse(_OBJECT, part, "object"))
+)
 _CODECS = {
     "x": _NUMBER,
     "y": _NUMBER,
-    "objects": (r"(.*?)", _objects_text, _objects_parse),
-    "critical_objects": (r"(.*?)", _objects_text, _objects_parse),
-    "plans": (r"(.*?)", _plans_text, _plans_parse),
+    "objects": _OBJECTS,
+    "critical_objects": _OBJECTS,
+    "plans": _phrases(lambda plan: _render(_PLANS[plan["kind"]], plan), _plan_parse),
     "waypoints": (r"(.*?)", _waypoints_text, _waypoints_parse),
     **{
         name: (

@@ -87,30 +87,24 @@ def _longitudinal_delta(
 
     best: Optional[float] = None
     lanes_by_id, lengths = index.by_id, index.lengths
-
-    # successors: offset accumulates past the end of the ego lane
-    frontier: List[Tuple[int, float]] = [(ego_lane, lengths[ego_lane] - ego_s)]
-    for _ in range(max_hops):
-        nxt: List[Tuple[int, float]] = []
-        for lid, acc in frontier:
-            for suc in sorted(lanes_by_id[lid].successors):
-                delta = acc + agent_s
-                if suc == agent_lane and (best is None or abs(delta) < abs(best)):
-                    best = delta
-                nxt.append((suc, acc + lengths[suc]))
-        frontier = nxt
-
-    # predecessors: offset accumulates behind the start of the ego lane
-    frontier = [(ego_lane, ego_s)]
-    for _ in range(max_hops):
-        nxt = []
-        for lid, acc in frontier:
-            for pre in sorted(lanes_by_id[lid].predecessors):
-                delta = -(acc + (lengths[pre] - agent_s))
-                if pre == agent_lane and (best is None or abs(delta) < abs(best)):
-                    best = delta
-                nxt.append((pre, acc + lengths[pre]))
-        frontier = nxt
+    # successors: the offset accumulates past the end of the ego lane and
+    # counts the agent's s from its lane's start; predecessors: it accumulates
+    # behind the start of the ego lane, counts from the lane's end, and is negated
+    for attr, sign, start in (
+        ("successors", 1.0, lengths[ego_lane] - ego_s),
+        ("predecessors", -1.0, ego_s),
+    ):
+        frontier: List[Tuple[int, float]] = [(ego_lane, start)]
+        for _ in range(max_hops):
+            nxt: List[Tuple[int, float]] = []
+            for lid, acc in frontier:
+                for lane in sorted(getattr(lanes_by_id[lid], attr)):
+                    if lane == agent_lane:
+                        delta = sign * (acc + (agent_s if sign > 0 else lengths[lane] - agent_s))
+                        if best is None or abs(delta) < abs(best):
+                            best = delta
+                    nxt.append((lane, acc + lengths[lane]))
+            frontier = nxt
 
     return best
 
@@ -132,10 +126,9 @@ def agent_ego_lane_mode(
         return LaneMode.NOTON, None
 
     if agent_lane != ego_lane:
-        if agent_lane in _lateral_chain(index.by_id, ego_lane, "left_neighbor", config.k_lat):
-            return LaneMode.LEFT, None
-        if agent_lane in _lateral_chain(index.by_id, ego_lane, "right_neighbor", config.k_lat):
-            return LaneMode.RIGHT, None
+        for attr, mode in (("left_neighbor", LaneMode.LEFT), ("right_neighbor", LaneMode.RIGHT)):
+            if agent_lane in _lateral_chain(index.by_id, ego_lane, attr, config.k_lat):
+                return mode, None
 
     delta = _longitudinal_delta(
         index, ego_lane, agent_lane, ego_s or 0.0, agent_s or 0.0, config.k_lon

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DrivekitError, LengthError, RefError, SchemaError, as_finite, is_int, parse_json, read_text
+    LengthError, RefError, SchemaError, _at, as_finite, is_int, parse_json, read_text
 )
 
 TWO_PI = 2.0 * math.pi
@@ -170,6 +170,15 @@ def _point(pt, name: str) -> tuple:
     return as_finite(x, name), as_finite(y, name)
 
 
+def _points(pts, name: str) -> tuple:
+    """`pts` as a tuple of finite (x, y) float pairs; the i-th is named `name[i]`."""
+    try:
+        pts = tuple(pts)
+    except TypeError:
+        raise SchemaError(f"{name} must be a list of [x, y], got {pts!r}") from None
+    return tuple(_point(pt, f"{name}[{i}]") for i, pt in enumerate(pts))
+
+
 @dataclass(frozen=True)
 class Lane:
     id: int
@@ -184,7 +193,7 @@ class Lane:
     def __post_init__(self):
         if _integer(self.id, "lane id") < 0:
             raise SchemaError(f"lane id {self.id} must be non-negative")
-        pts = tuple(_point(pt, f"centerline[{i}]") for i, pt in enumerate(self.centerline))
+        pts = _points(self.centerline, "centerline")
         if len(pts) < 2:
             raise SchemaError(f"lane {self.id}: centerline needs >= 2 points")
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
@@ -342,29 +351,25 @@ def _dump(obj, out: list) -> None:
         raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
+# the JSON field names of a state and of a lane, in constructor order
+_STATE_KEYS = ("x", "y", "heading", "speed", "length", "width", "valid")
+_LANE_KEYS = (
+    "id", "centerline", "half_width", "left_neighbor", "right_neighbor",
+    "successors", "predecessors", "semantic",
+)
+
+
 def _state_to_doc(st: AgentState) -> dict:
-    return {
-        "x": st.pose.x,
-        "y": st.pose.y,
-        "heading": st.pose.heading,
-        "speed": st.speed,
-        "length": st.box[0],
-        "width": st.box[1],
-        "valid": st.valid,
-    }
+    values = (st.pose.x, st.pose.y, st.pose.heading, st.speed, *st.box, st.valid)
+    return dict(zip(_STATE_KEYS, values))
 
 
 def _lane_to_doc(ln: Lane) -> dict:
-    return {
-        "id": ln.id,
-        "centerline": [[x, y] for x, y in ln.centerline],
-        "half_width": ln.half_width,
-        "left_neighbor": ln.left_neighbor,
-        "right_neighbor": ln.right_neighbor,
-        "successors": list(ln.successors),
-        "predecessors": list(ln.predecessors),
-        "semantic": ln.semantic.value,
-    }
+    values = (
+        ln.id, [[x, y] for x, y in ln.centerline], ln.half_width, ln.left_neighbor,
+        ln.right_neighbor, list(ln.successors), list(ln.predecessors), ln.semantic.value,
+    )
+    return dict(zip(_LANE_KEYS, values))
 
 
 def _track_to_doc(tr: AgentTrack) -> dict:
@@ -389,21 +394,6 @@ def scene_to_doc(scene: Scene) -> dict:
 
 def save_scene(scene: Scene) -> str:
     return canonical_dumps(scene_to_doc(scene))
-
-
-_STATE_KEYS = ("x", "y", "heading", "speed", "length", "width", "valid")
-_LANE_KEYS = (
-    "id", "centerline", "half_width", "left_neighbor", "right_neighbor",
-    "successors", "predecessors", "semantic",
-)
-
-
-def _at(where: str, build, *args):
-    """build(*args), with `where` put before the message of any error it raises."""
-    try:
-        return build(*args)
-    except DrivekitError as exc:
-        raise type(exc)(f"{where}: {exc.message}") from None
 
 
 def _fields(doc, keys) -> list:
@@ -489,11 +479,7 @@ def load_scene(document) -> Scene:
 
 def load_scene_file(path) -> Scene:
     """load_scene of the file at `path`; every error message starts with the path."""
-    text = read_text(path)
-    try:
-        return load_scene(text)
-    except DrivekitError as exc:
-        raise type(exc)(f"{path}: {exc.message}") from None
+    return _at(path, load_scene, read_text(path))
 
 
 def save_scene_file(scene: Scene, path) -> None:

@@ -156,6 +156,10 @@ def _two_lane_road(length: float, width: float, side: str) -> Tuple[List[Lane], 
 # 3-point turn primitive
 
 
+def _on_circle(cx: float, cy: float, r: float, angle: float) -> tuple:
+    return cx + r * math.cos(angle), cy + r * math.sin(angle)
+
+
 def _three_point_turn_curve(start_pose: Pose2, params: Optional[dict]):
     """Closed-form pose/speed along the 3 arcs; returns (pose_at, total_time).
 
@@ -175,46 +179,36 @@ def _three_point_turn_curve(start_pose: Pose2, params: Optional[dict]):
     if not (v1 > 0 and v2 < 0 and v3 > 0):
         raise ParamError("phase speeds must be forward, reverse, forward")
 
-    t1 = r1 * a1 / v1
-    t2 = r2 * a2 / abs(v2)
-    t3 = r3 * a3 / v3
-    x0, y0, h0 = start_pose.x, start_pose.y, start_pose.heading
-
-    c1 = (x0 + r1 * math.cos(h0 + math.pi / 2), y0 + r1 * math.sin(h0 + math.pi / 2))
-    h1 = h0 + a1
-    p1 = (c1[0] + r1 * math.cos(h1 - math.pi / 2), c1[1] + r1 * math.sin(h1 - math.pi / 2))
-    c2 = (p1[0] + r2 * math.cos(h1 - math.pi / 2), p1[1] + r2 * math.sin(h1 - math.pi / 2))
-    h2 = h1 + a2
-    p2 = (c2[0] + r2 * math.cos(h2 + math.pi / 2), c2[1] + r2 * math.sin(h2 + math.pi / 2))
-    c3 = (p2[0] + r3 * math.cos(h2 + math.pi / 2), p2[1] + r3 * math.sin(h2 + math.pi / 2))
+    # per arc: centre, radius, start heading, turn side (+1 left, -1 right),
+    # speed and duration; each centre sits `side` of the arc's start, which
+    # is the previous arc's end, and the end times are cumulative
+    arcs, ends = [], []
+    x, y, h, end = start_pose.x, start_pose.y, start_pose.heading, 0.0
+    for r, a, v, side in ((r1, a1, v1, 1), (r2, a2, v2, -1), (r3, a3, v3, 1)):
+        cx, cy = _on_circle(x, y, r, h + side * math.pi / 2)
+        duration = r * a / abs(v)
+        arcs.append((cx, cy, r, h, side, v, duration))
+        h += a
+        x, y = _on_circle(cx, cy, r, h - side * math.pi / 2)
+        end += duration
+        ends.append(end)
 
     def pose_at(t: float):
-        if t <= t1:
-            h = h0 + v1 * t / r1
-            return (
-                c1[0] + r1 * math.cos(h - math.pi / 2),
-                c1[1] + r1 * math.sin(h - math.pi / 2),
-                h,
-                v1,
-            )
-        if t <= t1 + t2:
-            h = h1 + abs(v2) * (t - t1) / r2
-            return (
-                c2[0] + r2 * math.cos(h + math.pi / 2),
-                c2[1] + r2 * math.sin(h + math.pi / 2),
-                h,
-                v2,
-            )
-        tt = min(t - t1 - t2, t3)
-        h = h2 + v3 * tt / r3
-        return (
-            c3[0] + r3 * math.cos(h - math.pi / 2),
-            c3[1] + r3 * math.sin(h - math.pi / 2),
-            h,
-            v3,
-        )
+        # local time: t less each earlier arc's duration, left to right; past
+        # the second arc's end, the last arc, held at its own end
+        local = t
+        for arc, end in zip(arcs, ends[:2]):
+            if t <= end:
+                break
+            local -= arc[-1]
+        else:
+            arc = arcs[2]
+            local = min(local, arc[-1])
+        cx, cy, r, h, side, v, _ = arc
+        h += abs(v) * local / r
+        return (*_on_circle(cx, cy, r, h - side * math.pi / 2), h, v)
 
-    return pose_at, t1 + t2 + t3
+    return pose_at, ends[2]
 
 
 # --------------------------------------------------------------------------

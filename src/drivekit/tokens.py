@@ -53,13 +53,6 @@ _SCENE_RECORD = np.dtype(("<f4", (MAP_DIM,)))
 CATEGORY_ORDER = tuple(AgentCategory)  # one-hot order, 9 categories
 SEMANTIC_ORDER = tuple(LaneSemantic)  # one-hot order, 3 semantics
 
-# fixed fixture slots in the track half of an agent token
-_AGENT_ATTR_SLOTS = 6  # x, y, heading, speed, length, width
-_AGENT_ONEHOT_END = _AGENT_ATTR_SLOTS + len(CATEGORY_ORDER)
-# fixed fixture slots in a map token
-_MAP_ATTR_SLOTS = 4  # x0, y0, x1, y1
-_MAP_ONEHOT_END = _MAP_ATTR_SLOTS + len(SEMANTIC_ORDER)
-
 
 @dataclass(frozen=True, eq=False)
 class _Token:
@@ -166,6 +159,36 @@ class TokenBundle:
 # fixture encode / decode
 
 
+# the fixture slots of each token kind, by its seed tag: attribute slots from
+# slot 0, named as in the decoded attributes, then a one-hot in enum order
+_LAYOUTS = {
+    "agent": (AgentToken, ("x", "y", "heading", "speed", "length", "width"), CATEGORY_ORDER),
+    "map": (MapToken, ("x0", "y0", "x1", "y1"), SEMANTIC_ORDER),
+}
+
+
+def _plant(kind: str, key: tuple, i: int, attrs, member) -> tuple:
+    """(i, a `kind` token): noise from the stream named by `key`, `kind` and
+    `i`, with `attrs` and the one-hot of `member` in the kind's fixture slots."""
+    cls, names, order = _LAYOUTS[kind]
+    values = seeded_rng(*key, kind, i).standard_normal(cls.width)
+    n = len(names)
+    values[:n] = attrs
+    values[n : n + len(order)] = 0.0
+    values[n + order.index(member)] = 1.0
+    return i, cls(values)
+
+
+def _unplant(token: _Token, kind: str, what: str) -> list:
+    """The attribute slots of a `kind` token, then the member its one-hot names."""
+    _, names, order = _LAYOUTS[kind]
+    values = token.values[: len(names) + len(order)].tolist()
+    onehot = values[len(names) :]
+    if onehot.count(1.0) != 1 or onehot.count(0.0) != len(order) - 1:
+        raise FormatError(f"{what}: malformed one-hot slots")
+    return values[: len(names)] + [order[onehot.index(1.0)]]
+
+
 def fixture_encode(scene: Scene, frame: int, seed: int) -> TokenBundle:
     """Deterministic stand-in tokenizer: ground-truth attributes in fixed
     slots, seeded noise elsewhere. Agents invalid at the frame are skipped."""
@@ -173,36 +196,20 @@ def fixture_encode(scene: Scene, frame: int, seed: int) -> TokenBundle:
         raise FormatError(f"frame {frame} outside scene of {scene.n_frames} frames")
     states = scene.agent_arrays[:, frame]
     attrs = np.column_stack((states["xy"], states["heading"], states["speed"], states["box"]))
-    agent_tokens = []
-    for track, valid, attr in zip(scene.agents, states["valid"], attrs):
-        if not valid:
-            continue
-        rng = seeded_rng(seed, scene.id, frame, "agent", track.id)
-        values = rng.standard_normal(AGENT_DIM)
-        values[0:_AGENT_ATTR_SLOTS] = attr
-        onehot = np.zeros(len(CATEGORY_ORDER))
-        onehot[CATEGORY_ORDER.index(track.category)] = 1.0
-        values[_AGENT_ATTR_SLOTS:_AGENT_ONEHOT_END] = onehot
-        agent_tokens.append((track.id, AgentToken(values)))
-
-    map_tokens = []
-    for lane in scene.lanes:
-        rng = seeded_rng(seed, scene.id, frame, "map", lane.id)
-        values = rng.standard_normal(MAP_DIM)
-        x0, y0 = lane.centerline[0]
-        x1, y1 = lane.centerline[-1]
-        values[0:_MAP_ATTR_SLOTS] = (x0, y0, x1, y1)
-        onehot = np.zeros(len(SEMANTIC_ORDER))
-        onehot[SEMANTIC_ORDER.index(lane.semantic)] = 1.0
-        values[_MAP_ATTR_SLOTS:_MAP_ONEHOT_END] = onehot
-        map_tokens.append((lane.id, MapToken(values)))
-
+    key = (seed, scene.id, frame)
     return TokenBundle(
         scene_id=scene.id,
         frame=frame,
         frame_rate=scene.frame_rate,
-        agent_tokens=tuple(agent_tokens),
-        map_tokens=tuple(map_tokens),
+        agent_tokens=tuple(
+            _plant("agent", key, track.id, attr, track.category)
+            for track, valid, attr in zip(scene.agents, states["valid"], attrs)
+            if valid
+        ),
+        map_tokens=tuple(
+            _plant("map", key, lane.id, lane.centerline[0] + lane.centerline[-1], lane.semantic)
+            for lane in scene.lanes
+        ),
     )
 
 
@@ -228,44 +235,15 @@ class MapAttributes:
     semantic: LaneSemantic
 
 
-def _decode_onehot(slots, order, what: str):
-    hits = [i for i, v in enumerate(slots) if v == 1.0]
-    if len(hits) != 1 or any(v not in (0.0, 1.0) for v in slots):
-        raise FormatError(f"{what}: malformed one-hot slots")
-    return order[hits[0]]
-
-
 def fixture_decode(bundle: TokenBundle) -> Tuple[list, list]:
     """Inverse of fixture_encode on the designated slots."""
-    agents = []
-    for agent_id, token in bundle.agent_tokens:
-        v = token.values[:_AGENT_ONEHOT_END].tolist()
-        category = _decode_onehot(
-            v[_AGENT_ATTR_SLOTS:_AGENT_ONEHOT_END], CATEGORY_ORDER, f"agent {agent_id}"
-        )
-        agents.append(
-            AgentAttributes(
-                agent_id=agent_id,
-                x=v[0],
-                y=v[1],
-                heading=v[2],
-                speed=v[3],
-                length=v[4],
-                width=v[5],
-                category=category,
-            )
-        )
-    maps = []
-    for lane_id, token in bundle.map_tokens:
-        v = token.values[:_MAP_ONEHOT_END].tolist()
-        semantic = _decode_onehot(
-            v[_MAP_ATTR_SLOTS:_MAP_ONEHOT_END], SEMANTIC_ORDER, f"lane {lane_id}"
-        )
-        maps.append(
-            MapAttributes(
-                lane_id=lane_id, x0=v[0], y0=v[1], x1=v[2], y1=v[3], semantic=semantic
-            )
-        )
+    agents = [
+        AgentAttributes(i, *_unplant(token, "agent", f"agent {i}"))
+        for i, token in bundle.agent_tokens
+    ]
+    maps = [
+        MapAttributes(i, *_unplant(token, "map", f"lane {i}")) for i, token in bundle.map_tokens
+    ]
     return agents, maps
 
 

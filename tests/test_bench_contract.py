@@ -1,12 +1,15 @@
 """What the benchmark in bench/run.py needs from drivekit: every traced
 target is a module-level function under its own name, importing drivekit
-imports scipy.optimize (its import time is reported on its own), and the
-input files bench/gen.py builds with drivekit hash to the recorded digests."""
+imports scipy.optimize (its import time is reported on its own), the input
+files bench/gen.py builds with drivekit hash to the recorded digests, and so
+does every output of one in-process pass over each workload."""
 import importlib
 import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
@@ -46,3 +49,19 @@ def test_generated_inputs_match_the_recorded_digests(tmp_path):
         "dense_plans.jsonl": gate.load_recorded("dense", 0)["plans"],
         "corpus_plans.jsonl": gate.load_recorded("corpus", 0)["plans"],
     }
+
+
+@pytest.mark.parametrize("name", bench_run.WORKLOADS)
+def test_workload_outputs_match_the_recorded_digests(tmp_path, monkeypatch, name):
+    # input variant 0, every stage in process; the workload writes under
+    # WORK and passes the CLI paths relative to ROOT, so both point here
+    monkeypatch.setattr(bench_run, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_run, "WORK", tmp_path / "work")
+    monkeypatch.chdir(tmp_path)
+    recorded = gate.load_recorded(name, 0)
+    wl = bench_run.Workload(name, 0)
+    checks = bench_run.Checks(recorded)
+    checks.stage("setup", "", wl.setup())
+    bench_run.in_process_pass(wl, checks)
+    assert checks.errors == [] and checks.failed == 0
+    assert sorted(checks.seen) == sorted(recorded)  # every recorded output was checked

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -545,7 +546,9 @@ def test_every_bad_input_file_is_one_json_error(contract_dir, slot, bad):
     if isinstance(bad, bytes):
         (contract_dir / "input").write_bytes(bad)
         bad = "input"
-    out = contract_dir / "out"
+    # a fresh output path per example, so an output one example leaves
+    # behind fails that example, not every later one
+    out = Path(tempfile.mkdtemp(dir=contract_dir)) / "out"
     argv = SLOTS[slot](str(contract_dir / bad), str(contract_dir / "scene.json"), str(out))
     error = _assert_one_json_error(argv)
     if bad != "input":

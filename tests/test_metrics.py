@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 import drivekit.metrics
 from conftest import cruising_ego, scene_of, state, straight_lane, track
-from drivekit.errors import AlignError
+from drivekit.errors import AlignError, SchemaError
 from drivekit.geometry import obb_corners, obb_overlap
 from drivekit.metrics import (
     _FORBIDDEN,
@@ -252,6 +252,24 @@ def test_mask_never_mutates_samples(config):
     samples = [PlanSample(scene.id, 0, wp)]
     kept, _ = apply_frame_mask(samples, {scene.id: scene})
     assert kept[0] is samples[0]
+
+
+@pytest.mark.parametrize(
+    "waypoints, message",
+    [
+        (5, "plan sample waypoints must be a list of [x, y], got 5"),
+        ([[1.0, 2.0, 3.0]] * 6, "plan sample waypoints[0] must be [x, y], got [1.0, 2.0, 3.0]"),
+        ([[1, 0]] * 5 + [[1, "2"]], "plan sample waypoints[5] must be a number, got '2'"),
+        ([[1, 0]] * 5 + [[1, math.inf]], "plan sample waypoints[5] must be finite, got inf"),
+    ],
+)
+def test_plan_sample_checks_each_waypoint_with_the_point_rule(waypoints, message):
+    # the rule a lane centerline point meets, so a bad plan is a SchemaError
+    # from the library, not a TypeError or ValueError
+    with pytest.raises(SchemaError) as info:
+        PlanSample("a", 0, waypoints)
+    assert info.value.message == message
+    assert PlanSample("a", 0, np.ones((6, 2), int)).waypoints == ((1.0, 1.0),) * 6
 
 
 # --------------------------------------------------------------------------

@@ -142,6 +142,23 @@ def test_branching_successors_merge_without_changing_the_gap(config):
     assert mode is LaneMode.BEHIND and gap == -17.0
 
 
+def test_nearer_of_a_predecessor_and_a_successor_hit_wins(config):
+    # the ring 1 -> 2 -> 3 -> 1 of 10 m lanes: lane 3 is two successor hops
+    # ahead of lane 1 and one predecessor hop behind it
+    lanes = lane_index(
+        [
+            straight_lane(i, y=4.0 * i, length=10.0, successors=(i % 3 + 1,), predecessors=(p,))
+            for i, p in ((1, 3), (2, 1), (3, 2))
+        ]
+    )
+    # ahead by 8 + 10 + 8 = 26, behind by 2 + 2 = 4
+    mode, gap = agent_ego_lane_mode(3, 1, lanes, 8.0, 2.0, config)
+    assert mode is LaneMode.BEHIND and gap == -4.0
+    # ahead by 2 + 10 + 2 = 14, behind by 8 + 8 = 16
+    mode, gap = agent_ego_lane_mode(3, 1, lanes, 2.0, 8.0, config)
+    assert mode is LaneMode.AHEAD and gap == 14.0
+
+
 def test_exact_longitudinal_tie_reads_ahead(config):
     lanes = lane_index([straight_lane(1)])
     mode, _ = agent_ego_lane_mode(1, 1, lanes, 20.0, 20.0, config)

@@ -79,6 +79,7 @@ BAD_CONSTRUCTIONS = {  # each dataclass checks its own fields, built in code or 
     "state_valid_int": lambda: state(0.0, 0.0, valid=1),
     "lane_id_str": lambda: _lane(id="x"),
     "lane_successor_str": lambda: _lane(successors=("2",)),
+    "lane_centerline_int": lambda: _lane(centerline=5),
     "track_id_str": lambda: AgentTrack(id="7", category=AgentCategory.CAR, states=()),
     "scene_id_int": lambda: scene_of([straight_lane()], [], cruising_ego(4), scene_id=5),
 }

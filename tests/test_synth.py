@@ -81,6 +81,22 @@ def test_three_point_turn_primitive_closed_form():
     assert len(turning) == math.floor(expected / 0.5) + 1
 
 
+def test_three_point_turn_pose_is_continuous_at_both_arc_ends():
+    pose_at, total = _three_point_turn_curve(Pose2(3.0, -2.0, 0.3), None)
+    t1 = 6 * math.radians(100) / 5
+    t2 = 6 * math.radians(50) / 2.5
+    for end in (t1, t1 + t2):
+        before, after = pose_at(end), pose_at(math.nextafter(end, math.inf))
+        assert after[:3] == pytest.approx(before[:3], abs=1e-9)
+        assert before[3] * after[3] < 0  # the travel direction flips at each arc end
+    # inside each arc the position moves along the heading at the signed
+    # speed, which puts each turn centre on its own side
+    for t in (t1 / 2, t1 + t2 / 2, (t1 + t2 + total) / 2):
+        (x0, y0, _, _), (_, _, h, v), (x2, y2, _, _) = (pose_at(t + d) for d in (-1e-6, 0, 1e-6))
+        velocity = ((x2 - x0) / 2e-6, (y2 - y0) / 2e-6)
+        assert velocity == pytest.approx((v * math.cos(h), v * math.sin(h)), abs=1e-6)
+
+
 def test_three_point_turn_param_validation():
     for params in ({"radius1": -1.0}, {"v2": 2.0}, {"arc1_deg": 140.0, "arc2_deg": 50.0}, {"bogus": 1}):
         with pytest.raises(ParamError):

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import io
@@ -20,11 +21,14 @@ from drivekit.errors import (
 )
 from drivekit.scene import AgentCategory, LaneSemantic
 from drivekit.tokens import (
+    _LAYOUTS,
     AGENT_DIM,
     HEADER_SIZE,
     MAGIC,
     MAP_DIM,
+    AgentAttributes,
     AgentToken,
+    MapAttributes,
     MapToken,
     MotionToken,
     TokenBundle,
@@ -103,6 +107,34 @@ def test_fixture_decode_recovers_attributes():
     assert lane_rec.x0 == float(np.float32(lanes[0].centerline[0][0]))
     assert lane_rec.y1 == float(np.float32(lanes[0].centerline[-1][1]))
     assert lane_rec.semantic is LaneSemantic.NORMAL
+
+
+def test_fixture_decode_recovers_every_category_and_semantic():
+    agents = [
+        track(10 + k, [state(2.0 * k, 1.5, 0.1 * k, 0.7 * k, (1.0 + k, 0.5 + k))] * 6, category)
+        for k, category in enumerate(AgentCategory)
+    ]
+    lanes = [
+        straight_lane(1 + k, y=4.0 * k, semantic=semantic)
+        for k, semantic in enumerate(LaneSemantic)
+    ]
+    scene = scene_of(lanes, agents, cruising_ego(6))
+    agents_out, maps_out = fixture_decode(fixture_encode(scene, 2, seed=5))
+    f32 = lambda values: tuple(float(np.float32(v)) for v in values)
+    assert [(a.agent_id, a.category) for a in agents_out] == [(t.id, t.category) for t in agents]
+    for a, t in zip(agents_out, agents):
+        st = t.states[2]
+        attrs = (st.pose.x, st.pose.y, st.pose.heading, st.speed, *st.box)
+        assert (a.x, a.y, a.heading, a.speed, a.length, a.width) == f32(attrs)
+    assert [(m.lane_id, m.semantic) for m in maps_out] == [(ln.id, ln.semantic) for ln in lanes]
+    for m, ln in zip(maps_out, lanes):
+        assert (m.x0, m.y0, m.x1, m.y1) == f32((*ln.centerline[0], *ln.centerline[-1]))
+
+
+def test_fixture_slot_names_are_the_decoded_attribute_fields():
+    for kind, cls in (("agent", AgentAttributes), ("map", MapAttributes)):
+        names = tuple(field.name for field in dataclasses.fields(cls))
+        assert names[1:-1] == _LAYOUTS[kind][1]
 
 
 def test_fixture_skips_invalid_agents():
