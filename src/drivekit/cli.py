@@ -17,6 +17,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .config import Config
 from .errors import (
     DrivekitError, FileError, ParamError, RefError, SchemaError, _at, parse_json, read_text
@@ -29,7 +31,8 @@ from .interactions import (
     merge_override_labels,
     yield_kind,
 )
-from .metrics import PlanSample, evaluate_plans, future_complete, report_csv
+from .metrics import PlanSample, apply_frame_mask, evaluate_plans, future_complete, report_csv
+from .planners import ego_future_waypoints
 from .qa import (
     QATask,
     gen_perception_qas,
@@ -188,9 +191,13 @@ def cmd_synth(args) -> int:
     spec = parse_json(read_text(args.spec, ParamError), ParamError, args.spec)
     if not isinstance(spec, dict):
         raise ParamError(f"{args.spec}: synth spec must be a JSON object")
-    counts = spec["counts"] if "counts" in spec else spec
-    base_seed = spec.get("base_seed", 0) if "counts" in spec else 0
-    params = spec.get("params", {}) if "counts" in spec else {}
+    if "counts" in spec:  # the nested form; else the spec is the counts alone
+        unknown = sorted(set(spec) - {"counts", "base_seed", "params"})
+        if unknown:
+            raise ParamError(f"{args.spec}: unknown synth spec keys: {', '.join(unknown)}")
+        counts, base_seed, params = spec["counts"], spec.get("base_seed", 0), spec.get("params")
+    else:
+        counts, base_seed, params = spec, 0, None
     config = _resolve_config(args)
     scenes, manifest = synth_corpus(counts, base_seed, params, config)
     out_dir = Path(args.out)
@@ -242,8 +249,6 @@ def _load_plans(path):
 
 
 def _plan_svg(pred, gt) -> str:
-    import numpy as np
-
     pts = np.vstack([[[0.0, 0.0]], np.asarray(pred, float), np.asarray(gt, float)])
     lo = pts.min(axis=0) - 1.0
     hi = pts.max(axis=0) + 1.0
@@ -289,9 +294,6 @@ def cmd_evaluate(args) -> int:
     out.with_suffix(".csv").write_text(report_csv(report), "utf-8")
 
     if args.plots:
-        from .metrics import apply_frame_mask
-        from .planners import ego_future_waypoints
-
         plot_dir = Path(args.plots)
         plot_dir.mkdir(parents=True, exist_ok=True)
         kept, _ = apply_frame_mask(plans, scenes)

@@ -71,6 +71,22 @@ class Config:
     synth_speed_min: float = 3.0
     synth_speed_max: float = 12.0
 
+    def __post_init__(self):
+        """Integer fields take only ints (not bools), float fields take finite
+        numbers, and theta_turn must stay below theta_uturn. Values are kept
+        as given: report.json writes the config."""
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(field.default, int):
+                as_finite(value, f"config {field.name}", ParamError)
+            elif not is_int(value):
+                raise ParamError(f"config {field.name} must be an integer, got {value!r}")
+        if not self.theta_turn < self.theta_uturn:
+            raise ParamError(
+                f"config theta_turn ({self.theta_turn}) must be below "
+                f"theta_uturn ({self.theta_uturn})"
+            )
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -79,26 +95,11 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
-        """Config from a JSON object: integer fields take only ints (not
-        bools), float fields take finite numbers, and theta_turn must stay
-        below theta_uturn."""
-        defaults = cls()
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        """Config from a JSON object; unknown keys raise ParamError."""
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ParamError(f"unknown config keys: {', '.join(unknown)}")
-        for name, value in data.items():
-            if not isinstance(getattr(defaults, name), int):
-                as_finite(value, f"config {name}", ParamError)
-            elif not is_int(value):
-                raise ParamError(f"config {name} must be an integer, got {value!r}")
-        config = cls(**data)
-        if not config.theta_turn < config.theta_uturn:
-            raise ParamError(
-                f"config theta_turn ({config.theta_turn}) must be below "
-                f"theta_uturn ({config.theta_uturn})"
-            )
-        return config
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "Config":

@@ -16,7 +16,7 @@ from .config import Config
 from .errors import SchemaError, is_int
 from .geometry import polyline_obb_distance
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
-from .scene import AgentCategory, Scene
+from .scene import AgentCategory, Scene, _member
 
 
 class InteractionKind(enum.Enum):
@@ -65,7 +65,16 @@ class InteractionLabel:
     frame_span: Tuple[int, int]  # inclusive
 
     def __post_init__(self):
-        start, end = self.frame_span
+        if not is_int(self.agent_id):
+            raise SchemaError(f"label agent_id must be an integer, got {self.agent_id!r}")
+        _member(self.kind, InteractionKind, "label kind")
+        if self.side is not None:
+            _member(self.side, Side, "label side")
+        span = self.frame_span
+        if not isinstance(span, (list, tuple)) or len(span) != 2 or not all(map(is_int, span)):
+            raise SchemaError(f"label frame_span must be two integers, got {span!r}")
+        start, end = span
+        object.__setattr__(self, "frame_span", (start, end))
         if start > end:
             raise SchemaError("frame_span start must not exceed end")
         if self.kind in _SIDED_KINDS and self.side is None:
@@ -86,18 +95,14 @@ class InteractionLabel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InteractionLabel":
-        """A label from its record; `agent_id` and both span ends must be ints."""
+        """A label from its record."""
         try:
             agent_id, span, side = data["agent_id"], data["frame_span"], data.get("side")
             kind = InteractionKind(data["kind"])
             side = None if side is None else Side(side)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad interaction label record: {exc!r}") from None
-        if not is_int(agent_id):
-            raise SchemaError(f"label agent_id must be an integer, got {agent_id!r}")
-        if not isinstance(span, list) or len(span) != 2 or not all(map(is_int, span)):
-            raise SchemaError(f"label frame_span must be two integers, got {span!r}")
-        return cls(agent_id=agent_id, kind=kind, side=side, frame_span=(span[0], span[1]))
+        return cls(agent_id=agent_id, kind=kind, side=side, frame_span=span)
 
 
 class CriticalReason(enum.Enum):

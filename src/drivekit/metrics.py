@@ -39,7 +39,7 @@ def _as_plan_xy(plan) -> np.ndarray:
     return arr
 
 
-def headings_xy(xy, eps_move: float = 1e-3) -> list:
+def headings_xy(xy, eps_move: float = Config.eps_move) -> list:
     """Per-point headings of a plan's positions in the anchor ego frame.
 
     heading_k points along segment k -> k+1; the final point repeats the last
@@ -84,7 +84,7 @@ def traj_l2(pred, gt) -> HorizonValues:
     return HorizonValues.from_steps(np.hypot(*(p - g).T))
 
 
-def heading_l2(pred, gt, eps_move: float = 1e-3) -> HorizonValues:
+def heading_l2(pred, gt, eps_move: float = Config.eps_move) -> HorizonValues:
     p = _as_plan_xy(pred)
     g = _as_plan_xy(gt)
     # plans sit in the anchor ego frame, whose heading is 0
@@ -94,7 +94,9 @@ def heading_l2(pred, gt, eps_move: float = 1e-3) -> HorizonValues:
     return HorizonValues.from_steps(err)
 
 
-def lon_weighted_l2(pred, gt, w_lon: float = 2.0, eps_move: float = 1e-3) -> HorizonValues:
+def lon_weighted_l2(
+    pred, gt, w_lon: float = Config.w_lon, eps_move: float = Config.eps_move
+) -> HorizonValues:
     p = _as_plan_xy(pred)
     g = _as_plan_xy(gt)
     hg = headings_xy(g, eps_move)
@@ -112,7 +114,9 @@ def lon_weighted_l2(pred, gt, w_lon: float = 2.0, eps_move: float = 1e-3) -> Hor
 # collision
 
 
-def plan_collision_fraction(scene: Scene, frame: int, plan, eps_move: float = 1e-3) -> float:
+def plan_collision_fraction(
+    scene: Scene, frame: int, plan, eps_move: float = Config.eps_move
+) -> float:
     """Fraction of the 6 steps whose ego footprint overlaps any other agent's
     ground-truth box at that timestamp (separating-axis test)."""
     wp = _as_plan_xy(plan)
@@ -340,6 +344,7 @@ def _mean_horizon(values: List[HorizonValues]) -> Optional[HorizonValues]:
 def evaluate_plans(plans, scenes: Dict[str, Scene], config: Config) -> MetricReport:
     """Full open-loop protocol: mask incomplete futures, score each kept plan
     against the resampled ground-truth ego future, aggregate means."""
+    # imported here, not at module level: planners imports this module
     from .planners import ego_future_waypoints
 
     kept, masked = apply_frame_mask(plans, scenes)

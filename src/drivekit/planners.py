@@ -5,6 +5,7 @@ Every planner returns a plan: a (6, 2) float array of the ego positions at
 """
 from __future__ import annotations
 
+import json
 from typing import Optional
 
 import numpy as np
@@ -44,8 +45,6 @@ def plan_record(scene_id: str, frame: int, plan) -> dict:
 
 def write_plan_file(records, path) -> None:
     """JSON-lines plan file, the input format of the evaluation command."""
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))

@@ -24,6 +24,7 @@ from .errors import FormatError, InsufficientFutureError, SchemaError, parse_jso
 from .geometry import to_frame
 from .interactions import Criticality, CriticalReason, InteractionLabel, Side, yield_kind
 from .metrics import future_complete
+from .planners import ego_future_waypoints
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
 from .scene import PLAN_STEPS, AgentCategory, NavigationCommand, Scene
 
@@ -117,10 +118,13 @@ def _fmt1(v: float) -> str:
 
 _REASON_TEXT = {
     ("HAS_INTERACTION", "BYPASS_CONES"): "it is blocking the ego vehicle's lane",
-    ("HAS_INTERACTION", "YIELD_TO_PEDESTRIAN"): "the ego vehicle is yielding to it while it crosses",
+    ("HAS_INTERACTION", "YIELD_TO_PEDESTRIAN"):
+        "the ego vehicle is yielding to it while it crosses",
     ("HAS_INTERACTION", "YIELD_TO_VEHICLE"): "the ego vehicle is yielding to it in traffic",
-    ("HAS_INTERACTION", "OVERTAKE_STRADDLE"): "the ego vehicle is overtaking it by straddling the divider",
-    ("HAS_INTERACTION", "OVERTAKE_LANE_CHANGE"): "the ego vehicle is overtaking it via a lane change",
+    ("HAS_INTERACTION", "OVERTAKE_STRADDLE"):
+        "the ego vehicle is overtaking it by straddling the divider",
+    ("HAS_INTERACTION", "OVERTAKE_LANE_CHANGE"):
+        "the ego vehicle is overtaking it via a lane change",
     ("IN_EGO_CORRIDOR", None): "it lies in the ego vehicle's planned corridor",
     ("NONE", None): "it does not affect the ego vehicle's plan",
 }
@@ -423,8 +427,6 @@ def gen_planning_qas(
 ) -> QARecord:
     """3-step chain-of-thought planning record: critical objects, behavior
     (interaction plans + lane decision), then the 6-waypoint motion plan."""
-    from .planners import ego_future_waypoints
-
     if not future_complete(scene.ego, frame, scene.frame_rate):
         raise InsufficientFutureError(
             f"scene {scene.id} frame {frame}: no 3 s ground-truth future"

@@ -144,7 +144,9 @@ def agent_ego_lane_mode(
 # homotopy
 
 
-def classify_homotopy(traj_a, traj_b, theta_s: float, eps_rel: float = 0.05) -> Homotopy:
+def classify_homotopy(
+    traj_a, traj_b, theta_s: float, eps_rel: float = Config.eps_rel
+) -> Homotopy:
     """Homotopy class of the relative motion b - a over common frames.
 
     winding = sum of wrapped increments of atan2(b - a); S when |winding| is

@@ -8,6 +8,7 @@ testable property rather than an accident.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -317,8 +318,6 @@ def canonical_dumps(obj) -> str:
 
 
 def _dump(obj, out: list) -> None:
-    import json as _json
-
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -328,7 +327,7 @@ def _dump(obj, out: list) -> None:
     elif isinstance(obj, float):
         out.append(_canonical(obj))
     elif isinstance(obj, str):
-        out.append(_json.dumps(obj, ensure_ascii=False))
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):

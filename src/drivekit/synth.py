@@ -14,6 +14,7 @@ from a named PRNG (numpy PCG64) seeded per scene.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +27,6 @@ from .scene import (
     AgentState,
     AgentTrack,
     Lane,
-    LaneSemantic,
     NavigationCommand,
     Pose2,
     ScenarioKind,
@@ -60,13 +60,55 @@ DEFAULT_PARAMS: Dict[ScenarioKind, dict] = {
 }
 
 
-def _rng(seed: int):
-    return np.random.Generator(np.random.PCG64(seed))
+def _turn_arcs(p: dict) -> tuple:
+    """(radius, sweep, speed, turn side +1 left / -1 right) of each 3-point-turn
+    arc; the third sweep completes the half-turn."""
+    a1, a2 = math.radians(p["arc1_deg"]), math.radians(p["arc2_deg"])
+    return (
+        (p["radius1"], a1, p["v1"], 1),
+        (p["radius2"], a2, p["v2"], -1),
+        (p["radius3"], math.pi - a1 - a2, p["v3"], 1),
+    )
 
 
-def _merge_params(kind: ScenarioKind, params: Optional[dict]) -> dict:
-    """The defaults of `kind` updated by `params`. A value has the type of its
-    default: a bool, an int (not a bool), a finite number or a string."""
+# per kind: (holds(merged params, lane width), message) for each range rule
+_RANGE_RULES = {
+    ScenarioKind.THREE_POINT_TURN: (
+        (
+            lambda p, w: min(p["radius1"], p["radius2"], p["radius3"]) > 0,
+            "arc radii must be positive",
+        ),
+        (
+            lambda p, w: min(arc[1] for arc in _turn_arcs(p)) > 0,
+            "arc angles must be positive and sum below 180 degrees",
+        ),
+        (
+            lambda p, w: p["v1"] > 0 and p["v2"] < 0 and p["v3"] > 0,
+            "phase speeds must be forward, reverse, forward",
+        ),
+    ),
+    ScenarioKind.RESUME_FROM_STOP: (
+        (lambda p, w: p["stop_duration"] > 1.0, "stop_duration must exceed 1 s"),
+    ),
+    ScenarioKind.OVERTAKE_ONCOMING: (
+        (lambda p, w: p["pass_side"] in ("left", "right"), "pass_side must be 'left' or 'right'"),
+    ),
+    ScenarioKind.CONSTRUCTION_ZONE: (
+        (
+            lambda p, w: w / 2 < p["shift"] < w,
+            "shift must put the ego centroid past the divider, within the neighbor lane",
+        ),
+        (lambda p, w: p["n_cones"] >= 1, "n_cones must be >= 1"),
+    ),
+}
+
+
+def _merge_params(kind: ScenarioKind, params: Optional[dict], config: Optional[Config] = None):
+    """The defaults of `kind` updated by `params`, the one place a parameter is
+    checked. A value has the type of its default: a bool, an int (not a bool),
+    a finite number or a string. The merged set then meets the kind's range
+    rules; the construction-zone shift is judged against the lane width of
+    `config` (default Config())."""
     merged = dict(DEFAULT_PARAMS[kind])
     if params:
         unknown = sorted(set(params) - set(merged))
@@ -81,16 +123,27 @@ def _merge_params(kind: ScenarioKind, params: Optional[dict]) -> dict:
                     f"{what} must have the type of its default {default!r}, got {value!r}"
                 )
         merged.update(params)
+    width = (config or Config()).synth_lane_width
+    for holds, message in _RANGE_RULES.get(kind, ()):
+        if not holds(merged, width):
+            raise ParamError(f"{kind.value}: {message}")
     return merged
 
 
-def _state(x, y, heading, speed, box, valid=True) -> AgentState:
+def _state(x, y, heading, speed, box) -> AgentState:
     return AgentState(
         pose=Pose2(quantize(x), quantize(y), quantize(heading)),
         speed=quantize(speed),
         box=(quantize(box[0]), quantize(box[1])),
-        valid=valid,
     )
+
+
+def _straight_track(agent_id: int, category, box, x: float, y: float, vx: float, n: int):
+    """A track that starts at (x, y) and moves vx along the x axis for n frames,
+    heading pi when vx < 0, else 0; parked when vx is 0."""
+    heading = math.pi if vx < 0 else 0.0
+    states = [_state(x + vx * k * FRAME_DT, y, heading, abs(vx), box) for k in range(n)]
+    return AgentTrack(agent_id, category, states)
 
 
 def _straight_lane(
@@ -100,19 +153,14 @@ def _straight_lane(
     half_width: float,
     left: Optional[int] = None,
     right: Optional[int] = None,
-    semantic: LaneSemantic = LaneSemantic.NORMAL,
-    x0: float = 0.0,
-    step: float = 4.0,
 ) -> Lane:
-    n = max(2, int(round(length / step)) + 1)
-    xs = np.linspace(x0, x0 + length, n)
+    xs = np.linspace(0.0, length, max(2, int(round(length / 4.0)) + 1))
     return Lane(
         id=lane_id,
         centerline=tuple((quantize(float(x)), quantize(y)) for x in xs),
         half_width=quantize(half_width),
         left_neighbor=left,
         right_neighbor=right,
-        semantic=semantic,
     )
 
 
@@ -166,25 +214,12 @@ def _three_point_turn_curve(start_pose: Pose2, params: Optional[dict]):
     Turn centers sit left of travel on the forward arcs and right of travel on
     the reversing arc, so the heading increases monotonically to start + pi.
     """
-    p = _merge_params(ScenarioKind.THREE_POINT_TURN, params)
-    r1, r2, r3 = p["radius1"], p["radius2"], p["radius3"]
-    a1 = math.radians(p["arc1_deg"])
-    a2 = math.radians(p["arc2_deg"])
-    a3 = math.pi - a1 - a2
-    v1, v2, v3 = p["v1"], p["v2"], p["v3"]
-    if min(r1, r2, r3) <= 0:
-        raise ParamError("arc radii must be positive")
-    if a1 <= 0 or a2 <= 0 or a3 <= 0:
-        raise ParamError("arc angles must be positive and sum below 180 degrees")
-    if not (v1 > 0 and v2 < 0 and v3 > 0):
-        raise ParamError("phase speeds must be forward, reverse, forward")
-
-    # per arc: centre, radius, start heading, turn side (+1 left, -1 right),
-    # speed and duration; each centre sits `side` of the arc's start, which
-    # is the previous arc's end, and the end times are cumulative
+    # per arc: centre, radius, start heading, turn side, speed and duration;
+    # each centre sits `side` of the arc's start, which is the previous arc's
+    # end, and the end times are cumulative
     arcs, ends = [], []
     x, y, h, end = start_pose.x, start_pose.y, start_pose.heading, 0.0
-    for r, a, v, side in ((r1, a1, v1, 1), (r2, a2, v2, -1), (r3, a3, v3, 1)):
+    for r, a, v, side in _turn_arcs(_merge_params(ScenarioKind.THREE_POINT_TURN, params)):
         cx, cy = _on_circle(x, y, r, h + side * math.pi / 2)
         duration = r * a / abs(v)
         arcs.append((cx, cy, r, h, side, v, duration))
@@ -212,97 +247,71 @@ def _three_point_turn_curve(start_pose: Pose2, params: Optional[dict]):
 
 
 # --------------------------------------------------------------------------
-# scene builders
+# scene builders: each returns (lanes, agents, ego states[, nav commands])
 
 
-def _scene(scene_id, lanes, agents, ego_states, nav, tag) -> Scene:
+def _scene(kind: ScenarioKind, seed: int, lanes, agents, ego_states, nav=None) -> Scene:
+    """The scene `kind`-`seed`, tagged `kind`; nav defaults to KEEP_FORWARD at
+    every frame."""
     return Scene(
-        id=scene_id,
+        id=f"{kind.value.lower()}-{seed:06d}",
         frame_rate=1.0 / FRAME_DT,
         lanes=tuple(lanes),
         agents=tuple(agents),
         ego=AgentTrack(id=0, category=AgentCategory.CAR, states=tuple(ego_states)),
-        nav_commands=tuple(nav),
-        scenario_tag=tag,
+        nav_commands=tuple(nav or [NavigationCommand.KEEP_FORWARD] * len(ego_states)),
+        scenario_tag=kind,
     )
 
 
-def _synth_nominal(seed: int, params: dict, config: Config) -> Scene:
-    rng = _rng(seed)
+def _synth_nominal(seed: int, params: dict, config: Config):
+    rng = np.random.Generator(np.random.PCG64(seed))
     length, width = config.synth_lane_length, config.synth_lane_width
     lanes, offset = _two_lane_road(length, width, "left")
     v = quantize(rng.uniform(config.synth_speed_min, config.synth_speed_max))
     x0 = 5.0
-    n = min(40, int((length - 10.0 - x0) / v / FRAME_DT) + 1)
-    n = max(n, 8)
+    n = max(min(40, int((length - 10.0 - x0) / v / FRAME_DT) + 1), 8)
     ego = [_state(x0 + v * k * FRAME_DT, 0.0, 0.0, v, EGO_BOX) for k in range(n)]
 
     agents = []
     if params["with_traffic"]:
         gap = float(rng.uniform(10.0, 30.0))
-        agents.append(
-            AgentTrack(
-                id=10,
-                category=AgentCategory.CAR,
-                states=tuple(
-                    _state(x0 + gap + v * k * FRAME_DT, offset, 0.0, v, CAR_BOX)
-                    for k in range(n)
-                ),
-            )
-        )
-    nav = [NavigationCommand.KEEP_FORWARD] * n
-    return _scene(f"nominal-{seed:06d}", lanes, agents, ego, nav, ScenarioKind.NOMINAL)
+        agents.append(_straight_track(10, AgentCategory.CAR, CAR_BOX, x0 + gap, offset, v, n))
+    return lanes, agents, ego
 
 
-def _synth_three_point_turn_scene(seed: int, params: dict, config: Config) -> Scene:
-    length, width = config.synth_lane_length, config.synth_lane_width
-    lanes = [_straight_lane(1, 0.0, length, width / 2)]
+def _synth_three_point_turn(seed: int, params: dict, config: Config):
+    lanes = [_straight_lane(1, 0.0, config.synth_lane_length, config.synth_lane_width / 2)]
     v_app, t_app = 5.0, 2.0
     v_exit, t_exit = 4.0, 2.5
     x_m = 25.0
     pose_at, t_m = _three_point_turn_curve(Pose2(x_m, 0.0, 0.0), params)
     end_x, end_y, end_h, _ = pose_at(t_m)
 
-    total = t_app + t_m + t_exit
-    n = int(total / FRAME_DT) + 1
-    ego = []
-    nav = []
-    for k in range(n):
+    keep, turn = NavigationCommand.KEEP_FORWARD, NavigationCommand.THREE_POINT_TURN_LEFT
+    ego, nav = [], []
+    for k in range(int((t_app + t_m + t_exit) / FRAME_DT) + 1):
         t = k * FRAME_DT
         if t < t_app - 1e-9:
-            ego.append(_state(x_m - v_app * (t_app - t), 0.0, 0.0, v_app, EGO_BOX))
-            nav.append(NavigationCommand.KEEP_FORWARD)
+            pose, command = (x_m - v_app * (t_app - t), 0.0, 0.0, v_app), keep
         elif t <= t_app + t_m + 1e-9:
-            x, y, h, vv = pose_at(t - t_app)
-            ego.append(_state(x, y, h, vv, EGO_BOX))
-            nav.append(NavigationCommand.THREE_POINT_TURN_LEFT)
+            pose, command = pose_at(t - t_app), turn
         else:
             te = t - t_app - t_m
-            ego.append(
-                _state(
-                    end_x + v_exit * te * math.cos(end_h),
-                    end_y + v_exit * te * math.sin(end_h),
-                    end_h,
-                    v_exit,
-                    EGO_BOX,
-                )
-            )
-            nav.append(NavigationCommand.KEEP_FORWARD)
-    return _scene(
-        f"three_point_turn-{seed:06d}", lanes, [], ego, nav, ScenarioKind.THREE_POINT_TURN
-    )
+            x, y = end_x + v_exit * te * math.cos(end_h), end_y + v_exit * te * math.sin(end_h)
+            pose, command = (x, y, end_h, v_exit), keep
+        ego.append(_state(*pose, EGO_BOX))
+        nav.append(command)
+    return lanes, [], ego, nav
 
 
-def _synth_resume_from_stop(seed: int, params: dict, config: Config) -> Scene:
-    length, width = config.synth_lane_length, config.synth_lane_width
-    lanes = [_straight_lane(1, 0.0, length, width / 2)]
-    stop_duration = float(params["stop_duration"])
-    if stop_duration <= 1.0:
-        raise ParamError("stop_duration must exceed 1 s")
+def _synth_resume_from_stop(seed: int, params: dict, config: Config):
+    width = config.synth_lane_width
+    lanes = [_straight_lane(1, 0.0, config.synth_lane_length, width / 2)]
     v0, decel, accel = 6.0, 3.0, 2.0
     t_decel_start = 2.0
     t_stop = t_decel_start + v0 / decel  # fully stopped
-    t_resume = t_stop + stop_duration
+    t_resume = t_stop + params["stop_duration"]
     t_cruise = t_resume + v0 / accel
     total = t_cruise + 3.0
     x_stop = 20.0 + v0 * t_decel_start + v0**2 / (2 * decel)
@@ -322,10 +331,7 @@ def _synth_resume_from_stop(seed: int, params: dict, config: Config) -> Scene:
         return x_stop + v0**2 / (2 * accel) + v0 * dt, v0
 
     n = int(total / FRAME_DT) + 1
-    ego = []
-    for k in range(n):
-        x, v = ego_at(k * FRAME_DT)
-        ego.append(_state(x, 0.0, 0.0, v, EGO_BOX))
+    ego = [_state(x, 0.0, 0.0, v, EGO_BOX) for x, v in (ego_at(k * FRAME_DT) for k in range(n))]
 
     # pedestrian crossing ahead of the stop point while the ego is held
     x_cross = x_stop + 7.0
@@ -334,24 +340,12 @@ def _synth_resume_from_stop(seed: int, params: dict, config: Config) -> Scene:
     t_enter_target = t_stop + 0.5  # inside the lane shortly after full stop
     t_at_edge = y_start - (width / 2)  # time to reach lane edge at unit speed
     offset = t_enter_target - t_at_edge / ped_speed
-    ped = AgentTrack(
-        id=30,
-        category=AgentCategory.PEDESTRIAN,
-        states=tuple(
-            _state(
-                x_cross,
-                y_start - ped_speed * max(0.0, k * FRAME_DT - offset),
-                -math.pi / 2,
-                ped_speed,
-                PED_BOX,
-            )
-            for k in range(n)
-        ),
-    )
-    nav = [NavigationCommand.KEEP_FORWARD] * n
-    return _scene(
-        f"resume_from_stop-{seed:06d}", lanes, [ped], ego, nav, ScenarioKind.RESUME_FROM_STOP
-    )
+    ped = [
+        _state(x_cross, y_start - ped_speed * max(0.0, k * FRAME_DT - offset), -math.pi / 2,
+               ped_speed, PED_BOX)
+        for k in range(n)
+    ]
+    return lanes, [AgentTrack(30, AgentCategory.PEDESTRIAN, ped)], ego
 
 
 def _shifted_ego_states(
@@ -367,74 +361,35 @@ def _shifted_ego_states(
     return states
 
 
-def _synth_overtake(seed: int, params: dict, config: Config) -> Scene:
-    length, width = config.synth_lane_length, config.synth_lane_width
-    side = params["pass_side"]
-    if side not in ("left", "right"):
-        raise ParamError("pass_side must be 'left' or 'right'")
-    lanes, offset = _two_lane_road(length, width, side)
-
-    v = 7.0
-    x0 = 20.0
+def _synth_overtake(seed: int, params: dict, config: Config):
+    length = config.synth_lane_length
+    lanes, offset = _two_lane_road(length, config.synth_lane_width, params["pass_side"])
+    v, x0 = 7.0, 20.0
     n = int((length - 15.0 - x0) / v / FRAME_DT) + 1
     ego = _shifted_ego_states(n, v, x0, 40.0, 50.0, 62.0, 72.0, offset)
 
-    blocker = AgentTrack(
-        id=10,
-        category=AgentCategory.CAR,
-        states=tuple(_state(55.0, 0.0, 0.0, 0.0, CAR_BOX) for _ in range(n)),
-    )
-    agents = [blocker]
+    agents = [_straight_track(10, AgentCategory.CAR, CAR_BOX, 55.0, 0.0, 0.0, n)]
     if params["with_oncoming"]:
-        v_on = 8.0
-        agents.append(
-            AgentTrack(
-                id=11,
-                category=AgentCategory.CAR,
-                states=tuple(
-                    _state(140.0 - v_on * k * FRAME_DT, offset, math.pi, v_on, CAR_BOX)
-                    for k in range(n)
-                ),
-            )
-        )
-    nav = [NavigationCommand.KEEP_FORWARD] * n
-    return _scene(
-        f"overtake_oncoming-{seed:06d}", lanes, agents, ego, nav, ScenarioKind.OVERTAKE_ONCOMING
-    )
+        agents.append(_straight_track(11, AgentCategory.CAR, CAR_BOX, 140.0, offset, -8.0, n))
+    return lanes, agents, ego
 
 
-def _synth_construction(seed: int, params: dict, config: Config) -> Scene:
-    length, width = config.synth_lane_length, config.synth_lane_width
-    lanes, offset = _two_lane_road(length, width, "left")
-    shift = float(params["shift"])
-    if not (width / 2 < shift < width):
-        raise ParamError("shift must put the ego centroid past the divider, within the neighbor lane")
-    n_cones = int(params["n_cones"])
-    if n_cones < 1:
-        raise ParamError("n_cones must be >= 1")
-
-    v = 6.0
-    x0 = 20.0
+def _synth_construction(seed: int, params: dict, config: Config):
+    length = config.synth_lane_length
+    lanes, _ = _two_lane_road(length, config.synth_lane_width, "left")
+    v, x0 = 6.0, 20.0
     n = int((length - 20.0 - x0) / v / FRAME_DT) + 1
-    ego = _shifted_ego_states(n, v, x0, 40.0, 47.0, 60.0, 67.0, shift)
-
+    ego = _shifted_ego_states(n, v, x0, 40.0, 47.0, 60.0, 67.0, params["shift"])
     cones = [
-        AgentTrack(
-            id=20 + i,
-            category=AgentCategory.TRAFFIC_CONE,
-            states=tuple(_state(50.0 + 3.0 * i, 0.0, 0.0, 0.0, CONE_BOX) for _ in range(n)),
-        )
-        for i in range(n_cones)
+        _straight_track(20 + i, AgentCategory.TRAFFIC_CONE, CONE_BOX, 50.0 + 3.0 * i, 0.0, 0.0, n)
+        for i in range(params["n_cones"])
     ]
-    nav = [NavigationCommand.KEEP_FORWARD] * n
-    return _scene(
-        f"construction_zone-{seed:06d}", lanes, cones, ego, nav, ScenarioKind.CONSTRUCTION_ZONE
-    )
+    return lanes, cones, ego
 
 
 _BUILDERS = {
     ScenarioKind.NOMINAL: _synth_nominal,
-    ScenarioKind.THREE_POINT_TURN: _synth_three_point_turn_scene,
+    ScenarioKind.THREE_POINT_TURN: _synth_three_point_turn,
     ScenarioKind.RESUME_FROM_STOP: _synth_resume_from_stop,
     ScenarioKind.OVERTAKE_ONCOMING: _synth_overtake,
     ScenarioKind.CONSTRUCTION_ZONE: _synth_construction,
@@ -452,8 +407,8 @@ def synth_scene(
     kind = ScenarioKind(kind) if not isinstance(kind, ScenarioKind) else kind
     if not is_int(seed) or seed < 0:
         raise ParamError(f"seed must be an integer >= 0, got {seed!r}")
-    merged = _merge_params(kind, params)
-    return _BUILDERS[kind](seed, merged, config or Config())
+    config = config or Config()
+    return _scene(kind, seed, *_BUILDERS[kind](seed, _merge_params(kind, params, config), config))
 
 
 # --------------------------------------------------------------------------
@@ -488,8 +443,6 @@ def corpus_manifest(counts: Dict, base_seed: int = 0) -> dict:
         }
         seed += count
     manifest = {"base_seed": base_seed, "total": total, "kinds": kinds}
-    import hashlib
-
     manifest["manifest_hash"] = hashlib.sha256(
         canonical_dumps(manifest).encode("utf-8")
     ).hexdigest()
@@ -503,7 +456,8 @@ def synth_corpus(
     config: Optional[Config] = None,
 ) -> Tuple[list, dict]:
     """Materialize a corpus per the count spec, seeds assigned sequentially in
-    kind-name order; returns (scenes, manifest)."""
+    kind-name order; returns (scenes, manifest). Every `params` entry is
+    checked, counted or not, before any scene is built."""
     manifest = corpus_manifest(counts, base_seed)
     params = {} if params is None else params
     if not isinstance(params, dict) or not all(isinstance(p, dict) for p in params.values()):
@@ -513,7 +467,7 @@ def synth_corpus(
             kind = ScenarioKind(name)
         except ValueError:
             raise ParamError(f"params name an unknown scenario kind {name!r}") from None
-        _merge_params(kind, entry)
+        _merge_params(kind, entry, config)
     scenes = []
     for name in sorted(manifest["kinds"]):
         entry = manifest["kinds"][name]

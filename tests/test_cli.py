@@ -402,6 +402,23 @@ def test_synth_bad_spec_is_one_json_error(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"counts": {"NOMINAL": 1}, "base_sed": 7}, "base_sed"),
+        ({"counts": {"NOMINAL": 1}, "params": {}, "param": {"NOMINAL": {}}}, "param"),
+    ],
+)
+def test_synth_spec_unknown_key_is_a_param_error_naming_it(tmp_path, capsys, spec, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), "utf-8")
+    out_dir = tmp_path / "corpus"
+    assert main(["synth", "--spec", str(path), "--out", str(out_dir)]) == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error["error"] == "PARAM_ERROR" and key in error["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("scene_id", [1]),

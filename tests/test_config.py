@@ -1,9 +1,12 @@
+import inspect
 import math
 
 import pytest
 
 from drivekit.config import Config
 from drivekit.errors import ParamError
+from drivekit.metrics import headings_xy, heading_l2, lon_weighted_l2, plan_collision_fraction
+from drivekit.relations import classify_homotopy
 
 
 def test_from_dict_round_trips_defaults():
@@ -33,3 +36,36 @@ def test_theta_turn_must_be_below_theta_uturn():
     with pytest.raises(ParamError):
         Config.from_dict({"theta_turn": math.radians(170.0)})
     assert Config.from_dict({"theta_turn": 1.0, "theta_uturn": 2.0}).theta_turn == 1.0
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"k_lat": "x"}, {"theta_turn": 4.0}, {"eps_move": math.nan}, {"seed": True},
+        {"d_yield": None},
+    ],
+)
+def test_config_checks_its_fields_at_construction(overrides):
+    with pytest.raises(ParamError, match=f"config {next(iter(overrides))}"):
+        Config().replace(**overrides)
+    with pytest.raises(ParamError):
+        Config(**overrides)
+
+
+def test_config_keeps_values_as_given():
+    assert type(Config(lane_margin=1).lane_margin) is int
+
+
+@pytest.mark.parametrize(
+    "fn, name",
+    [
+        (headings_xy, "eps_move"),
+        (heading_l2, "eps_move"),
+        (lon_weighted_l2, "eps_move"),
+        (lon_weighted_l2, "w_lon"),
+        (plan_collision_fraction, "eps_move"),
+        (classify_homotopy, "eps_rel"),
+    ],
+)
+def test_threshold_defaults_are_the_config_fields(fn, name):
+    assert inspect.signature(fn).parameters[name].default == getattr(Config(), name)

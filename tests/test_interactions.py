@@ -308,3 +308,25 @@ def test_yield_label_takes_no_side(kind):
         InteractionLabel.from_dict(
             {"agent_id": 3, "kind": kind, "side": "LEFT", "frame_span": [1, 4]}
         )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((1, "YIELD_TO_VEHICLE", None, (0, 1)), "label kind must be a InteractionKind"),
+        ((1, InteractionKind.BYPASS_CONES, "LEFT", (0, 1)), "label side must be a Side"),
+        ((1, InteractionKind.YIELD_TO_VEHICLE, None, (0, "a")), "label frame_span must be two"),
+        ((1, InteractionKind.YIELD_TO_VEHICLE, None, (0, 1, 2)), "label frame_span must be two"),
+        ((1.0, InteractionKind.YIELD_TO_VEHICLE, None, (0, 1)), "label agent_id must be an int"),
+        ((True, InteractionKind.YIELD_TO_VEHICLE, None, (0, 1)), "label agent_id must be an int"),
+    ],
+)
+def test_interaction_label_checks_its_fields_at_construction(fields, message):
+    with pytest.raises(SchemaError, match=message):
+        InteractionLabel(*fields)
+
+
+def test_interaction_label_frame_span_is_a_tuple():
+    label = InteractionLabel(1, InteractionKind.YIELD_TO_VEHICLE, None, [2, 3])
+    assert label.frame_span == (2, 3)
+    assert label == InteractionLabel.from_dict(label.to_dict())

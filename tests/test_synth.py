@@ -1,9 +1,18 @@
+import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import drivekit.synth
+from drivekit.cli import _label_scene, _qa_scene
+from drivekit.config import Config
 from drivekit.errors import ParamError
+from drivekit.qa import load_templates
+from drivekit.tokens import fixture_encode, write_bundle
 from drivekit.relations import compute_relations
 from drivekit.interactions import InteractionKind, label_interactions
 from drivekit.scene import (
@@ -163,3 +172,65 @@ def test_corpus_materializes_with_sequential_seeds():
     again, manifest2 = synth_corpus({"NOMINAL": 2, "THREE_POINT_TURN": 1}, base_seed=5)
     assert [save_scene(s) for s in scenes] == [save_scene(s) for s in again]
     assert manifest["manifest_hash"] == manifest2["manifest_hash"]
+
+
+OUT_OF_RANGE = [
+    ("THREE_POINT_TURN", {"radius3": 0.0}),
+    ("THREE_POINT_TURN", {"arc2_deg": 0}),
+    ("THREE_POINT_TURN", {"arc1_deg": 100.0, "arc2_deg": 80.0}),
+    ("THREE_POINT_TURN", {"v3": -1.0}),
+    ("RESUME_FROM_STOP", {"stop_duration": 0.5}),
+    ("OVERTAKE_ONCOMING", {"pass_side": "up"}),
+    ("CONSTRUCTION_ZONE", {"shift": 1.85}),
+    ("CONSTRUCTION_ZONE", {"shift": 3.7}),
+    ("CONSTRUCTION_ZONE", {"n_cones": 0}),
+]
+
+
+@pytest.mark.parametrize("counted", [True, False])
+@pytest.mark.parametrize("kind, entry", OUT_OF_RANGE)
+def test_out_of_range_params_fail_before_any_scene_is_built(monkeypatch, kind, entry, counted):
+    built = []
+    monkeypatch.setattr(drivekit.synth, "_scene", lambda *args: built.append(args))
+    counts = {"NOMINAL": 1, kind: 1} if counted else {"NOMINAL": 1}
+    with pytest.raises(ParamError, match=f"^{kind}: "):
+        synth_corpus(counts, params={kind: entry})
+    assert built == []
+
+
+def test_construction_shift_is_judged_against_the_configured_lane_width():
+    wide = Config(synth_lane_width=6.0)
+    assert synth_scene("CONSTRUCTION_ZONE", 0, {"shift": 4.0}, wide).agents
+    with pytest.raises(ParamError):
+        synth_scene("CONSTRUCTION_ZONE", 0, {"shift": 4.0})
+    with pytest.raises(ParamError):
+        synth_corpus({}, params={"CONSTRUCTION_ZONE": {"shift": 2.3}}, config=wide)
+
+
+def _pipeline_outputs(scene, config, templates) -> tuple:
+    """The saved bytes, label lines, gen-qa lines and TOKB bytes of one scene."""
+    bundles = io.BytesIO()
+    for frame in range(scene.n_frames):
+        write_bundle(fixture_encode(scene, frame, config.seed), bundles)
+    qa = _qa_scene(scene, config, None, templates)
+    return save_scene(scene), _label_scene(scene, config), qa, bundles.getvalue()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kind=st.sampled_from(["NOMINAL", "OVERTAKE_ONCOMING", "CONSTRUCTION_ZONE"]),
+    seed=st.integers(0, 99),
+    data=st.data(),
+)
+def test_agent_and_lane_order_of_a_saved_scene_changes_no_output(kind, seed, data):
+    params = {"n_cones": 5} if kind == "CONSTRUCTION_ZONE" else None
+    doc = json.loads(save_scene(synth_scene(kind, seed, params)))
+    permuted = dict(
+        doc,
+        agents=data.draw(st.permutations(doc["agents"])),
+        lanes=data.draw(st.permutations(doc["lanes"])),
+    )
+    scene, other = load_scene(doc), load_scene(json.dumps(permuted))
+    assert other == scene
+    outputs = [_pipeline_outputs(s, Config(), load_templates()) for s in (scene, other)]
+    assert outputs[0] == outputs[1]
