@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .config import Config
-from .errors import AlignError, SchemaError, is_int
+from .errors import AlignError, ParamError, SchemaError, as_finite, is_int
 from .geometry import from_frame, obb_corners, obb_overlap
 from .scene import PLAN_STEPS, Scene, _points, frames_per_step, wrap_angle
 
@@ -217,6 +217,10 @@ def hungarian(cost_matrix) -> list:
     # row i leaves free, so one solve carries down the rows and only the walk
     # solves again
     assign = linear_sum_assignment(full)[1]
+    # a row whose duals rule out a tie on every free lower column keeps its
+    # column, as its walk would stop at the first solve; most assignments
+    # have no row that could walk, so the duals wait for the first one
+    may_tie = None
     avail = list(range(full.shape[1]))  # free columns, ascending
     fixed = 0.0  # row-order total of the rows already fixed
     result: List[Optional[int]] = []
@@ -225,12 +229,15 @@ def hungarian(cost_matrix) -> list:
         # a row on a zero-cost column is unassigned; those columns are
         # interchangeable, so its pick is the first free one
         pick = k if assign[i] >= m else bisect_left(avail, assign[i])
-        if pick > 0:
+        if pick > 0 and may_tie is None:
+            may_tie = _may_tie(full, assign, m, full)
+        if pick > 0 and may_tie[i]:
             # walk row i down to the lowest column that still admits an optimum
             cols = np.array(avail)
             sub = full[i:, cols]
             rows = np.arange(n - i)
             cost = _row_order_total(fixed, full[rows + i, assign[i:]])
+            start = pick
             while pick > 0:
                 sub[0, pick:] = np.inf
                 lower = linear_sum_assignment(sub)[1]
@@ -239,10 +246,92 @@ def hungarian(cost_matrix) -> list:
                     break
                 pick, cost = int(lower[0]), lower_cost
                 assign[i:] = cols[lower]
+            if pick < start:  # the carried assignment moved: certify it anew
+                local = np.searchsorted(cols, assign[i:])
+                may_tie[i:] = _may_tie(full[i:, cols], local, k, full)
         fixed += full[i, avail[pick]]
         result.append(avail[pick] if pick < k else None)
         del avail[pick]
     return result
+
+
+def _may_tie(c: np.ndarray, a: np.ndarray, k: int, full: np.ndarray) -> np.ndarray:
+    """Per row of `c`, whether an assignment with the row on a free lower
+    column might tie the assignment `a` (row r on column a[r]); True for
+    every row when unsure.
+
+    The first `k` columns of `c` are real, the rest stand for "unassigned".
+    Row r's free lower columns are the real ones below a[r] (all real ones if
+    it is unassigned) that no earlier row holds. `c` is taken from `full`,
+    whose costs make up the totals the walk compares.
+    """
+    n, cmax = len(full), np.abs(full).max()
+    rows, width = np.arange(len(c)), c.shape[1]
+    unsure = np.ones(len(c), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # linear-programming duals: u[r] + v[j] <= c[r, j] and v <= 0, with
+        # equality on the assignment; Bellman-Ford over the columns finds v,
+        # and settles within len(c) + 1 passes only if `a` is an optimum
+        v = np.zeros(width)
+        for _ in range(len(c) + 1):
+            u = c[rows, a] - v[a]
+            settled = np.minimum(v, (c - u[:, None]).min(axis=0))
+            if not (settled < v).any():
+                break
+            v = settled
+        else:
+            return unsure
+        reduced = c - u[:, None] - v
+        # Any assignment s of the rows of c totals exactly a's total plus
+        # its reduced costs, minus a's, plus v on the columns only s takes,
+        # minus v on the columns only `a` takes. So s totals more than `a`
+        # by more than the float errors below if one reduced cost of s, or
+        # one -v[f] on a column f only `a` takes, is above tol. With unit =
+        # 2^-52 (cmax + max|u| + max|v|), plus a floor for subnormals:
+        #   unit       the rounding of that reduced cost;
+        #   n unit     the other exact reduced costs of s, each >= -unit/2
+        #              as Bellman-Ford settled, and a's own, each <= unit/2
+        #              (-v >= 0 on the other columns only `a` takes);
+        #   n slack    v >= -slack on the columns `a` leaves unused, and s
+        #              takes at most n of them;
+        #   n^2 unit   both row-order totals of n costs, each within
+        #              (n - 1) 2^-53 n cmax of its exact value.
+        # With slack = (n + 2) unit these add up to less than tol, as long
+        # as no total of n costs overflows.
+        scale = cmax + np.abs(u).max() + np.abs(v).max()
+        unit = 2.0**-52 * scale + 2.0**-1074
+        tol = 3 * (n + 2) ** 2 * unit
+        owner = np.full(width, len(c))
+        owner[a] = rows
+        unused = owner == len(c)
+        if not (np.isfinite(reduced).all() and np.isfinite((n + 2) * scale)) or (
+            unused.any() and v[unused].min() < -(n + 2) * unit
+        ):
+            return unsure
+    # s differs from `a` by chains of moves: row r leaves a[r] for j, j's
+    # row (if any) moves on, and so on, until the chain closes back on a[r]
+    # or ends on an unused column. The latter chain starts from a column f
+    # that s leaves free: a[r], or the column of a row that moved into a[r],
+    # and so on back. s ties only if every move and -v[f] are within tol.
+    tight = reduced <= tol
+    lower = (np.arange(width) < np.minimum(a, k)[:, None]) & (owner >= rows[:, None])
+    # step[x, y]: the row on column x moves to column y within tol; node
+    # `width` closes the chains that end on an unused column, leading on to
+    # each column f with v[f] >= -tol
+    step = np.zeros((width + 1, width + 1), dtype=bool)
+    step[a, :width] = tight
+    step[a, a] = False  # staying put is no move
+    step[:width, width] = unused
+    step[width, :width] = v >= -tol
+    # a tie's moves form a cycle of steps: drop every column that no step
+    # from a kept column enters or that no step to a kept column leaves
+    kept = np.ones(width + 1, dtype=bool)
+    while True:
+        on = kept & (step & kept[:, None]).any(axis=0) & (step & kept).any(axis=1)
+        if (on == kept).all():
+            break
+        kept = on
+    return (tight & lower & kept[:width]).any(axis=1) & kept[a]
 
 
 def _row_order_total(fixed: float, costs: np.ndarray) -> float:
@@ -269,9 +358,16 @@ def grounding_prf(pred_objects, gt_objects, gate: float, importance_pairs=None) 
     then minimizes summed distance. Undefined ratios are reported as None,
     never as 0. Optional (predicted, gt) criticality pairs fill the importance
     accuracy field.
+
+    Every object is a finite [x, y] pair (SchemaError naming `pred[i]` or
+    `gt[i]` otherwise), and the gate a finite non-negative number
+    (ParamError otherwise).
     """
-    pred = np.asarray(list(pred_objects), dtype=float).reshape(-1, 2)
-    gt = np.asarray(list(gt_objects), dtype=float).reshape(-1, 2)
+    gate = as_finite(gate, "grounding gate", ParamError)
+    if gate < 0:
+        raise ParamError(f"grounding gate must be non-negative, got {gate!r}")
+    pred = np.array(_points(pred_objects, "pred"), dtype=float).reshape(-1, 2)
+    gt = np.array(_points(gt_objects, "gt"), dtype=float).reshape(-1, 2)
     n, m = len(pred), len(gt)
     matches = 0
     if n and m:

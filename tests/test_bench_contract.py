@@ -65,3 +65,19 @@ def test_workload_outputs_match_the_recorded_digests(tmp_path, monkeypatch, name
     bench_run.in_process_pass(wl, checks)
     assert checks.errors == [] and checks.failed == 0
     assert sorted(checks.seen) == sorted(recorded)  # every recorded output was checked
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3])
+def test_grounding_outputs_match_the_recorded_digests_at_more_variants(
+    tmp_path, monkeypatch, variant
+):
+    # the grounding workload runs no CLI stage, so it is cheap to check on
+    # more of its recorded input variants than the first
+    monkeypatch.setattr(bench_run, "WORK", tmp_path / "work")
+    recorded = gate.load_recorded("grounding", variant)
+    wl = bench_run.Workload("grounding", variant)
+    checks = bench_run.Checks(recorded)
+    checks.stage("setup", "", wl.setup())
+    bench_run.in_process_pass(wl, checks)
+    assert checks.errors == [] and checks.failed == 0
+    assert sorted(checks.seen) == sorted(recorded)

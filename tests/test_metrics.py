@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import operator
+from bisect import bisect_left
+from typing import List, Optional
 
 import numpy as np
 import pytest
@@ -9,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import drivekit.metrics
 from conftest import cruising_ego, scene_of, state, straight_lane, track
-from drivekit.errors import AlignError, SchemaError
+from drivekit.errors import AlignError, ParamError, SchemaError
 from drivekit.geometry import obb_corners, obb_overlap
 from drivekit.metrics import (
     _FORBIDDEN,
+    GroundingReport,
     PlanSample,
     apply_frame_mask,
     classification_accuracy,
@@ -529,6 +534,63 @@ def test_grounding_importance_accuracy_field():
     assert report.importance_accuracy == 0.5
 
 
+@pytest.mark.parametrize(
+    "pred, gt, message",
+    [
+        ([(0, 0, 5, 5)], [(0.5, 0), (5, 5)], "pred[0] must be [x, y], got (0, 0, 5, 5)"),
+        ([(0.0, 0.0), (1.0,)], [], "pred[1] must be [x, y], got (1.0,)"),
+        ([(0.0, math.nan)], [(0.0, 0.0)], "pred[0] must be finite, got nan"),
+        ([(0.0, 0.0)], [(1.0, 0.0), (math.inf, 0.0)], "gt[1] must be finite, got inf"),
+        ([(0.0, 0.0)], [("1", 0.0)], "gt[0] must be a number, got '1'"),
+        ([(0.0, 0.0)], [(True, 0.0)], "gt[0] must be a number, got True"),
+        ([(0.0, 0.0)], 5, "gt must be a list of [x, y], got 5"),
+    ],
+)
+def test_grounding_rejects_an_object_that_is_not_a_finite_pair(pred, gt, message):
+    with pytest.raises(SchemaError) as info:
+        grounding_prf(pred, gt, gate=2.0)
+    assert info.value.message == message
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (math.nan, "grounding gate must be finite, got nan"),
+        (math.inf, "grounding gate must be finite, got inf"),
+        (-1.0, "grounding gate must be non-negative, got -1.0"),
+        ("2", "grounding gate must be a number, got '2'"),
+    ],
+)
+def test_grounding_rejects_a_gate_that_is_not_a_finite_non_negative_number(gate, message):
+    with pytest.raises(ParamError) as info:
+        grounding_prf([(0.0, 0.0)], [(0.5, 0.0)], gate)
+    assert info.value.message == message
+
+
+def test_grounding_takes_empty_sets_and_a_zero_gate():
+    assert grounding_prf([], [], 2.0) == GroundingReport(None, None)
+    assert grounding_prf([(1, 1)], [(1, 1), (2, 1)], 0) == GroundingReport(1.0, 0.5)
+
+
+# integer points: many pairs sit exactly at the gate (3-4-5, 0-2) and some
+# points repeat
+GRID_POINTS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pred=GRID_POINTS, gt=GRID_POINTS, gate=st.sampled_from([0.0, 1.0, 2.0, 5.0]))
+def test_grounding_match_count_is_the_maximum_matching_of_the_gate_graph(pred, gt, gate):
+    # the count does not depend on which of several optima breaks a tie
+    report = grounding_prf(pred, gt, gate)
+    if not pred or not gt:
+        return
+    p, g = np.array(pred, float), np.array(gt, float)
+    within = np.hypot(*(p[:, None, :] - g[None, :, :]).transpose(2, 0, 1)) <= gate
+    matching = maximum_bipartite_matching(csr_matrix(within), perm_type="column")
+    assert round(report.precision * len(pred)) == np.count_nonzero(matching >= 0)
+    assert round(report.recall * len(gt)) == np.count_nonzero(matching >= 0)
+
+
 def brute_force_lex_assignment(c: np.ndarray):
     """Oracle: the lexicographically smallest minimum-cost assignment vector,
     with unassigned rows encoded as m (after every real column)."""
@@ -682,3 +744,104 @@ def test_hungarian_carries_one_full_solve_down_the_rows(monkeypatch):
         calls.clear()
         hungarian(c)
         assert len(calls) == 1, shape
+
+
+def walk_every_row(cost_matrix) -> list:
+    """Oracle: `hungarian` without the duals, so every row that has a free
+    column below its own walks; otherwise `hungarian`'s body line for line."""
+    c = np.asarray(cost_matrix, dtype=float)
+    if c.ndim != 2:
+        raise ValueError("cost matrix must be 2-D")
+    n, m = c.shape
+    if n == 0 or m == 0:
+        return [None] * n
+    if not np.all(np.isfinite(c)):
+        raise ValueError("costs must be finite")
+
+    # zero-cost columns after the real ones stand for "unassigned"
+    full = np.hstack([c, np.zeros((n, max(n - m, 0)))])
+    # an optimum of rows i.. is, on rows i+1.., an optimum of the columns its
+    # row i leaves free, so one solve carries down the rows and only the walk
+    # solves again
+    assign = linear_sum_assignment(full)[1]
+    avail = list(range(full.shape[1]))  # free columns, ascending
+    fixed = 0.0  # row-order total of the rows already fixed
+    result: List[Optional[int]] = []
+    for i in range(n):
+        k = bisect_left(avail, m)  # free real columns
+        # a row on a zero-cost column is unassigned; those columns are
+        # interchangeable, so its pick is the first free one
+        pick = k if assign[i] >= m else bisect_left(avail, assign[i])
+        if pick > 0:
+            # walk row i down to the lowest column that still admits an optimum
+            cols = np.array(avail)
+            sub = full[i:, cols]
+            rows = np.arange(n - i)
+            cost = _row_order_total(fixed, full[rows + i, assign[i:]])
+            while pick > 0:
+                sub[0, pick:] = np.inf
+                lower = linear_sum_assignment(sub)[1]
+                lower_cost = _row_order_total(fixed, sub[rows, lower])
+                if lower_cost > cost:
+                    break
+                pick, cost = int(lower[0]), lower_cost
+                assign[i:] = cols[lower]
+        fixed += full[i, avail[pick]]
+        result.append(avail[pick] if pick < k else None)
+        del avail[pick]
+    return result
+
+
+def _row_order_total(fixed: float, costs: np.ndarray) -> float:
+    """`fixed` plus `costs`, added one at a time in row order (`.sum()` adds
+    pairwise, which can round to a different float)."""
+    return float(np.add.accumulate(np.concatenate(([fixed], costs)))[-1])
+
+
+# costs that mix magnitudes far apart, so float totals absorb small ones
+MIXED_MAGNITUDE_COSTS = arrays(
+    float,
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    elements=st.one_of(
+        st.sampled_from([0.0, 1e-28, 0.1, 0.3, 1.0, 1.9, 6.88e11, 8.796e12]),
+        st.floats(0.0, 4.0).map(lambda d: 1e12 + d),
+    ),
+)
+TIE_HEAVY_SHAPES = [(90, 90), (40, 40), (70, 25), (90, 20), (60, 45), (25, 70), (20, 90)]
+TIE_HEAVY_LARGE_COSTS = st.builds(
+    lambda seed, high, shape: np.random.default_rng(seed).integers(0, high, shape).astype(float),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 30]),
+    st.sampled_from(TIE_HEAVY_SHAPES),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    c=st.one_of(
+        SMALL_INT_COSTS, GATED_COSTS, WIDE_FLOAT_COSTS, MIXED_MAGNITUDE_COSTS, TIE_HEAVY_LARGE_COSTS
+    )
+)
+def test_hungarian_matches_walking_every_row(c):
+    assert hungarian(c) == walk_every_row(c)
+
+
+def test_hungarian_solves_once_unless_a_lower_column_may_tie(monkeypatch):
+    solve = drivekit.metrics.linear_sum_assignment
+    calls = []
+
+    def counting(c):
+        calls.append(c.shape)
+        return solve(c)
+
+    monkeypatch.setattr(drivekit.metrics, "linear_sum_assignment", counting)
+    rng = np.random.default_rng(17)
+    for shape in [(30, 30), (10, 4), (4, 10), (100, 100)]:
+        calls.clear()
+        hungarian(rng.uniform(0.0, 10.0, shape))
+        assert len(calls) == 1, shape
+    # the duals leave the walk to decide ties
+    calls.clear()
+    c = rng.integers(0, 3, (40, 40)).astype(float)
+    assert hungarian(c) == walk_every_row(c)
+    assert len(calls) > 1
