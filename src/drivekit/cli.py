@@ -93,6 +93,7 @@ def _dump(record: dict) -> str:
 
 
 def cmd_validate(args) -> int:
+    _resolve_config(args)  # a bad --config fails here too, not only in later stages
     failures = 0
     for path in args.scenes:
         try:
@@ -136,7 +137,14 @@ def _load_sidecar(path) -> list:
     records = parse_json(read_text(path), SchemaError, path)
     if not isinstance(records, list) or not all(isinstance(d, dict) for d in records):
         raise SchemaError(f"{path}: label sidecar must be a JSON list of objects")
-    return _at(path, lambda: [(d.get("scene_id"), InteractionLabel.from_dict(d)) for d in records])
+    return [_at(f"{path}: record[{i}]", _sidecar_record, d) for i, d in enumerate(records)]
+
+
+def _sidecar_record(record: dict) -> tuple:
+    scene_id = record.get("scene_id")
+    if scene_id is not None and not isinstance(scene_id, str):
+        raise SchemaError(f"scene_id must be a string or null, got {scene_id!r}")
+    return scene_id, InteractionLabel.from_dict(record)
 
 
 _TASK_ORDER = {task: i for i, task in enumerate(QATask)}

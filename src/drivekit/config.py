@@ -73,14 +73,19 @@ class Config:
 
     def __post_init__(self):
         """Integer fields take only ints (not bools), float fields take finite
-        numbers, and theta_turn must stay below theta_uturn. Values are kept
-        as given: report.json writes the config."""
+        numbers, grounding_gate is non-negative (as grounding_prf requires),
+        and theta_turn must stay below theta_uturn. Values are kept as given:
+        report.json writes the config."""
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if not isinstance(field.default, int):
                 as_finite(value, f"config {field.name}", ParamError)
             elif not is_int(value):
                 raise ParamError(f"config {field.name} must be an integer, got {value!r}")
+        if self.grounding_gate < 0:
+            raise ParamError(
+                f"config grounding_gate must be non-negative, got {self.grounding_gate!r}"
+            )
         if not self.theta_turn < self.theta_uturn:
             raise ParamError(
                 f"config theta_turn ({self.theta_turn}) must be below "

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -197,147 +196,19 @@ def hungarian(cost_matrix) -> list:
     """Minimum-total-cost assignment (one column per row, min(n, m) matches).
 
     Returns a column index per row, None for unassigned rows. Among equal-cost
-    optima the lexicographically smallest assignment vector wins (None sorts
-    after every real column), so output is deterministic. The total is the
-    float sum of the assigned costs added in row order, so two assignments
-    whose totals round to the same float are equal-cost.
+    optima it returns the one the solver finds, which is deterministic for a
+    given input and scipy version. The matrix must be 2-D and finite
+    (ValueError otherwise).
     """
     c = np.asarray(cost_matrix, dtype=float)
     if c.ndim != 2:
         raise ValueError("cost matrix must be 2-D")
-    n, m = c.shape
-    if n == 0 or m == 0:
-        return [None] * n
     if not np.all(np.isfinite(c)):
         raise ValueError("costs must be finite")
-
-    # zero-cost columns after the real ones stand for "unassigned"
-    full = np.hstack([c, np.zeros((n, max(n - m, 0)))])
-    # an optimum of rows i.. is, on rows i+1.., an optimum of the columns its
-    # row i leaves free, so one solve carries down the rows and only the walk
-    # solves again
-    assign = linear_sum_assignment(full)[1]
-    # a row whose duals rule out a tie on every free lower column keeps its
-    # column, as its walk would stop at the first solve; most assignments
-    # have no row that could walk, so the duals wait for the first one
-    may_tie = None
-    avail = list(range(full.shape[1]))  # free columns, ascending
-    fixed = 0.0  # row-order total of the rows already fixed
-    result: List[Optional[int]] = []
-    for i in range(n):
-        k = bisect_left(avail, m)  # free real columns
-        # a row on a zero-cost column is unassigned; those columns are
-        # interchangeable, so its pick is the first free one
-        pick = k if assign[i] >= m else bisect_left(avail, assign[i])
-        if pick > 0 and may_tie is None:
-            may_tie = _may_tie(full, assign, m, full)
-        if pick > 0 and may_tie[i]:
-            # walk row i down to the lowest column that still admits an optimum
-            cols = np.array(avail)
-            sub = full[i:, cols]
-            rows = np.arange(n - i)
-            cost = _row_order_total(fixed, full[rows + i, assign[i:]])
-            start = pick
-            while pick > 0:
-                sub[0, pick:] = np.inf
-                lower = linear_sum_assignment(sub)[1]
-                lower_cost = _row_order_total(fixed, sub[rows, lower])
-                if lower_cost > cost:
-                    break
-                pick, cost = int(lower[0]), lower_cost
-                assign[i:] = cols[lower]
-            if pick < start:  # the carried assignment moved: certify it anew
-                local = np.searchsorted(cols, assign[i:])
-                may_tie[i:] = _may_tie(full[i:, cols], local, k, full)
-        fixed += full[i, avail[pick]]
-        result.append(avail[pick] if pick < k else None)
-        del avail[pick]
+    result: List[Optional[int]] = [None] * len(c)
+    for i, j in zip(*linear_sum_assignment(c)):
+        result[i] = int(j)
     return result
-
-
-def _may_tie(c: np.ndarray, a: np.ndarray, k: int, full: np.ndarray) -> np.ndarray:
-    """Per row of `c`, whether an assignment with the row on a free lower
-    column might tie the assignment `a` (row r on column a[r]); True for
-    every row when unsure.
-
-    The first `k` columns of `c` are real, the rest stand for "unassigned".
-    Row r's free lower columns are the real ones below a[r] (all real ones if
-    it is unassigned) that no earlier row holds. `c` is taken from `full`,
-    whose costs make up the totals the walk compares.
-    """
-    n, cmax = len(full), np.abs(full).max()
-    rows, width = np.arange(len(c)), c.shape[1]
-    unsure = np.ones(len(c), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # linear-programming duals: u[r] + v[j] <= c[r, j] and v <= 0, with
-        # equality on the assignment; Bellman-Ford over the columns finds v,
-        # and settles within len(c) + 1 passes only if `a` is an optimum
-        v = np.zeros(width)
-        for _ in range(len(c) + 1):
-            u = c[rows, a] - v[a]
-            settled = np.minimum(v, (c - u[:, None]).min(axis=0))
-            if not (settled < v).any():
-                break
-            v = settled
-        else:
-            return unsure
-        reduced = c - u[:, None] - v
-        # Any assignment s of the rows of c totals exactly a's total plus
-        # its reduced costs, minus a's, plus v on the columns only s takes,
-        # minus v on the columns only `a` takes. So s totals more than `a`
-        # by more than the float errors below if one reduced cost of s, or
-        # one -v[f] on a column f only `a` takes, is above tol. With unit =
-        # 2^-52 (cmax + max|u| + max|v|), plus a floor for subnormals:
-        #   unit       the rounding of that reduced cost;
-        #   n unit     the other exact reduced costs of s, each >= -unit/2
-        #              as Bellman-Ford settled, and a's own, each <= unit/2
-        #              (-v >= 0 on the other columns only `a` takes);
-        #   n slack    v >= -slack on the columns `a` leaves unused, and s
-        #              takes at most n of them;
-        #   n^2 unit   both row-order totals of n costs, each within
-        #              (n - 1) 2^-53 n cmax of its exact value.
-        # With slack = (n + 2) unit these add up to less than tol, as long
-        # as no total of n costs overflows.
-        scale = cmax + np.abs(u).max() + np.abs(v).max()
-        unit = 2.0**-52 * scale + 2.0**-1074
-        tol = 3 * (n + 2) ** 2 * unit
-        owner = np.full(width, len(c))
-        owner[a] = rows
-        unused = owner == len(c)
-        if not (np.isfinite(reduced).all() and np.isfinite((n + 2) * scale)) or (
-            unused.any() and v[unused].min() < -(n + 2) * unit
-        ):
-            return unsure
-    # s differs from `a` by chains of moves: row r leaves a[r] for j, j's
-    # row (if any) moves on, and so on, until the chain closes back on a[r]
-    # or ends on an unused column. The latter chain starts from a column f
-    # that s leaves free: a[r], or the column of a row that moved into a[r],
-    # and so on back. s ties only if every move and -v[f] are within tol.
-    tight = reduced <= tol
-    lower = (np.arange(width) < np.minimum(a, k)[:, None]) & (owner >= rows[:, None])
-    # step[x, y]: the row on column x moves to column y within tol; node
-    # `width` closes the chains that end on an unused column, leading on to
-    # each column f with v[f] >= -tol
-    step = np.zeros((width + 1, width + 1), dtype=bool)
-    step[a, :width] = tight
-    step[a, a] = False  # staying put is no move
-    step[:width, width] = unused
-    step[width, :width] = v >= -tol
-    # a tie's moves form a cycle of steps: drop every column that no step
-    # from a kept column enters or that no step to a kept column leaves
-    kept = np.ones(width + 1, dtype=bool)
-    while True:
-        on = kept & (step & kept[:, None]).any(axis=0) & (step & kept).any(axis=1)
-        if (on == kept).all():
-            break
-        kept = on
-    return (tight & lower & kept[:width]).any(axis=1) & kept[a]
-
-
-def _row_order_total(fixed: float, costs: np.ndarray) -> float:
-    """`fixed` plus `costs`, added one at a time in row order (`.sum()` adds
-    pairwise, which can round to a different float)."""
-    return float(np.add.accumulate(np.concatenate(([fixed], costs)))[-1])
 
 
 # --------------------------------------------------------------------------

@@ -20,10 +20,9 @@ from importlib import resources
 from typing import List, Optional
 
 from .config import Config, seeded_rng
-from .errors import FormatError, InsufficientFutureError, SchemaError, parse_json, read_text
+from .errors import FormatError, SchemaError, parse_json, read_text
 from .geometry import to_frame
 from .interactions import Criticality, CriticalReason, InteractionLabel, Side, yield_kind
-from .metrics import future_complete
 from .planners import ego_future_waypoints
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
 from .scene import PLAN_STEPS, AgentCategory, NavigationCommand, Scene
@@ -426,12 +425,9 @@ def gen_planning_qas(
     templates: dict,
 ) -> QARecord:
     """3-step chain-of-thought planning record: critical objects, behavior
-    (interaction plans + lane decision), then the 6-waypoint motion plan."""
-    if not future_complete(scene.ego, frame, scene.frame_rate):
-        raise InsufficientFutureError(
-            f"scene {scene.id} frame {frame}: no 3 s ground-truth future"
-        )
-
+    (interaction plans + lane decision), then the 6-waypoint motion plan.
+    An incomplete ground-truth future raises InsufficientFutureError."""
+    future = ego_future_waypoints(scene, frame)
     objects = _frame_objects(scene, frame)
     plans = [
         {
@@ -453,10 +449,7 @@ def gen_planning_qas(
         if any(d is EgoLaneDecision.STRADDLE for d in horizon):
             decision = EgoLaneDecision.STRADDLE
 
-    waypoints = [
-        [quant1(float(x)), quant1(float(y))]
-        for x, y in ego_future_waypoints(scene, frame)
-    ]
+    waypoints = [[quant1(float(x)), quant1(float(y))] for x, y in future]
     payload = {
         "critical_objects": _critical_objects(objects, crits),
         "plans": plans,

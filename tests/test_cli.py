@@ -289,6 +289,15 @@ def test_bad_config_key_fails(tmp_path, scene_files, capsys):
     assert "PARAM_ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", ['{"grounding_gate": -1}', '{"k_lat": "x"}'])
+def test_validate_rejects_a_bad_config(tmp_path, scene_files, capsys, config):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(config, "utf-8")
+    assert main(["validate", "--config", str(cfg_path), *scene_files]) == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error["error"] == "PARAM_ERROR"
+
+
 def test_synth_then_label_closure_on_three_point_turns(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"THREE_POINT_TURN": 4}), "utf-8")
@@ -331,6 +340,7 @@ def test_validate_reports_bad_utf8_and_keeps_going(tmp_path, scene_files, capsys
         b'{"agent_id": 10}',  # not a list
         b'[{"kind": "YIELD_TO_VEHICLE", "frame_span": [0, 1]}]',  # no agent_id
         b'[{"agent_id": 10, "kind": "YIELD_TO_VEHICLE", "frame_span": [0]}]',
+        b'[{"agent_id": 10, "kind": "YIELD_TO_VEHICLE", "frame_span": [0, 1], "scene_id": 5}]',
     ],
 )
 def test_gen_qa_bad_sidecar_is_one_json_error(tmp_path, scene_files, capsys, sidecar):
@@ -341,6 +351,8 @@ def test_gen_qa_bad_sidecar_is_one_json_error(tmp_path, scene_files, capsys, sid
     error = _one_error_line(capsys.readouterr().err)
     assert error["error"] == "SCHEMA_ERROR"
     assert str(path) in error["message"]
+    if b'"scene_id"' in sidecar:
+        assert error["message"].startswith(f"{path}: record[0]: scene_id must be a string")
     assert not out.exists()
 
 

@@ -42,7 +42,7 @@ def test_theta_turn_must_be_below_theta_uturn():
     "overrides",
     [
         {"k_lat": "x"}, {"theta_turn": 4.0}, {"eps_move": math.nan}, {"seed": True},
-        {"d_yield": None},
+        {"d_yield": None}, {"grounding_gate": -1},
     ],
 )
 def test_config_checks_its_fields_at_construction(overrides):
