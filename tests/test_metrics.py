@@ -607,7 +607,12 @@ def test_hungarian_matches_lexicographic_enumeration(c):
     assert_minimum_assignment(c, hungarian(c))
 
 
-def test_hungarian_solves_once_per_call(monkeypatch):
+SOLVE_SHAPES = [(30, 30), (10, 4), (4, 10), (100, 100), (90, 20), (20, 90)]
+
+
+def assert_one_unpadded_solve(monkeypatch, matrices):
+    """Each `hungarian` call makes exactly one `linear_sum_assignment` call,
+    on the rectangular matrix as it is."""
     solve = drivekit.metrics.linear_sum_assignment
     calls = []
 
@@ -616,13 +621,31 @@ def test_hungarian_solves_once_per_call(monkeypatch):
         return solve(c)
 
     monkeypatch.setattr(drivekit.metrics, "linear_sum_assignment", counting)
+    for c in matrices:
+        calls.clear()
+        hungarian(c)
+        assert calls == [c.shape]
+
+
+def test_hungarian_solves_at_most_twice_per_row_without_ties(monkeypatch):
     rng = np.random.default_rng(17)
-    for shape in [(30, 30), (10, 4), (4, 10), (100, 100), (90, 20), (20, 90)]:
-        for c in (rng.uniform(0.0, 10.0, shape), rng.integers(0, 3, shape).astype(float)):
-            calls.clear()
-            hungarian(c)
-            # the solver takes the rectangular matrix as it is, unpadded
-            assert calls == [shape]
+    assert_one_unpadded_solve(monkeypatch, [rng.uniform(0.0, 10.0, s) for s in SOLVE_SHAPES])
+
+
+def test_hungarian_carries_one_full_solve_down_the_rows(monkeypatch):
+    # each row's optimum is its first free column
+    rng = np.random.default_rng(17)
+    matrices = [rng.uniform(1.0, 10.0, s) for s in SOLVE_SHAPES]
+    for c in matrices:
+        np.fill_diagonal(c, 0.0)
+    assert_one_unpadded_solve(monkeypatch, matrices)
+
+
+def test_hungarian_solves_once_unless_a_lower_column_may_tie(monkeypatch):
+    # tie-heavy: among equal-cost optima the solver's own is returned, no re-solve
+    rng = np.random.default_rng(17)
+    matrices = [rng.integers(0, 3, s).astype(float) for s in SOLVE_SHAPES]
+    assert_one_unpadded_solve(monkeypatch, matrices)
 
 
 @pytest.mark.parametrize(
