@@ -28,7 +28,6 @@ from .geometry import from_frame, obb_corners, obb_overlap
 from .scene import PLAN_STEPS, Scene, _points, frames_per_step, wrap_angle
 
 _HORIZON_INDEX = {1: 1, 2: 3, 3: 5}  # seconds -> step index
-_FORBIDDEN = 1e12
 
 
 def _as_plan_xy(plan) -> np.ndarray:
@@ -225,10 +224,10 @@ class GroundingReport:
 def grounding_prf(pred_objects, gt_objects, gate: float, importance_pairs=None) -> GroundingReport:
     """Match predicted object centers to ground truth within a distance gate.
 
-    Pairs beyond the gate are forbidden; matching maximizes within-gate pairs,
-    then minimizes summed distance. Undefined ratios are reported as None,
-    never as 0. Optional (predicted, gt) criticality pairs fill the importance
-    accuracy field.
+    The match count is the size of a maximum matching of the pairs at most
+    `gate` apart; precision and recall divide it by the predicted and the
+    ground-truth count, and are None, never 0, when undefined. Optional
+    (predicted, gt) criticality pairs fill the importance accuracy field.
 
     Every object is a finite [x, y] pair (SchemaError naming `pred[i]` or
     `gt[i]` otherwise), and the gate a finite non-negative number
@@ -242,15 +241,15 @@ def grounding_prf(pred_objects, gt_objects, gate: float, importance_pairs=None) 
     n, m = len(pred), len(gt)
     matches = 0
     if n and m:
-        diff = pred[:, None, :] - gt[None, :, :]
-        cost = np.hypot(diff[..., 0], diff[..., 1])
-        penalized = np.where(cost > gate, _FORBIDDEN + cost, cost)
-        assignment = hungarian(penalized)
-        matches = sum(
-            1
-            for i, j in enumerate(assignment)
-            if j is not None and cost[i, j] <= gate
-        )
+        # an overflowed distance is inf, beyond every finite gate
+        with np.errstate(over="ignore"):
+            diff = pred[:, None, :] - gt[None, :, :]
+            far = np.hypot(diff[..., 0], diff[..., 1]) > gate
+        # a minimum-cost assignment of the 0/1 matrix leaves the fewest far
+        # pairs among its min(n, m), and every gate-graph matching extends to
+        # one, so its near pairs form a maximum matching; integer costs make
+        # the count exact at every gate
+        matches = sum(1 for i, j in enumerate(hungarian(far)) if j is not None and not far[i, j])
     precision = matches / n if n else None
     recall = matches / m if m else None
     importance = (

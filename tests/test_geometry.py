@@ -2,6 +2,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -289,7 +290,11 @@ def oracle_project(point, polyline) -> FrenetCoord:
     a = pts[:-1]
     d = pts[1:] - a
     seg_len2 = np.einsum("ij,ij->i", d, d)
-    t = np.clip(np.einsum("ij,ij->i", p - a, d) / seg_len2, 0.0, 1.0)
+    # a segment whose squared length underflows divides by 0: +-inf clips to
+    # t = 0 or 1, and 0/0 gives NaN, which lexsort sorts last just as
+    # _project's fmin skips it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(np.einsum("ij,ij->i", p - a, d) / seg_len2, 0.0, 1.0)
     diff = p - (a + t[:, None] * d)
     dist2 = np.einsum("ij,ij->i", diff, diff)
     seg_len = np.sqrt(seg_len2)
@@ -392,6 +397,19 @@ def test_projection_matches_scalar_oracle(poly, points):
     with np.errstate(invalid="ignore"):
         for pt in points:
             assert repr(project_to_polyline(pt, poly)) == repr(oracle_project(pt, poly))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_segment_whose_squared_length_underflows_matches_the_oracles(config):
+    # (0, 0)-(1e-200, 0) has distinct ends, so Lane accepts it, but its squared
+    # length is 0: the points below get t = 1, NaN and t = 0 on it
+    poly = [(0.0, 0.0), (1e-200, 0.0), (10.0, 0.0)]
+    lanes = [Lane(id=1, centerline=poly, half_width=1.85)]
+    poses = [Pose2(5.0, 1.0, 0.0), Pose2(0.0, 0.5, 0.0), Pose2(-1.0, 0.0, 0.0)]
+    for xy in [(p.x, p.y) for p in poses]:
+        assert repr(project_to_polyline(xy, poly)) == repr(oracle_project(xy, poly))
+    got = associate(poses, LaneIndex.build(lanes), config)
+    assert repr(got) == repr([oracle_associate(p, lanes, config) for p in poses])
 
 
 @DIFF

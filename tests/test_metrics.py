@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse import csr_matrix
@@ -556,15 +556,41 @@ def test_grounding_takes_empty_sets_and_a_zero_gate():
     assert grounding_prf([(1, 1)], [(1, 1), (2, 1)], 0) == GroundingReport(1.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "pred, gt, gate, expected",
+    [
+        # the gate graph has a perfect matching, but the least summed distance,
+        # even with 1e12 added to each far pair, takes a far pair
+        ([(1e12, 0.0), (5e12, 5e12)], [(0.0, 5e12), (5e12, 2e12)], 5e12, (1.0, 1.0)),
+        # finite points whose difference overflows are beyond any finite gate
+        ([(1e308, 0.0)], [(-1e308, 0.0)], 2.0, (0.0, 0.0)),
+    ],
+    ids=["penalty-too-small", "overflow"],
+)
+def test_grounding_count_is_exact_at_extreme_magnitudes(pred, gt, gate, expected):
+    assert grounding_prf(pred, gt, gate) == GroundingReport(*expected)
+
+
 # integer points: many pairs sit exactly at the gate (3-4-5, 0-2) and some
-# points repeat
+# points repeat; the scales keep every point and gate exact in float64
 GRID_POINTS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=7)
 
 
 @settings(max_examples=200, deadline=None)
-@given(pred=GRID_POINTS, gt=GRID_POINTS, gate=st.sampled_from([0.0, 1.0, 2.0, 5.0]))
-def test_grounding_match_count_is_the_maximum_matching_of_the_gate_graph(pred, gt, gate):
+@given(
+    pred=GRID_POINTS,
+    gt=GRID_POINTS,
+    gate=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+    scale=st.sampled_from([1.0, 1e10, 1e12, 1e13]),
+)
+# summed distance with a 1e12 penalty on far pairs prefers the coincident pair
+# plus the far diagonal (1.5e13) to the two within-gate pairs (2e13)
+@example(pred=[(0, 0), (0, 1)], gt=[(0, 0), (1, 0)], gate=1.0, scale=1e13)
+def test_grounding_match_count_is_the_maximum_matching_of_the_gate_graph(pred, gt, gate, scale):
     # the count does not depend on which of several optima breaks a tie
+    pred = [(scale * x, scale * y) for x, y in pred]
+    gt = [(scale * x, scale * y) for x, y in gt]
+    gate *= scale
     report = grounding_prf(pred, gt, gate)
     if not pred or not gt:
         return
