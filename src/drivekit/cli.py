@@ -55,12 +55,13 @@ def _resolve_config(args) -> Config:
 
 def _per_scene(args, fn=None, **extra) -> list:
     """Load every scene file, then fn(scene, config, **extra) for each scene,
-    both fanned out over --jobs worker processes; the results come back in
-    scene-id order. Two files of one scene id raise RefError before fn runs on
-    any scene. Without fn, the scenes themselves come back."""
+    both fanned out over min(--jobs, files) worker processes; the results come
+    back in scene-id order. Two files of one scene id raise RefError before fn
+    runs on any scene. Without fn, the scenes themselves come back."""
     config = _resolve_config(args)
     paths = sorted(args.scenes)
-    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    workers = min(args.jobs, len(paths))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         run = pool.map if pool else map
         loaded = sorted(zip(run(load_scene_file, paths), paths), key=lambda pair: pair[0].id)
@@ -180,7 +181,7 @@ def _qa_scene(scene, config: Config, sidecar, templates: dict) -> list:
             records.append(
                 gen_planning_qas(scene, frame, rel, labels, crits, config, templates)
             )
-        records.sort(key=lambda r: (r.frame, _TASK_ORDER[r.task], r.id))
+        records.sort(key=lambda r: (_TASK_ORDER[r.task], r.id))
         lines.extend(_dump(r.to_dict()) for r in records)
     return lines
 

@@ -202,22 +202,19 @@ def label_interactions(
                     )
                 )
 
-        if track.category is AgentCategory.PEDESTRIAN or track.category in VEHICLE_CATEGORIES:
-            def _blocks(f: int) -> bool:
-                return (
-                    modes[f] is LaneMode.AHEAD
-                    and gaps[f] is not None
-                    and gaps[f] <= config.d_yield
-                )
-
+        if stop_runs and (
+            track.category is AgentCategory.PEDESTRIAN or track.category in VEHICLE_CATEGORIES
+        ):
+            blocks = [
+                m is LaneMode.AHEAD and g is not None and g <= config.d_yield
+                for m, g in zip(modes, gaps)
+            ]
             for run_start, run_end in stop_runs:
                 resume = run_end + 1
-                if resume >= scene.n_frames:
-                    continue  # scene ends stopped: no resume, no yield
-                if not any(_blocks(f) for f in range(run_start, run_end + 1)):
+                # a yield needs a resume frame (the scene may end stopped), a
+                # block during the stop, and the agent cleared by the resume
+                if resume >= len(blocks) or not any(blocks[run_start:resume]) or blocks[resume]:
                     continue
-                if _blocks(resume):
-                    continue  # agent has not cleared by the resume frame
                 labels.append(
                     InteractionLabel(
                         agent_id=track.id,
@@ -233,10 +230,9 @@ def label_interactions(
 
 def ego_corridor(scene: Scene, frame: int, config: Config) -> np.ndarray:
     """Ego ground-truth path over the next t_corridor seconds, as points."""
-    # clamped from above only: a negative horizon keeps its empty corridor
-    steps = round(min(config.t_corridor * scene.frame_rate, scene.n_frames))
-    last = min(scene.n_frames - 1, frame + steps)
-    states = scene.ego.arrays[frame : last + 1]
+    # clamped to [-1, n] steps: a negative horizon keeps its empty corridor
+    steps = round(min(max(config.t_corridor * scene.frame_rate, -1), scene.n_frames))
+    states = scene.ego.arrays[frame : frame + steps + 1]
     return states["xy"][states["valid"]]
 
 
@@ -248,23 +244,21 @@ def critical_objects(
     corridor = ego_corridor(scene, frame, config)
     dilation = 0.5 * float(scene.ego.arrays["box"][frame, 1]) + config.corridor_margin
     interacting = {l.agent_id for l in labels if l.covers(frame)}
-    in_corridor = set()
     states = scene.agent_arrays[:, frame]
-    free = np.array([t.id not in interacting for t in scene.agents], dtype=bool)
-    candidate = states["valid"] & free
-    if candidate.any() and len(corridor) > 0:
-        states = states[candidate]
-        dist = polyline_obb_distance(
-            corridor, states["xy"], states["heading"], states["box"][:, 0], states["box"][:, 1]
-        )
-        ids = [t.id for t, c in zip(scene.agents, candidate) if c]
-        in_corridor = {i for i, d in zip(ids, dist.tolist()) if d <= dilation}
+    # not interacting and valid, then within the dilated corridor
+    in_corridor = np.array([t.id not in interacting for t in scene.agents], dtype=bool)
+    in_corridor &= states["valid"] & (len(corridor) > 0)
+    if in_corridor.any():
+        near = states[in_corridor]
+        in_corridor[in_corridor] = polyline_obb_distance(
+            corridor, near["xy"], near["heading"], near["box"][:, 0], near["box"][:, 1]
+        ) <= dilation
     out = []
-    for track in scene.agents:
+    for track, near_ego in zip(scene.agents, in_corridor.tolist()):
         reason = CriticalReason.NONE
         if track.id in interacting:
             reason = CriticalReason.HAS_INTERACTION
-        elif track.id in in_corridor:
+        elif near_ego:
             reason = CriticalReason.IN_EGO_CORRIDOR
         out.append(
             Criticality(

@@ -344,7 +344,7 @@ def select_agents(
         c.agent_id for c in crits if not c.critical and c.agent_id in valid_ids
     )
     want = round(min(max(config.distractor_ratio * len(critical), 0), len(others)))
-    if want and others:
+    if want:
         rng = seeded_rng(config.seed, scene.id, frame, "qa")
         sampled = sorted(rng.choice(others, size=want, replace=False).tolist())
     else:

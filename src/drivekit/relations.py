@@ -62,7 +62,7 @@ def _lateral_chain(lanes_by_id: dict, start: int, attr: str, max_hops: int) -> l
         nxt = getattr(lanes_by_id[cur], attr)
         if nxt is None:
             break
-        if nxt in seen or len(chain) + 1 > len(lanes_by_id):
+        if nxt in seen:
             raise TopologyCycleError(
                 f"{attr} chain from lane {start} revisits lane {nxt}"
             )
@@ -96,6 +96,8 @@ def _longitudinal_delta(
     ):
         frontier: List[Tuple[int, float]] = [(ego_lane, start)]
         for _ in range(max_hops):
+            if not frontier:
+                break  # the chain ended: later hops find nothing
             nxt: List[Tuple[int, float]] = []
             for lid, acc in frontier:
                 for lane in sorted(getattr(lanes_by_id[lid], attr)):
@@ -230,7 +232,7 @@ def label_nav_commands(scene: Scene, config: Config, ego_assoc: list) -> list:
     ego = scene.ego.arrays
     deltas = _heading_deltas(ego["heading"].tolist())
     reversing = ego["speed"] < config.v_rev
-    step = np.hypot(*(np.diff(ego["xy"], axis=0).T)) if n > 1 else np.array([])
+    step = np.hypot(*(np.diff(ego["xy"], axis=0).T))
 
     on_intersection = [
         la is not None
@@ -238,8 +240,8 @@ def label_nav_commands(scene: Scene, config: Config, ego_assoc: list) -> list:
         for la in ego_assoc
     ]
 
-    # a window past the scene end reads the same as one to its end
-    window = max(1, round(min(config.nav_window_s * scene.frame_rate, n)))
+    # clamped to [1, n] frames: a window past the scene end reads as one to its end
+    window = round(min(max(config.nav_window_s * scene.frame_rate, 1), n))
     commands = []
     for t in range(n):
         end = min(t + window, n - 1)
@@ -295,18 +297,15 @@ def compute_relations(scene: Scene, config: Config) -> RelationOutputs:
     )
     ego_assoc = found[:n]
 
+    # an agent-frame without a lane on both sides keeps NOTON and no gap
     modes = [[LaneMode.NOTON] * n for _ in scene.agents]
     gaps: List[List[Optional[float]]] = [[None] * n for _ in scene.agents]
     for a, f, la in zip(agent_of.tolist(), frame_of.tolist(), found[n:]):
         ego_la = ego_assoc[f]
-        modes[a][f], gaps[a][f] = agent_ego_lane_mode(
-            la.lane_id if la else None,
-            ego_la.lane_id if ego_la else None,
-            index,
-            la.frenet.s if la else None,
-            ego_la.frenet.s if ego_la else None,
-            config,
-        )
+        if la and ego_la:
+            modes[a][f], gaps[a][f] = agent_ego_lane_mode(
+                la.lane_id, ego_la.lane_id, index, la.frenet.s, ego_la.frenet.s, config
+            )
 
     return RelationOutputs(
         ego_decisions=tuple(ego_lane_decisions(scene, ego_assoc)),

@@ -278,7 +278,7 @@ class Scene:
     def n_frames(self) -> int:
         return len(self.ego.states)
 
-    @property
+    @cached_property
     def plan_stride(self) -> int:
         """Frames per plan step."""
         return frames_per_step(self.frame_rate)

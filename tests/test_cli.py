@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drivekit.cli
 from drivekit.cli import main
 from drivekit.errors import DrivekitError
 from drivekit.metrics import future_complete
@@ -88,6 +89,29 @@ def test_parallel_jobs_identical(tmp_path, scene_files, command):
     assert main([command, "--out", str(parallel), "--jobs", "3", *scene_files]) == 0
     assert _output_bytes(serial)
     assert _output_bytes(serial) == _output_bytes(parallel)
+
+
+def test_jobs_start_no_more_workers_than_scene_files(tmp_path, scene_files, monkeypatch):
+    # under fork a pool starts all of its workers at the first submit, so a
+    # worker past the file count only idles; the stand-in maps in this process
+    sizes = []
+
+    class InProcessPool(contextlib.nullcontext):
+        def __init__(self, max_workers):
+            super().__init__()
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(drivekit.cli, "ProcessPoolExecutor", InProcessPool)
+    serial, pooled, single = (tmp_path / name for name in ("serial", "pooled", "single"))
+    assert main(["label", "--out", str(serial), *scene_files[:2]]) == 0
+    assert main(["label", "--out", str(pooled), "--jobs", "1000", *scene_files[:2]]) == 0
+    assert sizes == [2]
+    assert pooled.read_bytes() == serial.read_bytes()
+    assert main(["label", "--out", str(single), "--jobs", "1000", scene_files[0]]) == 0
+    assert sizes == [2]  # one file makes no pool
 
 
 def test_gen_qa_deterministic(tmp_path, scene_files):
@@ -261,6 +285,8 @@ def test_config_file_and_flag_precedence(tmp_path, scene_files):
         ("t_corridor", 1e308, "OVERTAKE_ONCOMING", "scene_s"),
         ("distractor_ratio", 1e308, "CONSTRUCTION_ZONE", 1e6),
         ("distractor_ratio", -1.0, "OVERTAKE_ONCOMING", 0.0),
+        ("nav_window_s", -1e308, "THREE_POINT_TURN", 0.0),
+        ("t_corridor", -1e308, "CONSTRUCTION_ZONE", -1.0),
     ],
 )
 def test_config_values_beyond_the_scene_are_clamped(tmp_path, key, value, kind, same_as):

@@ -244,6 +244,20 @@ def test_corridor_respects_time_horizon(config):
     assert crits_later[9].critical
 
 
+def test_a_negative_corridor_horizon_makes_no_agent_corridor_critical(config):
+    # a negative t_corridor keeps its empty corridor, so a car just ahead of
+    # the ego, critical under the default horizon, reads NONE
+    lanes = [straight_lane(1, length=120.0)]
+    car = track(7, [state(12.0, 0.0, 0.0, 0.0, (4.5, 1.8))] * 12)
+    scene = scene_of(lanes, [car], cruising_ego(12))
+    crits = critical_objects(scene, [], 0, config)
+    assert crits[0].reason is CriticalReason.IN_EGO_CORRIDOR
+    crits = critical_objects(scene, [], 0, config.replace(t_corridor=-1.0))
+    assert crits == [
+        type(crits[0])(agent_id=7, critical=False, reason=CriticalReason.NONE)
+    ]
+
+
 # --------------------------------------------------------------------------
 # sidecar merge
 

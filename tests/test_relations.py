@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import operator
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,20 @@ def test_chain_beyond_k_lon_is_noton(config):
     assert mode is LaneMode.NOTON
     mode, _ = agent_ego_lane_mode(4, 1, lanes, 5.0, 5.0, config)  # 3 hops
     assert mode is LaneMode.AHEAD
+
+
+def test_a_walk_past_the_end_of_the_lane_graph_stops_there(config):
+    # 1 -> 2: every hop past lane 2 finds nothing, so a k_lon far beyond the
+    # chain gives the k_lon = 3 answer without walking the empty hops
+    lanes = lane_index(
+        [straight_lane(1, successors=(2,)), straight_lane(2, x0=100.0, predecessors=(1,))]
+    )
+    start = time.perf_counter()
+    got = agent_ego_lane_mode(2, 1, lanes, 5.0, 90.0, config.replace(k_lon=10**7))
+    elapsed = time.perf_counter() - start
+    assert got == agent_ego_lane_mode(2, 1, lanes, 5.0, 90.0, config.replace(k_lon=3))
+    assert got == (LaneMode.AHEAD, 15.0)
+    assert elapsed < 0.2
 
 
 def test_branching_successors_merge_without_changing_the_gap(config):
