@@ -44,11 +44,13 @@ def plan_record(scene_id: str, frame: int, plan) -> dict:
 
 
 def write_plan_file(records, path) -> None:
-    """JSON-lines plan file, the input format of the evaluation command."""
+    """JSON-lines plan file, the input format of the evaluation command;
+    records that cannot be serialized leave the file as it was."""
+    text = "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" for record in records
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        fh.write(text)
 
 
 def lane_follow_planner(

@@ -106,7 +106,9 @@ def _longitudinal_delta(
                         if best is None or abs(delta) < abs(best):
                             best = delta
                     nxt.append((lane, acc + lengths[lane]))
-            frontier = nxt
+            # a repeated (lane, offset) entry gives the same deltas and
+            # successors as its first copy, which the strict `<` already saw
+            frontier = list(dict.fromkeys(nxt))
 
     return best
 

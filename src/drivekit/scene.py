@@ -356,11 +356,8 @@ _LANE_KEYS = (
     "id", "centerline", "half_width", "left_neighbor", "right_neighbor",
     "successors", "predecessors", "semantic",
 )
-
-
-def _state_to_doc(st: AgentState) -> dict:
-    values = (st.pose.x, st.pose.y, st.pose.heading, st.speed, *st.box, st.valid)
-    return dict(zip(_STATE_KEYS, values))
+# one state's canonical text: the seven keys in sorted order
+_STATE_TEXT = '{"heading":%s,"length":%s,"speed":%s,"valid":%s,"width":%s,"x":%s,"y":%s}'
 
 
 def _lane_to_doc(ln: Lane) -> dict:
@@ -371,28 +368,30 @@ def _lane_to_doc(ln: Lane) -> dict:
     return dict(zip(_LANE_KEYS, values))
 
 
-def _track_to_doc(tr: AgentTrack) -> dict:
-    return {
-        "id": tr.id,
-        "category": tr.category.value,
-        "states": [_state_to_doc(st) for st in tr.states],
-    }
-
-
-def scene_to_doc(scene: Scene) -> dict:
-    return {
-        "id": scene.id,
-        "frame_rate_hz": scene.frame_rate,
-        "lanes": [_lane_to_doc(ln) for ln in scene.lanes],
-        "agents": [_track_to_doc(tr) for tr in scene.agents],
-        "ego": _track_to_doc(scene.ego),
-        "nav_commands": [cmd.value for cmd in scene.nav_commands],
-        "scenario_tag": scene.scenario_tag.value if scene.scenario_tag else None,
-    }
+def _track_text(tr: AgentTrack) -> str:
+    states = ",".join(
+        _STATE_TEXT % (
+            _canonical(st.pose.heading), _canonical(st.box[0]), _canonical(st.speed),
+            "true" if st.valid else "false", _canonical(st.box[1]),
+            _canonical(st.pose.x), _canonical(st.pose.y),
+        )
+        for st in tr.states
+    )
+    return '{"category":"%s","id":%d,"states":[%s]}' % (tr.category.value, tr.id, states)
 
 
 def save_scene(scene: Scene) -> str:
-    return canonical_dumps(scene_to_doc(scene))
+    """The scene's canonical JSON text (see canonical_dumps): the tracks are
+    written state by state, and the keys after them in one canonical_dumps."""
+    rest = canonical_dumps({
+        "frame_rate_hz": scene.frame_rate,
+        "id": scene.id,
+        "lanes": [_lane_to_doc(ln) for ln in scene.lanes],
+        "nav_commands": [cmd.value for cmd in scene.nav_commands],
+        "scenario_tag": scene.scenario_tag.value if scene.scenario_tag else None,
+    })
+    agents = ",".join(_track_text(tr) for tr in scene.agents)
+    return '{"agents":[%s],"ego":%s,%s' % (agents, _track_text(scene.ego), rest[1:])
 
 
 def _fields(doc, keys) -> list:
@@ -482,6 +481,7 @@ def load_scene_file(path) -> Scene:
 
 
 def save_scene_file(scene: Scene, path) -> None:
+    """save_scene to `path`; a scene that cannot be serialized leaves the file as it was."""
+    text = save_scene(scene) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(save_scene(scene))
-        fh.write("\n")
+        fh.write(text)

@@ -169,6 +169,18 @@ def test_plan_file_round_trips_through_evaluation(tmp_path, config):
     assert report.l2.ave_all == 0.0
 
 
+def test_a_plan_file_is_left_as_it_was_when_a_record_cannot_be_written(tmp_path):
+    from drivekit.planners import plan_record, write_plan_file
+
+    path = tmp_path / "plans.jsonl"
+    write_plan_file([plan_record("s", 0, np.zeros((6, 2)))], path)
+    before = path.read_bytes()
+    bad = {"scene_id": "s", "frame": 1, "waypoints": np.zeros((6, 2))}  # not JSON
+    with pytest.raises(TypeError):
+        write_plan_file([plan_record("s", 0, np.ones((6, 2))), bad], path)
+    assert path.read_bytes() == before
+
+
 def test_resampled_waypoints_match_gt_in_global_frame(config):
     # transformed back to the world frame, frame-aligned resampled waypoints
     # reproduce the ground-truth ego positions to float precision

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drivekit.relations
 from conftest import cruising_ego, scene_of, state, straight_lane, track
@@ -138,6 +140,100 @@ def test_a_walk_past_the_end_of_the_lane_graph_stops_there(config):
     assert got == agent_ego_lane_mode(2, 1, lanes, 5.0, 90.0, config.replace(k_lon=3))
     assert got == (LaneMode.AHEAD, 15.0)
     assert elapsed < 0.2
+
+
+def test_a_lane_ring_that_branches_and_merges_keeps_its_frontier_small(config):
+    # 1 -> {2, 3} -> 1 with equal lengths: both branches reach lane 1 at the
+    # same offset, so a walk that kept one entry per path would double its
+    # frontier every two hops
+    lanes = lane_index([
+        straight_lane(1, successors=(2, 3), predecessors=(2, 3)),
+        straight_lane(2, x0=100.0, successors=(1,), predecessors=(1,)),
+        straight_lane(3, x0=100.0, y=10.0, successors=(1,), predecessors=(1,)),
+    ])
+    start = time.perf_counter()
+    got = agent_ego_lane_mode(2, 1, lanes, 5.0, 90.0, config.replace(k_lon=10**4))
+    elapsed = time.perf_counter() - start
+    assert got == agent_ego_lane_mode(2, 1, lanes, 5.0, 90.0, config.replace(k_lon=3))
+    assert got == (LaneMode.AHEAD, 15.0)
+    assert elapsed < 1.0
+
+
+def _walk_every_path(index, ego_lane, agent_lane, ego_s, agent_s, max_hops):
+    """The longitudinal walk with one frontier entry per path (the oracle)."""
+    if agent_lane == ego_lane:
+        return agent_s - ego_s
+    best = None
+    for attr, sign, start in (
+        ("successors", 1.0, index.lengths[ego_lane] - ego_s),
+        ("predecessors", -1.0, ego_s),
+    ):
+        frontier = [(ego_lane, start)]
+        for _ in range(max_hops):
+            nxt = []
+            for lid, acc in frontier:
+                for lane in sorted(getattr(index.by_id[lid], attr)):
+                    length = index.lengths[lane]
+                    if lane == agent_lane:
+                        delta = sign * (acc + (agent_s if sign > 0 else length - agent_s))
+                        if best is None or abs(delta) < abs(best):
+                            best = delta
+                    nxt.append((lane, acc + length))
+            frontier = nxt
+    return best
+
+
+def _random_lane_graph(data):
+    """Lane id -> (successors, predecessors): any references, loops included;
+    then the ego lane and the agent lane."""
+    n = data.draw(st.integers(2, 6))
+    refs = st.lists(st.integers(1, n), max_size=3)
+    graph = {i: (data.draw(refs), data.draw(refs)) for i in range(1, n + 1)}
+    return graph, data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+
+
+def _layered_lane_graph(data):
+    """Lane id -> (successors, predecessors) of layers that branch and merge
+    again, the last layer looping back to the first when drawn so; then the
+    ego lane and the agent lane, one in the first layer and one in the last."""
+    widths = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=6))
+    layers, first = [], 1
+    for width in widths:
+        layers.append(list(range(first, first + width)))
+        first += width
+    ends = [data.draw(st.sampled_from(layers[0])), data.draw(st.sampled_from(layers[-1]))]
+    if data.draw(st.booleans()):
+        layers.append(layers[0])
+    graph = {i: ([], []) for layer in layers for i in layer}
+    for here, there in zip(layers, layers[1:]):
+        for i in here:
+            for j in data.draw(st.lists(st.sampled_from(there), min_size=1, max_size=3)):
+                graph[i][0].append(j)
+                graph[j][1].append(i)
+    return (graph, *data.draw(st.permutations(ends)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_walk_matches_the_walk_over_every_path(data):
+    draw_graph = data.draw(st.sampled_from([_random_lane_graph, _layered_lane_graph]))
+    graph, ego_lane, agent_lane = draw_graph(data)
+    lanes = [
+        straight_lane(
+            i, length=data.draw(st.sampled_from([10.0, 10.0, 25.0, 40.0])),
+            successors=tuple(succ), predecessors=tuple(pred),
+        )
+        for i, (succ, pred) in graph.items()
+    ]
+    index = lane_index(lanes)
+    ego_s = data.draw(st.one_of(
+        st.floats(0.0, 1.0).map(lambda f: f * index.lengths[ego_lane]),
+        st.just(index.lengths[ego_lane] + 1e-12),  # just past the lane end
+    ))
+    agent_s = data.draw(st.floats(0.0, 1.0)) * index.lengths[agent_lane]
+    hops = data.draw(st.integers(1, 6))
+    args = (index, ego_lane, agent_lane, ego_s, agent_s, hops)
+    assert drivekit.relations._longitudinal_delta(*args) == _walk_every_path(*args)
 
 
 def test_branching_successors_merge_without_changing_the_gap(config):

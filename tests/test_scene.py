@@ -16,10 +16,15 @@ from drivekit.scene import (
     AgentState,
     AgentTrack,
     Lane,
+    NavigationCommand,
     Pose2,
+    ScenarioKind,
+    Scene,
+    canonical_dumps,
     load_scene,
     load_scene_file,
     save_scene,
+    save_scene_file,
     wrap_angle,
 )
 from drivekit.synth import synth_scene
@@ -217,8 +222,6 @@ def test_save_rejects_non_finite():
     with pytest.raises(SchemaError):
         Pose2(float("inf"), 0.0, 0.0)
     # a hand-built document with a bad float also fails at save time
-    from drivekit.scene import canonical_dumps
-
     with pytest.raises(SchemaError):
         canonical_dumps({"x": float("nan")})
     assert scene is not None
@@ -236,6 +239,121 @@ def test_load_save_identity_on_synth_scenes():
     for kind in ("NOMINAL", "RESUME_FROM_STOP", "OVERTAKE_ONCOMING"):
         scene = synth_scene(kind, 5)
         assert load_scene(save_scene(scene)) == scene
+
+
+def test_a_scene_that_cannot_be_saved_leaves_the_file_as_it_was(tmp_path):
+    scene = load_scene(json.dumps(MINIMAL_DOC))
+    path = tmp_path / "mini.json"
+    save_scene_file(scene, path)
+    before = path.read_bytes()
+    object.__setattr__(scene.ego.states[2], "speed", float("nan"))
+    with pytest.raises(SchemaError):
+        save_scene_file(scene, path)
+    assert path.read_bytes() == before
+
+
+# --------------------------------------------------------------------------
+# the scene writer against the document it writes
+
+def _dict_path_save_scene(scene):
+    """canonical_dumps of the scene as one nested document: the writer's oracle."""
+    def track_doc(tr):
+        states = [
+            {"x": st.pose.x, "y": st.pose.y, "heading": st.pose.heading, "speed": st.speed,
+             "length": st.box[0], "width": st.box[1], "valid": st.valid}
+            for st in tr.states
+        ]
+        return {"id": tr.id, "category": tr.category.value, "states": states}
+
+    lanes = [
+        {"id": ln.id, "centerline": [[x, y] for x, y in ln.centerline],
+         "half_width": ln.half_width, "left_neighbor": ln.left_neighbor,
+         "right_neighbor": ln.right_neighbor, "successors": list(ln.successors),
+         "predecessors": list(ln.predecessors), "semantic": ln.semantic.value}
+        for ln in scene.lanes
+    ]
+    return canonical_dumps({
+        "id": scene.id,
+        "frame_rate_hz": scene.frame_rate,
+        "lanes": lanes,
+        "agents": [track_doc(tr) for tr in scene.agents],
+        "ego": track_doc(scene.ego),
+        "nav_commands": [cmd.value for cmd in scene.nav_commands],
+        "scenario_tag": scene.scenario_tag.value if scene.scenario_tag else None,
+    })
+
+
+# the extremes of the 9-digit form, then any finite float
+edge_float = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
+    0.12345678912345, -98765.4321012345, 1e-7, 123456789012.0,
+])
+any_float = st.one_of(edge_float, st.floats(allow_nan=False, allow_infinity=False))
+positive_float = st.one_of(
+    st.sampled_from([5e-324, 1e308, 4.56789012345]),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+
+
+def _states(n, may_be_invalid):
+    valid = st.builds(
+        lambda x, y, h, v, box: AgentState(Pose2(x, y, h), v, box, True),
+        any_float, any_float, any_float, any_float, st.tuples(positive_float, positive_float),
+    )
+    invalid = st.builds(  # an invalid state may carry a zero box
+        lambda x, y, h, v, box: AgentState(Pose2(x, y, h), v, box, False),
+        any_float, any_float, any_float, any_float,
+        st.one_of(st.just((0.0, 0.0)), st.tuples(any_float, any_float)),
+    )
+    return st.lists(st.one_of(valid, invalid) if may_be_invalid else valid, min_size=n, max_size=n)
+
+
+@st.composite
+def scenes(draw):
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(1, 2**70), unique=True, max_size=4))  # empty: no agents
+    agents = [
+        AgentTrack(i, draw(st.sampled_from(AgentCategory)), draw(_states(n, True))) for i in ids
+    ]
+    lanes = [
+        Lane(i, ((x, 0.0), (x + 10.0, y)), draw(positive_float))
+        for i, (x, y) in enumerate(draw(st.lists(st.tuples(any_float, any_float), max_size=2)))
+        if x + 10.0 != x or y != 0.0
+    ]
+    scene_id = draw(st.one_of(
+        st.sampled_from(["scène-ü-東京-🚗", "plain", 'quote"back\\slash\ttab']),
+        st.text(min_size=1).filter(lambda t: "/" not in t and "\0" not in t),
+    ))
+    return Scene(
+        id=scene_id,
+        frame_rate=draw(st.sampled_from([2.0, 4.0, 10.0])),
+        lanes=lanes,
+        agents=agents,
+        ego=AgentTrack(0, draw(st.sampled_from(AgentCategory)), draw(_states(n, False))),
+        nav_commands=draw(st.lists(st.sampled_from(NavigationCommand), min_size=n, max_size=n)),
+        scenario_tag=draw(st.one_of(st.none(), st.sampled_from(ScenarioKind))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenes())
+def test_the_writer_matches_the_canonical_dump_of_the_scene_document(scene):
+    assert save_scene(scene) == _dict_path_save_scene(scene)
+
+
+def test_the_writer_covers_every_category_and_the_float_extremes():
+    states = [
+        AgentState(Pose2(-0.0, 5e-324, 0.0), -1e308, (0.0, 0.0), False),
+        AgentState(Pose2(1e308, 0.12345678912345, -0.0), 0.0, (1e308, 5e-324), True),
+    ]
+    agents = [AgentTrack(i + 1, cat, states) for i, cat in enumerate(AgentCategory)]
+    scene = scene_of([straight_lane()], agents, cruising_ego(2), scene_id="scène-東京")
+    text = save_scene(scene)
+    assert text == _dict_path_save_scene(scene)
+    assert '"id":"scène-東京"' in text and '"scenario_tag":null' in text
+    invalid = '"heading":0,"length":0,"speed":-1e+308,"valid":false,"width":0,"x":0'
+    assert invalid + ',"y":4.94065646e-324}' in text
+    assert '"width":4.94065646e-324,"x":1e+308,"y":0.123456789}' in text
 
 
 def test_duplicate_agent_ids_rejected():
