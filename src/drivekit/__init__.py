@@ -72,7 +72,14 @@ from .planners import (
     lane_follow_planner,
     replay_planner,
 )
-from .qa import QARecord, QATask, gen_perception_qas, gen_planning_qas, gen_reasoning_qas
+from .qa import (
+    QARecord,
+    QATask,
+    gen_perception_qas,
+    gen_planning_qas,
+    gen_reasoning_qas,
+    gen_scene_qas,
+)
 from .synth import corpus_manifest, synth_corpus, synth_scene
 
 __version__ = "0.1.0"

@@ -26,20 +26,13 @@ from .errors import (
 from .interactions import (
     InteractionKind,
     InteractionLabel,
-    critical_objects,
     label_interactions,
     merge_override_labels,
     yield_kind,
 )
-from .metrics import PlanSample, apply_frame_mask, evaluate_plans, future_complete, report_csv
+from .metrics import PlanSample, apply_frame_mask, evaluate_plans, report_csv
 from .planners import ego_future_waypoints
-from .qa import (
-    QATask,
-    gen_perception_qas,
-    gen_planning_qas,
-    gen_reasoning_qas,
-    load_templates,
-)
+from .qa import gen_scene_qas, load_templates
 from .relations import compute_relations, relations_records
 from .scene import canonical_dumps, load_scene_file, save_scene_file
 from .synth import synth_corpus
@@ -148,7 +141,6 @@ def _sidecar_record(record: dict) -> tuple:
     return scene_id, InteractionLabel.from_dict(record)
 
 
-_TASK_ORDER = {task: i for i, task in enumerate(QATask)}
 _YIELD_KINDS = (InteractionKind.YIELD_TO_PEDESTRIAN, InteractionKind.YIELD_TO_VEHICLE)
 
 
@@ -172,18 +164,7 @@ def _qa_scene(scene, config: Config, sidecar, templates: dict) -> list:
                     f"agent {label.agent_id}, a {category.value}"
                 )
         labels = merge_override_labels(labels, scoped)
-    lines = []
-    for frame in range(scene.n_frames):
-        crits = critical_objects(scene, labels, frame, config)
-        records = gen_perception_qas(scene, frame, rel, crits, config, templates)
-        records += gen_reasoning_qas(scene, frame, rel, labels, crits, config, templates)
-        if future_complete(scene.ego, frame, scene.frame_rate):
-            records.append(
-                gen_planning_qas(scene, frame, rel, labels, crits, config, templates)
-            )
-        records.sort(key=lambda r: (_TASK_ORDER[r.task], r.id))
-        lines.extend(_dump(r.to_dict()) for r in records)
-    return lines
+    return [_dump(r.to_dict()) for r in gen_scene_qas(scene, rel, labels, config, templates)]
 
 
 def cmd_gen_qa(args) -> int:
@@ -317,8 +298,16 @@ def cmd_evaluate(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ParamError instead of printing
+    usage and exiting 2; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ParamError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="drivekit",
         description="Scene labeling, QA generation, token plumbing, plan "
         "evaluation, and long-tail scenario synthesis.",
@@ -369,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:  # writing an output; every input goes through read_text
         error = FileError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))

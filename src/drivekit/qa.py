@@ -22,7 +22,10 @@ from typing import List, Optional
 from .config import Config, seeded_rng
 from .errors import FormatError, SchemaError, parse_json, read_text
 from .geometry import to_frame
-from .interactions import Criticality, CriticalReason, InteractionLabel, Side, yield_kind
+from .interactions import (
+    Criticality, CriticalReason, InteractionLabel, Side, critical_objects, yield_kind
+)
+from .metrics import future_complete
 from .planners import ego_future_waypoints
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
 from .scene import PLAN_STEPS, AgentCategory, NavigationCommand, Scene
@@ -333,16 +336,13 @@ def _record(
 
 
 def select_agents(
-    scene: Scene, frame: int, crits: List[Criticality], config: Config
+    scene: Scene, frame: int, objects: dict, crits: List[Criticality], config: Config
 ) -> List[int]:
     """Critical agents plus a seeded uniform sample of non-critical ones at
-    the configured distractor ratio, without replacement."""
-    valid = scene.agent_arrays[:, frame]["valid"].tolist()
-    valid_ids = {t.id for t, v in zip(scene.agents, valid) if v}
-    critical = sorted(c.agent_id for c in crits if c.critical and c.agent_id in valid_ids)
-    others = sorted(
-        c.agent_id for c in crits if not c.critical and c.agent_id in valid_ids
-    )
+    the configured distractor ratio, without replacement; only agents valid
+    in the frame's object table take part."""
+    critical = sorted(c.agent_id for c in crits if c.critical and objects[c.agent_id][3])
+    others = sorted(c.agent_id for c in crits if not c.critical and objects[c.agent_id][3])
     want = round(min(max(config.distractor_ratio * len(critical), 0), len(others)))
     if want:
         rng = seeded_rng(config.seed, scene.id, frame, "qa")
@@ -356,15 +356,14 @@ def gen_perception_qas(
     scene: Scene,
     frame: int,
     rel: RelationOutputs,
-    crits: List[Criticality],
-    config: Config,
+    objects: dict,
+    selected: List[int],
     templates: dict,
 ) -> List[QARecord]:
     """Object-classification QA per selected agent, plus a lane-association QA
     for those with a lane."""
     records = []
-    objects = _frame_objects(scene, frame)
-    for agent_id in select_agents(scene, frame, crits, config):
+    for agent_id in selected:
         obj = _object(objects, agent_id)
         payload = {"category": obj["category"]}
         task = QATask.PERCEPTION_OBJECT
@@ -389,18 +388,19 @@ def _covering_kind(
 def gen_reasoning_qas(
     scene: Scene,
     frame: int,
-    rel: RelationOutputs,
     labels: List[InteractionLabel],
     crits: List[Criticality],
-    config: Config,
+    objects: dict,
+    selected: List[int],
+    critical: List[dict],
     templates: dict,
 ) -> List[QARecord]:
-    """Criticality QA per selected agent plus one scene-level grounding QA."""
+    """Criticality QA per selected agent plus one scene-level grounding QA
+    naming the `critical` objects."""
     records = []
     task = QATask.REASONING_OBJECT
-    objects = _frame_objects(scene, frame)
     crit_by_id = {c.agent_id: c for c in crits}
-    for agent_id in select_agents(scene, frame, crits, config):
+    for agent_id in selected:
         crit = crit_by_id[agent_id]
         kind = None
         if crit.reason is CriticalReason.HAS_INTERACTION:
@@ -410,8 +410,7 @@ def gen_reasoning_qas(
         records.append(_record(scene, frame, task, agent_id, obj, payload, templates))
 
     task = QATask.REASONING_GROUNDING
-    payload = {"objects": _critical_objects(objects, crits)}
-    records.append(_record(scene, frame, task, "scene", {}, payload, templates))
+    records.append(_record(scene, frame, task, "scene", {}, {"objects": critical}, templates))
     return records
 
 
@@ -420,15 +419,14 @@ def gen_planning_qas(
     frame: int,
     rel: RelationOutputs,
     labels: List[InteractionLabel],
-    crits: List[Criticality],
-    config: Config,
+    objects: dict,
+    critical: List[dict],
     templates: dict,
 ) -> QARecord:
-    """3-step chain-of-thought planning record: critical objects, behavior
-    (interaction plans + lane decision), then the 6-waypoint motion plan.
-    An incomplete ground-truth future raises InsufficientFutureError."""
+    """3-step chain-of-thought planning record: the `critical` objects,
+    behavior (interaction plans + lane decision), then the 6-waypoint motion
+    plan. An incomplete ground-truth future raises InsufficientFutureError."""
     future = ego_future_waypoints(scene, frame)
-    objects = _frame_objects(scene, frame)
     plans = [
         {
             "kind": label.kind.value,
@@ -451,10 +449,43 @@ def gen_planning_qas(
 
     waypoints = [[quant1(float(x)), quant1(float(y))] for x, y in future]
     payload = {
-        "critical_objects": _critical_objects(objects, crits),
+        "critical_objects": critical,
         "plans": plans,
         "lane_decision": decision.value,
         "waypoints": waypoints,
     }
     asked = {"nav_command": scene.nav_commands[frame]}
     return _record(scene, frame, QATask.PLANNING, "ego", asked, payload, templates)
+
+
+_TASK_ORDER = {task: i for i, task in enumerate(QATask)}
+
+
+def gen_scene_qas(
+    scene: Scene,
+    rel: RelationOutputs,
+    labels: List[InteractionLabel],
+    config: Config,
+    templates: dict,
+) -> List[QARecord]:
+    """Every QA record of the scene, frame by frame: perception, reasoning
+    and, where the ego's ground-truth future is complete, planning, each
+    frame's records in task order, then by id. A frame's object table, agent
+    selection and critical objects are built once and shared by the three
+    generators."""
+    records = []
+    for frame in range(scene.n_frames):
+        crits = critical_objects(scene, labels, frame, config)
+        objects = _frame_objects(scene, frame)
+        selected = select_agents(scene, frame, objects, crits, config)
+        critical = _critical_objects(objects, crits)
+        frame_records = gen_perception_qas(scene, frame, rel, objects, selected, templates)
+        frame_records += gen_reasoning_qas(
+            scene, frame, labels, crits, objects, selected, critical, templates
+        )
+        if future_complete(scene.ego, frame, scene.frame_rate):
+            frame_records.append(
+                gen_planning_qas(scene, frame, rel, labels, objects, critical, templates)
+            )
+        records += sorted(frame_records, key=lambda r: (_TASK_ORDER[r.task], r.id))
+    return records

@@ -81,7 +81,19 @@ def _longitudinal_delta(
     max_hops: int,
 ) -> Optional[float]:
     """Signed arc-length offset of the agent along the ego lane's
-    successor/predecessor chain, or None if the agent lane is not on it."""
+    successor/predecessor chain, or None if the agent lane is not on it.
+
+    Each direction keeps one least offset per lane and walks in synchronous
+    rounds of one hop, expanding only the lanes whose offset fell in the last
+    round. Lane lengths are never negative and float addition is monotone
+    (a <= b gives a + x <= b + x), so after h rounds a lane holds the least
+    offset of any walk of at most h hops, and a walk through a larger offset
+    reaches no lane with a smaller one. While s lies within its lane (the
+    deltas of a direction keep one sign), the least offset of the agent lane
+    gives the least |delta|, the one a walk over every path finds. No round
+    improves a lane once each holds its least offset over simple paths, so
+    the walk costs at most lanes x edges whatever `max_hops` is.
+    """
     if agent_lane == ego_lane:
         return agent_s - ego_s
 
@@ -94,21 +106,22 @@ def _longitudinal_delta(
         ("successors", 1.0, lengths[ego_lane] - ego_s),
         ("predecessors", -1.0, ego_s),
     ):
-        frontier: List[Tuple[int, float]] = [(ego_lane, start)]
+        least = {ego_lane: start}  # lane -> least offset of its far end
+        frontier = dict(least)  # the lanes whose offset fell in the last round
         for _ in range(max_hops):
             if not frontier:
-                break  # the chain ended: later hops find nothing
-            nxt: List[Tuple[int, float]] = []
-            for lid, acc in frontier:
+                break  # no offset fell: later hops find nothing smaller
+            improved = {}
+            for lid, acc in frontier.items():
                 for lane in sorted(getattr(lanes_by_id[lid], attr)):
                     if lane == agent_lane:
                         delta = sign * (acc + (agent_s if sign > 0 else lengths[lane] - agent_s))
                         if best is None or abs(delta) < abs(best):
                             best = delta
-                    nxt.append((lane, acc + lengths[lane]))
-            # a repeated (lane, offset) entry gives the same deltas and
-            # successors as its first copy, which the strict `<` already saw
-            frontier = list(dict.fromkeys(nxt))
+                    offset = acc + lengths[lane]
+                    if offset < least.get(lane, math.inf):
+                        least[lane] = improved[lane] = offset
+            frontier = improved
 
     return best
 

@@ -440,6 +440,29 @@ def test_synth_bad_spec_is_one_json_error(tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["gen-qa", "--jobs", "abc", "--out", "qa.jsonl", "scene.json"], "--jobs"),
+        (["gen-qa", "--out", "qa.jsonl"], "scenes"),
+        (["frobnicate", "scene.json"], "frobnicate"),
+    ],
+)
+def test_an_argument_error_is_one_json_param_error(capsys, argv, names):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    error = _one_error_line(captured.err)
+    assert error["error"] == "PARAM_ERROR" and names in error["message"]
+    assert captured.out == ""
+
+
+def test_help_still_prints_help_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen-qa", "--help"])
+    assert exit_info.value.code == 0
+    assert "--templates" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "spec, key",
     [
         ({"counts": {"NOMINAL": 1}, "base_sed": 7}, "base_sed"),

@@ -1,24 +1,30 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import drivekit.qa
 from conftest import cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import FormatError, InsufficientFutureError, SchemaError
 from drivekit.interactions import critical_objects, label_interactions
 from drivekit.qa import (
     QATask,
-    gen_perception_qas,
+    _frame_objects,
     gen_planning_qas,
-    gen_reasoning_qas,
+    gen_scene_qas,
     load_templates,
     parse_answer,
     render_answer,
+    select_agents,
 )
 from drivekit.relations import EgoLaneDecision, LaneMode, compute_relations
-from drivekit.scene import AgentCategory
+from drivekit.scene import AgentCategory, ScenarioKind
 from drivekit.synth import synth_scene
+
+PERCEPTION = (QATask.PERCEPTION_OBJECT, QATask.PERCEPTION_LANE_ASSOC)
+REASONING = (QATask.REASONING_OBJECT, QATask.REASONING_GROUNDING)
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +37,17 @@ def two_lane_scene(agents, n=12):
     return scene_of(lanes, agents, cruising_ego(n, speed=8.0, x0=0.0))
 
 
-def pipeline(scene, config):
+def scene_qas(scene, config, templates):
     rel = compute_relations(scene, config)
     labels = label_interactions(scene, rel, config)
-    crits = critical_objects(scene, labels, 0, config)
-    return rel, labels, crits
+    return gen_scene_qas(scene, rel, labels, config, templates)
+
+
+def frame_qas(scene, config, templates, tasks, frame=0):
+    """The scene's records of `tasks` at `frame`, in the scene's order."""
+    return [
+        r for r in scene_qas(scene, config, templates) if r.frame == frame and r.task in tasks
+    ]
 
 
 def test_single_car_yields_classification_and_lane_qas(config, templates):
@@ -43,8 +55,7 @@ def test_single_car_yields_classification_and_lane_qas(config, templates):
     # the dilated ego corridor, so it is critical and always selected
     car = track(5, [state(10.0, 2.0, 0.0, 0.0, (4.5, 1.8))] * 12)
     scene = two_lane_scene([car])
-    rel, labels, crits = pipeline(scene, config)
-    records = gen_perception_qas(scene, 0, rel, crits, config, templates)
+    records = frame_qas(scene, config, templates, PERCEPTION)
     assert [r.task for r in records] == [
         QATask.PERCEPTION_OBJECT,
         QATask.PERCEPTION_LANE_ASSOC,
@@ -56,8 +67,7 @@ def test_single_car_yields_classification_and_lane_qas(config, templates):
 
 def test_empty_scene_yields_no_perception_qas(config, templates):
     scene = two_lane_scene([])
-    rel, labels, crits = pipeline(scene, config)
-    assert gen_perception_qas(scene, 0, rel, crits, config, templates) == []
+    assert frame_qas(scene, config, templates, PERCEPTION) == []
 
 
 def test_noton_pedestrian_gets_classification_only(config, templates):
@@ -68,8 +78,7 @@ def test_noton_pedestrian_gets_classification_only(config, templates):
         category=AgentCategory.PEDESTRIAN,
     )
     scene = two_lane_scene([car, ped])
-    rel, labels, crits = pipeline(scene, config)
-    records = gen_perception_qas(scene, 0, rel, crits, config, templates)
+    records = frame_qas(scene, config, templates, PERCEPTION)
     by_agent = {}
     for r in records:
         agent = r.id.rsplit(":", 1)[1]
@@ -88,20 +97,18 @@ def test_reasoning_counts_with_balanced_sample(config, templates):
         track(4, [state(50.0, -14.0, 0.0, 0.0, (4.5, 1.8))] * 12),
     ]
     scene = two_lane_scene(critical + far)
-    rel, labels, crits = pipeline(scene, config)
-    assert sum(c.critical for c in crits) == 2
-    records = gen_reasoning_qas(scene, 0, rel, labels, crits, config, templates)
+    records = frame_qas(scene, config, templates, REASONING)
     assert len(records) == 5  # 4 object-level + 1 scene-level grounding
     assert sum(r.task is QATask.REASONING_OBJECT for r in records) == 4
-    assert sum(r.task is QATask.REASONING_GROUNDING for r in records) == 1
+    grounding = [r for r in records if r.task is QATask.REASONING_GROUNDING]
+    assert len(grounding) == 1
+    assert len(grounding[0].structured["objects"]) == 2
 
 
 def test_grounding_answer_none_without_criticals(config, templates):
     far = track(3, [state(30.0, 14.0, 0.0, 0.0, (4.5, 1.8))] * 12)
     scene = two_lane_scene([far])
-    rel, labels, crits = pipeline(scene, config)
-    records = gen_reasoning_qas(scene, 0, rel, labels, crits, config, templates)
-    grounding = [r for r in records if r.task is QATask.REASONING_GROUNDING]
+    grounding = frame_qas(scene, config, templates, [QATask.REASONING_GROUNDING])
     assert len(grounding) == 1
     assert grounding[0].structured == {"objects": []}
     assert "none" in grounding[0].answer
@@ -112,12 +119,12 @@ def test_bypass_reason_references_blocking(config, templates):
     rel = compute_relations(scene, config)
     labels = label_interactions(scene, rel, config)
     frame = labels[0].frame_span[0] + 2
-    crits = critical_objects(scene, labels, frame, config)
-    records = gen_reasoning_qas(scene, frame, rel, labels, crits, config, templates)
     cone_records = [
         r
-        for r in records
-        if r.task is QATask.REASONING_OBJECT and r.structured.get("kind") == "BYPASS_CONES"
+        for r in gen_scene_qas(scene, rel, labels, config, templates)
+        if r.frame == frame
+        and r.task is QATask.REASONING_OBJECT
+        and r.structured.get("kind") == "BYPASS_CONES"
     ]
     assert cone_records
     assert "blocking" in cone_records[0].answer
@@ -125,11 +132,7 @@ def test_bypass_reason_references_blocking(config, templates):
 
 def test_planning_record_has_six_waypoints(config, templates):
     scene = synth_scene("OVERTAKE_ONCOMING", 5)
-    rel = compute_relations(scene, config)
-    labels = label_interactions(scene, rel, config)
-    frame = 4
-    crits = critical_objects(scene, labels, frame, config)
-    record = gen_planning_qas(scene, frame, rel, labels, crits, config, templates)
+    [record] = frame_qas(scene, config, templates, [QATask.PLANNING], frame=4)
     assert len(record.structured["waypoints"]) == 6
     assert record.structured["critical_objects"]
     assert record.answer.count("(") >= 6
@@ -140,54 +143,103 @@ def test_planning_near_scene_end_raises(config, templates):
     scene = synth_scene("NOMINAL", 1)
     rel = compute_relations(scene, config)
     frame = scene.n_frames - 2
-    crits = critical_objects(scene, [], frame, config)
     with pytest.raises(InsufficientFutureError):
-        gen_planning_qas(scene, frame, rel, [], crits, config, templates)
+        gen_planning_qas(scene, frame, rel, [], _frame_objects(scene, frame), [], templates)
+    assert frame_qas(scene, config, templates, [QATask.PLANNING], frame=frame) == []
 
 
 def test_planning_stationary_ego_origin_waypoints(config, templates):
     lanes = [straight_lane(1, length=120.0)]
     ego = [state(40.0, 0.0, 0.0, 0.0) for _ in range(10)]
     scene = scene_of(lanes, [], ego)
-    rel = compute_relations(scene, config)
-    crits = critical_objects(scene, [], 0, config)
-    record = gen_planning_qas(scene, 0, rel, [], crits, config, templates)
+    [record] = frame_qas(scene, config, templates, [QATask.PLANNING])
     assert record.structured["waypoints"] == [[0.0, 0.0]] * 6
 
 
 def test_planning_lane_decision_reflects_upcoming_change(config, templates):
     scene = synth_scene("OVERTAKE_ONCOMING", 3, {"pass_side": "right", "with_oncoming": False})
     rel = compute_relations(scene, config)
-    labels = label_interactions(scene, rel, config)
-    from drivekit.relations import EgoLaneDecision
-
     switch = rel.ego_decisions.index(EgoLaneDecision.RIGHT_LANE_CHANGE)
     frame = max(0, switch - 3)
-    crits = critical_objects(scene, labels, frame, config)
-    record = gen_planning_qas(scene, frame, rel, labels, crits, config, templates)
+    [record] = frame_qas(scene, config, templates, [QATask.PLANNING], frame=frame)
     assert record.structured["lane_decision"] == "RIGHT_LANE_CHANGE"
     assert "right lane change" in record.answer
 
 
 # --------------------------------------------------------------------------
+# one pass over the scene
+
+
+def crowd_scene(n=16):
+    """Two cars keeping pace ahead of the ego and six far agents, each invalid
+    at every fifth frame, so that the distractor draw depends on the seed."""
+    lanes = [straight_lane(1, left=2, length=160.0), straight_lane(2, y=3.7, right=1, length=160.0)]
+    near = [
+        track(1, [state(14.0 + 3.0 * k, 0.0, 0.0, 6.0) for k in range(n)]),
+        track(2, [state(12.0 + 3.0 * k, 1.5, 0.0, 6.0) for k in range(n)]),
+    ]
+    far = [
+        track(
+            10 + i,
+            [state(30.0 + 9.0 * i, (-1) ** i * 14.0, valid=(k + i) % 5 != 0) for k in range(n)],
+            category=AgentCategory.PEDESTRIAN if i == 3 else AgentCategory.CAR,
+        )
+        for i in range(6)
+    ]
+    return scene_of(lanes, near + far, cruising_ego(n, speed=6.0, x0=0.0), scene_id="crowd")
+
+
+def test_a_scene_builds_each_frame_input_once(config, templates, monkeypatch):
+    calls = {"_frame_objects": 0, "select_agents": 0}
+    for name in calls:
+        original = getattr(drivekit.qa, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(drivekit.qa, name, counted)
+    scene = crowd_scene()
+    assert scene_qas(scene, config, templates)
+    assert calls == {"_frame_objects": scene.n_frames, "select_agents": scene.n_frames}
+
+
+def _digest(records) -> str:
+    lines = "".join(
+        json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n" for r in records
+    )
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+# sha256 of the canonical JSONL lines (the `gen-qa` output) of synth seeds
+# 0-2 per kind, as the loop calling each generator with inputs of its own gave
+SYNTH_DIGESTS = {
+    "NOMINAL": "695c6eafad6461b730e1b8cba84336de24cc1ff8a599cb190cd1c7f388a95f34",
+    "THREE_POINT_TURN": "92b6f5a50b9dd6216fc330fb8725def63b3cbe6cae3dfc87d19271fef92a8f0f",
+    "RESUME_FROM_STOP": "0a3c2fa508f51385d38f1397771345ced855460e732dd966be40280fba2b222f",
+    "OVERTAKE_ONCOMING": "8e3a1bae98f7f487925e733ce321206b74861028ba64e5d30e4eaafe5426f4dc",
+    "CONSTRUCTION_ZONE": "2cd3dcb19be458394c548bed7b47326728739d5a969db2416435fe4191f3483a",
+}
+CROWD_DIGESTS = {
+    0: "0326401b24836de16838718e8777ea58b97e62083b5e1281ef3a4c39947cbcf8",
+    7: "bd3b50b6a3761954c315a30b13b1e217647860b096ce426c180d1b49e60523b4",
+}
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ScenarioKind])
+def test_scene_qas_match_the_per_generator_loop_on_every_synth_kind(config, templates, kind):
+    records = [r for seed in range(3) for r in scene_qas(synth_scene(kind, seed), config, templates)]
+    assert _digest(records) == SYNTH_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("seed", sorted(CROWD_DIGESTS))
+def test_scene_qas_match_the_per_generator_loop_with_sampled_distractors(config, templates, seed):
+    records = scene_qas(crowd_scene(), config.replace(seed=seed), templates)
+    assert _digest(records) == CROWD_DIGESTS[seed]
+
+
+# --------------------------------------------------------------------------
 # template round trips and determinism
-
-
-def all_records_for(scene, config, templates):
-    rel = compute_relations(scene, config)
-    labels = label_interactions(scene, rel, config)
-    from drivekit.metrics import future_complete
-
-    records = []
-    for frame in range(scene.n_frames):
-        crits = critical_objects(scene, labels, frame, config)
-        records += gen_perception_qas(scene, frame, rel, crits, config, templates)
-        records += gen_reasoning_qas(scene, frame, rel, labels, crits, config, templates)
-        if future_complete(scene.ego, frame, scene.frame_rate):
-            records.append(
-                gen_planning_qas(scene, frame, rel, labels, crits, config, templates)
-            )
-    return records
 
 
 @pytest.mark.parametrize("kind,seed", [
@@ -198,7 +250,7 @@ def all_records_for(scene, config, templates):
 ])
 def test_every_answer_round_trips(config, templates, kind, seed):
     scene = synth_scene(kind, seed)
-    records = all_records_for(scene, config, templates)
+    records = scene_qas(scene, config, templates)
     assert records
     for record in records:
         parsed = parse_answer(record.task, record.answer, templates)
@@ -212,8 +264,8 @@ def test_render_parse_rejects_garbage(templates):
 
 def test_generation_is_byte_deterministic(config, templates):
     scene = synth_scene("CONSTRUCTION_ZONE", 6)
-    a = all_records_for(scene, config, templates)
-    b = all_records_for(scene, config, templates)
+    a = scene_qas(scene, config, templates)
+    b = scene_qas(scene, config, templates)
     dump = lambda rs: json.dumps([r.to_dict() for r in rs], sort_keys=True)  # noqa: E731
     assert dump(a) == dump(b)
 
@@ -226,14 +278,14 @@ def test_distractor_sampling_seeded_by_config(config, templates):
     ]
     near = track(1, [state(8.0, 0.0, 0.0, 0.0, (4.5, 1.8))] * 12)
     scene = two_lane_scene([near] + far)
-    rel, labels, crits = pipeline(scene, config)
-    a = gen_reasoning_qas(scene, 0, rel, labels, crits, config, templates)
-    b = gen_reasoning_qas(scene, 0, rel, labels, crits, config, templates)
-    assert [r.id for r in a] == [r.id for r in b]
-    other = gen_reasoning_qas(
-        scene, 0, rel, labels, crits, config.replace(seed=123456), templates
-    )
-    assert len(other) == len(a)  # same balance either way: 1 critical + 1 sampled
+    rel = compute_relations(scene, config)
+    labels = label_interactions(scene, rel, config)
+    crits = critical_objects(scene, labels, 0, config)
+    objects = _frame_objects(scene, 0)
+    a = select_agents(scene, 0, objects, crits, config)
+    assert a == select_agents(scene, 0, objects, crits, config)
+    other = select_agents(scene, 0, objects, crits, config.replace(seed=123456))
+    assert len(other) == len(a) == 2  # same balance either way: 1 critical + 1 sampled
 
 
 def test_custom_template_file_is_honored(config, tmp_path):

@@ -159,6 +159,23 @@ def test_a_lane_ring_that_branches_and_merges_keeps_its_frontier_small(config):
     assert elapsed < 1.0
 
 
+def test_a_lane_ring_with_branches_of_unequal_length_walks_in_bounded_time(config):
+    # 1 -> {2, 3} -> 1 with lanes of 100, 100 and 90 m: the two branches
+    # reach lane 1 at offsets that differ by 10 m per lap, so a walk that
+    # kept each distinct offset would grow its frontier with every lap
+    lanes = lane_index([
+        straight_lane(1, successors=(2, 3), predecessors=(2, 3)),
+        straight_lane(2, x0=100.0, successors=(1,), predecessors=(1,)),
+        straight_lane(3, x0=100.0, y=10.0, length=90.0, successors=(1,), predecessors=(1,)),
+    ])
+    start = time.perf_counter()
+    got = agent_ego_lane_mode(2, 1, lanes, 5.0, 90.0, config.replace(k_lon=10**6))
+    elapsed = time.perf_counter() - start
+    assert got == agent_ego_lane_mode(2, 1, lanes, 5.0, 90.0, config.replace(k_lon=3))
+    assert got == (LaneMode.AHEAD, 15.0)
+    assert elapsed < 1.0
+
+
 def _walk_every_path(index, ego_lane, agent_lane, ego_s, agent_s, max_hops):
     """The longitudinal walk with one frontier entry per path (the oracle)."""
     if agent_lane == ego_lane:
