@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from .config import Config
-from .scene import TWO_PI, AgentCategory, Pose2
+from .scene import AgentCategory, Pose2, wrap_angles
 
 # categories whose headings are unreliable; they skip the alignment test
 POSITION_ONLY_CATEGORIES = frozenset(
@@ -32,12 +32,6 @@ class FrenetCoord:
 def cumulative_lengths(pts: np.ndarray) -> np.ndarray:
     seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
     return np.concatenate(([0.0], np.cumsum(seg)))
-
-
-def _wrap_angles(a: np.ndarray) -> np.ndarray:
-    """scene.wrap_angle over an array: the same (-pi, pi] wrap, elementwise."""
-    a = np.fmod(a, TWO_PI)
-    return np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,35 +160,6 @@ def project_to_polyline(point, polyline) -> FrenetCoord:
     return FrenetCoord(s=float(s[0, 0]), d=float(d[0, 0]), segment_index=int(seg[0, 0]))
 
 
-def tangent_heading(polyline, segment_index: int) -> float:
-    pts = np.asarray(polyline, dtype=float)
-    dx = pts[segment_index + 1, 0] - pts[segment_index, 0]
-    dy = pts[segment_index + 1, 1] - pts[segment_index, 1]
-    return math.atan2(dy, dx)
-
-
-def point_at_arclength(polyline, s: float) -> tuple:
-    """Point at arc length s; beyond the ends, extend along the end tangent."""
-    pts = np.asarray(polyline, dtype=float)
-    cum = cumulative_lengths(pts)
-    total = float(cum[-1])
-    if s <= 0.0:
-        h = tangent_heading(pts, 0)
-        return (pts[0, 0] + s * math.cos(h), pts[0, 1] + s * math.sin(h))
-    if s >= total:
-        h = tangent_heading(pts, len(pts) - 2)
-        extra = s - total
-        return (pts[-1, 0] + extra * math.cos(h), pts[-1, 1] + extra * math.sin(h))
-    i = int(np.searchsorted(cum, s, side="right") - 1)
-    i = min(i, len(pts) - 2)
-    seg = float(cum[i + 1] - cum[i])
-    t = (s - float(cum[i])) / seg
-    return (
-        float(pts[i, 0] + t * (pts[i + 1, 0] - pts[i, 0])),
-        float(pts[i, 1] + t * (pts[i + 1, 1] - pts[i, 1])),
-    )
-
-
 @dataclass(frozen=True)
 class LaneAssociation:
     lane_id: int
@@ -224,7 +189,7 @@ def associate_lane(
     for lo in range(0, len(xy), step):
         s, d, seg = _project(xy[lo : lo + step], index)
         absd = np.abs(d)
-        misalign = np.abs(_wrap_angles(heading[lo : lo + step, None] - index.tangents[seg]))
+        misalign = np.abs(wrap_angles(heading[lo : lo + step, None] - index.tangents[seg]))
         ok = (absd <= index.half_widths + config.lane_margin) & (
             (misalign <= config.theta_align) | ~check[lo : lo + step, None]
         )
@@ -326,14 +291,6 @@ def obb_overlap(corners_a: np.ndarray, corners_b: np.ndarray):
     return ~separated.any(-1)
 
 
-def point_obb_distance(point, center, heading: float, length: float, width: float) -> float:
-    pose = Pose2(float(center[0]), float(center[1]), heading)
-    local = to_frame(np.asarray(point, float), pose)
-    dx = max(abs(float(local[0])) - 0.5 * length, 0.0)
-    dy = max(abs(float(local[1])) - 0.5 * width, 0.0)
-    return math.hypot(dx, dy)
-
-
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise u @ v over the last axis through matmul, which makes the
     BLAS dot call a 1-D ``u @ v`` makes (fused multiply-add included)."""
@@ -365,32 +322,27 @@ def polyline_obb_distance(pts, center, heading, length, width):
     endpoint-to-segment distances; touching or collinear contact shows as a
     zero endpoint distance.
     """
-    pts = np.asarray(pts, dtype=float)
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     scalar = np.ndim(heading) == 0
     centers = np.asarray(center, dtype=float).reshape(-1, 2)
     headings = np.asarray(heading, dtype=float).reshape(-1)
     lengths = np.asarray(length, dtype=float).reshape(-1)
     widths = np.asarray(width, dtype=float).reshape(-1)
-    if pts.ndim == 1 or len(pts) == 1:
-        p = pts if pts.ndim == 1 else pts[0]
-        out = np.array(
-            [
-                point_obb_distance(p, *box)
-                for box in zip(centers, headings.tolist(), lengths.tolist(), widths.tolist())
-            ],
-            dtype=float,
-        )
-        return float(out[0]) if scalar else out
 
-    # polyline points in each box frame, (N, K, 2); headings wrap as Pose2
-    # wraps them in the one-point case
-    c, s = _rotations(_wrap_angles(headings))
+    # polyline points in each box frame, (N, K, 2), with headings wrapped as
+    # Pose2 wraps them
+    c, s = _rotations(wrap_angles(headings))
     dx = pts[None, :, 0] - centers[:, 0:1]
     dy = pts[None, :, 1] - centers[:, 1:2]
     c, s = c[:, None], s[:, None]
     local = np.stack((c * dx + s * dy, -s * dx + c * dy), axis=-1)
     rect = _local_corners(lengths, widths, headings.shape)[:, None]  # (N, 1, 4, 2)
-    inside = (np.abs(local) <= rect[:, :, 0, :]).all(axis=-1)  # corner 0 is (hl, hw)
+    if len(pts) == 1:
+        # one point: libm hypot of its gaps outside the box, per box
+        gaps = np.maximum(np.abs(local[:, 0]) - rect[:, 0, 0], 0.0)  # corner 0 is (hl, hw)
+        out = np.array([math.hypot(gx, gy) for gx, gy in gaps.tolist()], dtype=float)
+        return float(out[0]) if scalar else out
+    inside = (np.abs(local) <= rect[:, :, 0, :]).all(axis=-1)
 
     e0, e1 = rect, rect[..., [1, 2, 3, 0], :]  # box edges
     a = local[:, :-1, None, :]  # segment starts, (N, M, 1, 2)

@@ -105,6 +105,11 @@ class InteractionLabel:
         return cls(agent_id=agent_id, kind=kind, side=side, frame_span=span)
 
 
+def _label_order(label: InteractionLabel) -> tuple:
+    """The canonical order of a label list: agent id, span start, kind."""
+    return (label.agent_id, label.frame_span[0], label.kind.value)
+
+
 class CriticalReason(enum.Enum):
     HAS_INTERACTION = "HAS_INTERACTION"
     IN_EGO_CORRIDOR = "IN_EGO_CORRIDOR"
@@ -224,7 +229,7 @@ def label_interactions(
                     )
                 )
 
-    labels.sort(key=lambda l: (l.agent_id, l.frame_span[0], l.kind.value))
+    labels.sort(key=_label_order)
     return labels
 
 
@@ -291,5 +296,5 @@ def merge_override_labels(
         )
     ]
     merged = kept + list(sidecar)
-    merged.sort(key=lambda l: (l.agent_id, l.frame_span[0], l.kind.value))
+    merged.sort(key=_label_order)
     return merged

@@ -25,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from .config import Config
 from .errors import AlignError, ParamError, SchemaError, as_finite, is_int
 from .geometry import from_frame, obb_corners, obb_overlap
-from .scene import PLAN_STEPS, Scene, _points, frames_per_step, wrap_angle
+from .scene import PLAN_STEPS, Scene, _points, frames_per_step, wrap_angle, wrap_angles
 
 _HORIZON_INDEX = {1: 1, 2: 3, 3: 5}  # seconds -> step index
 
@@ -88,7 +88,7 @@ def heading_l2(pred, gt, eps_move: float = Config.eps_move) -> HorizonValues:
     # plans sit in the anchor ego frame, whose heading is 0
     hp = headings_xy(p, eps_move)
     hg = headings_xy(g, eps_move)
-    err = np.array([abs(wrap_angle(a - b)) for a, b in zip(hp, hg)])
+    err = np.abs(wrap_angles(np.subtract(hp, hg)))
     return HorizonValues.from_steps(err)
 
 
@@ -134,7 +134,7 @@ def plan_collision_fraction(
         return 0.0
     ego_boxes = obb_corners(
         wp_global[:n_steps],
-        [wrap_angle(local_headings[k] + anchor.heading) for k in range(n_steps)],
+        wrap_angles(np.add(local_headings[:n_steps], anchor.heading)),
         ego_len,
         ego_wid,
     )

@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import Config
 from .errors import InsufficientFutureError, NoLaneError
-from .geometry import LaneIndex, associate_lane, point_at_arclength, to_frame
+from .geometry import LaneIndex, associate_lane, to_frame
 from .metrics import future_complete
 from .scene import PLAN_DT, PLAN_STEPS, Scene
 
@@ -67,12 +67,12 @@ def lane_follow_planner(
     [assoc] = associate_lane(ego["xy"], ego["heading"], index, config)
     if assoc is None:
         raise NoLaneError(f"scene {scene.id} frame {frame}: ego is not on any lane")
-    lane = index.by_id[assoc.lane_id]
+    segs = np.flatnonzero(index.lane_of == index.ids.index(assoc.lane_id))
     speed = target_speed if target_speed is not None else abs(float(ego["speed"][0]))
-    pts = np.array(
-        [
-            point_at_arclength(lane.centerline, assoc.frenet.s + speed * PLAN_DT * (k + 1))
-            for k in range(PLAN_STEPS)
-        ]
-    )
+    s = assoc.frenet.s + speed * PLAN_DT * np.arange(1, PLAN_STEPS + 1)
+    # the segment under each s; before the start or past the end it is the end
+    # segment, where t < 0 or t > 1 extends it along its tangent
+    seg = segs[np.clip(np.searchsorted(index.cum[segs], s, side="right") - 1, 0, len(segs) - 1)]
+    t = (s - index.cum[seg]) / index.seg_len[seg]
+    pts = index.starts[seg] + t[:, None] * index.vectors[seg]
     return to_frame(pts, scene.ego.pose(frame))

@@ -20,7 +20,7 @@ import numpy as np
 from .config import Config
 from .errors import DegenerateError, TopologyCycleError
 from .geometry import POSITION_ONLY_CATEGORIES, LaneIndex, associate_lane
-from .scene import NavigationCommand, LaneSemantic, Scene, wrap_angle
+from .scene import NavigationCommand, LaneSemantic, Scene, wrap_angles
 
 
 class LaneMode(enum.Enum):
@@ -179,7 +179,7 @@ def classify_homotopy(
         raise DegenerateError("relative position below eps_rel (coincident agents)")
     angles = np.arctan2(rel[:, 1], rel[:, 0])
     # fsum: correctly rounded total, so windings add exactly across splits
-    winding = math.fsum(wrap_angle(float(d)) for d in np.diff(angles))
+    winding = math.fsum(wrap_angles(np.diff(angles)).tolist())
     if abs(winding) < theta_s:
         kind = HomotopyClass.S
     elif winding > 0:
@@ -229,10 +229,6 @@ def ego_lane_decisions(scene: Scene, ego_assoc: list) -> list:
     return decisions
 
 
-def _heading_deltas(headings: list) -> list:
-    return [wrap_angle(b - a) for a, b in zip(headings, headings[1:])]
-
-
 def label_nav_commands(scene: Scene, config: Config, ego_assoc: list) -> list:
     """Road-level navigation command per frame, labeled offline from the full
     episode and the ego's per-frame lane association.
@@ -245,7 +241,7 @@ def label_nav_commands(scene: Scene, config: Config, ego_assoc: list) -> list:
     lanes_by_id = {ln.id: ln for ln in scene.lanes}
     n = scene.n_frames
     ego = scene.ego.arrays
-    deltas = _heading_deltas(ego["heading"].tolist())
+    deltas = wrap_angles(np.diff(ego["heading"])).tolist()
     reversing = ego["speed"] < config.v_rev
     step = np.hypot(*(np.diff(ego["xy"], axis=0).T))
 

@@ -40,6 +40,13 @@ def wrap_angle(a: float) -> float:
     return a
 
 
+def wrap_angles(a) -> np.ndarray:
+    """wrap_angle over an array, elementwise: fmod is exact in numpy and libm
+    alike, so each element gets wrap_angle's bits."""
+    a = np.fmod(a, TWO_PI)
+    return np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a))
+
+
 def frames_per_step(frame_rate: float) -> int:
     """Scene frames per plan step; SchemaError unless that is a whole number >= 1."""
     spf = PLAN_DT * frame_rate

@@ -43,8 +43,8 @@ AGENT_DIM = TRACK_DIM + MOTION_DIM
 
 MAGIC = b"TOKB"
 VERSION = 1
-HEADER_SIZE = 28
 _HEADER = struct.Struct("<4sHHIfIII")
+HEADER_SIZE = _HEADER.size
 # the body: one record array per section, in this order
 _AGENT_RECORD = np.dtype([("id", "<u8"), ("values", "<f4", (AGENT_DIM,))])
 _MAP_RECORD = np.dtype([("id", "<u8"), ("values", "<f4", (MAP_DIM,))])

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from drivekit.config import Config
+from drivekit.geometry import to_frame
 from drivekit.scene import (
     AgentCategory,
     AgentState,
@@ -80,3 +82,45 @@ def cruising_ego(n, speed=8.0, x0=5.0, y=0.0, heading=0.0, dt=0.5, box=(4.5, 1.9
         )
         for k in range(n)
     ]
+
+
+@dataclasses.dataclass(frozen=True)
+class RigidMotion:
+    """Rotation by `theta` about the origin, then a shift by (tx, ty)."""
+
+    theta: float
+    tx: float
+    ty: float
+
+    def point(self, x, y):
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        return (c * x - s * y + self.tx, s * x + c * y + self.ty)
+
+    def pose(self, pose):
+        return Pose2(*self.point(pose.x, pose.y), pose.heading + self.theta)
+
+    def lane(self, lane):
+        return dataclasses.replace(lane, centerline=tuple(self.point(*p) for p in lane.centerline))
+
+    def track(self, tr):
+        states = tuple(dataclasses.replace(st, pose=self.pose(st.pose)) for st in tr.states)
+        return dataclasses.replace(tr, states=states)
+
+    def scene(self, scene):
+        """The scene with its lanes and tracks moved; the id, frame rate, nav
+        commands and tag stay."""
+        return dataclasses.replace(
+            scene,
+            lanes=tuple(map(self.lane, scene.lanes)),
+            agents=tuple(map(self.track, scene.agents)),
+            ego=self.track(scene.ego),
+        )
+
+
+def point_obb_distance(point, center, heading: float, length: float, width: float) -> float:
+    """Oracle: distance from a point to an oriented box, one Pose2 per box."""
+    pose = Pose2(float(center[0]), float(center[1]), heading)
+    local = to_frame(np.asarray(point, float), pose)
+    dx = max(abs(float(local[0])) - 0.5 * length, 0.0)
+    dy = max(abs(float(local[1])) - 0.5 * width, 0.0)
+    return math.hypot(dx, dy)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import straight_lane
+from conftest import RigidMotion, point_obb_distance, scene_of, state, straight_lane
 from drivekit.config import Config
 import drivekit.geometry
 from drivekit.geometry import (
@@ -16,13 +16,11 @@ from drivekit.geometry import (
     associate_lane,
     obb_corners,
     obb_overlap,
-    point_at_arclength,
-    point_obb_distance,
     polyline_obb_distance,
     project_to_polyline,
-    tangent_heading,
     to_frame,
 )
+from drivekit.planners import lane_follow_planner
 from drivekit.scene import Lane, Pose2, wrap_angle
 
 
@@ -111,12 +109,15 @@ def test_s_monotone_for_point_sliding_parallel():
     assert all(b >= a for a, b in zip(ss, ss[1:]))
 
 
-def test_point_at_arclength_interpolates_and_extends():
-    poly = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)]
-    assert point_at_arclength(poly, 5.0) == (5.0, 0.0)
-    assert point_at_arclength(poly, 15.0) == (10.0, 5.0)
-    x, y = point_at_arclength(poly, 25.0)  # past the end: along final tangent
-    assert (abs(x - 10.0) < 1e-12) and (abs(y - 15.0) < 1e-12)
+def test_point_at_arclength_interpolates_and_extends(config):
+    # the lane walk of lane_follow_planner: from s = 0 at 10 m/s its steps
+    # sit at s = 5, 10, ..., 30, and the ego frame is the world frame
+    lane = Lane(id=1, centerline=((0.0, 0.0), (10.0, 0.0), (10.0, 10.0)), half_width=1.85)
+    scene = scene_of([lane], [], [state(0.0, 0.0, 0.0, 10.0)] * 2)
+    plan = lane_follow_planner(scene, 0, config=config).tolist()
+    assert plan[0] == [5.0, 0.0]
+    assert plan[2] == [10.0, 5.0]
+    assert plan[4] == [10.0, 15.0]  # past the end: along the final tangent
 
 
 # --------------------------------------------------------------------------
@@ -177,26 +178,9 @@ def test_association_invariant_under_rigid_transform(config):
 
         theta = float(rng.uniform(-math.pi, math.pi))
         tx, ty = rng.uniform(-100, 100, 2)
-        c, s = math.cos(theta), math.sin(theta)
-
-        def xf(px, py):
-            return (c * px - s * py + tx, s * px + c * py + ty)
-
-        lanes_t = [
-            type(l)(
-                id=l.id,
-                centerline=tuple(xf(px, py) for px, py in l.centerline),
-                half_width=l.half_width,
-                left_neighbor=l.left_neighbor,
-                right_neighbor=l.right_neighbor,
-                successors=l.successors,
-                predecessors=l.predecessors,
-                semantic=l.semantic,
-            )
-            for l in base_lanes
-        ]
-        pose_t = Pose2(*xf(x, y), h + theta)
-        assert lane_of(pose_t, lanes_t, config) == expected
+        motion = RigidMotion(theta, tx, ty)
+        lanes_t = [motion.lane(l) for l in base_lanes]
+        assert lane_of(motion.pose(pose), lanes_t, config) == expected
 
 
 def test_associate_lane_returns_frenet(config):
@@ -314,7 +298,8 @@ def oracle_associate(pose, lanes, config, check_heading=True):
         if abs(fc.d) > lane.half_width + config.lane_margin:
             continue
         if check_heading:
-            tangent = tangent_heading(lane.centerline, fc.segment_index)
+            (x0, y0), (x1, y1) = lane.centerline[fc.segment_index : fc.segment_index + 2]
+            tangent = math.atan2(y1 - y0, x1 - x0)
             if abs(wrap_angle(pose.heading - tangent)) > config.theta_align:
                 continue
         if best is None or abs(fc.d) < abs(best.frenet.d):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import cruising_ego, scene_of, state, straight_lane, track
+from conftest import cruising_ego, point_obb_distance, scene_of, state, straight_lane, track
 from drivekit.errors import SchemaError
-from drivekit.geometry import point_obb_distance
 from drivekit.interactions import (
     CriticalReason,
     InteractionKind,

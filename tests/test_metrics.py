@@ -10,7 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import drivekit.metrics
-from conftest import cruising_ego, scene_of, state, straight_lane, track
+from conftest import RigidMotion, cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import AlignError, ParamError, SchemaError
 from drivekit.geometry import obb_corners, obb_overlap
 from drivekit.metrics import (
@@ -29,7 +29,7 @@ from drivekit.metrics import (
     traj_l2,
 )
 from drivekit.planners import ego_future_waypoints
-from drivekit.scene import AgentCategory, AgentState, AgentTrack, Pose2
+from drivekit.scene import AgentCategory, AgentTrack
 from drivekit.synth import synth_scene
 
 
@@ -436,55 +436,9 @@ def test_report_csv_layout(config):
     assert row.split(",")[-2] == "1"
 
 
-def _rigid_scene(scene, theta, tx, ty):
-    from drivekit.scene import Lane
-
-    c, s = math.cos(theta), math.sin(theta)
-
-    def xf(x, y):
-        return (c * x - s * y + tx, s * x + c * y + ty)
-
-    def xf_track(tr):
-        return AgentTrack(
-            id=tr.id,
-            category=tr.category,
-            states=tuple(
-                AgentState(
-                    pose=Pose2(*xf(st.pose.x, st.pose.y), st.pose.heading + theta),
-                    speed=st.speed,
-                    box=st.box,
-                    valid=st.valid,
-                )
-                for st in tr.states
-            ),
-        )
-
-    lanes = [
-        Lane(
-            id=l.id,
-            centerline=tuple(xf(*p) for p in l.centerline),
-            half_width=l.half_width,
-            left_neighbor=l.left_neighbor,
-            right_neighbor=l.right_neighbor,
-            successors=l.successors,
-            predecessors=l.predecessors,
-            semantic=l.semantic,
-        )
-        for l in scene.lanes
-    ]
-    return scene_of(
-        lanes,
-        [xf_track(t) for t in scene.agents],
-        xf_track(scene.ego).states,
-        scene_id=scene.id,
-        nav=scene.nav_commands,
-        tag=scene.scenario_tag,
-    )
-
-
 def test_metrics_invariant_under_rigid_transform(config):
     scene = synth_scene("CONSTRUCTION_ZONE", 9)
-    moved = _rigid_scene(scene, theta=0.83, tx=-311.0, ty=99.0)
+    moved = RigidMotion(theta=0.83, tx=-311.0, ty=99.0).scene(scene)
     plans = []
     for frame in range(0, scene.n_frames, 3):
         if future_complete(scene.ego, frame, scene.frame_rate):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import cruising_ego, scene_of, state, straight_lane, track
+from drivekit.config import Config
 from drivekit.errors import InsufficientFutureError, NoLaneError
+from drivekit.geometry import LaneIndex, associate_lane, cumulative_lengths, to_frame
 from drivekit.metrics import future_complete, plan_collision_fraction, traj_l2
 from drivekit.planners import (
     constant_velocity_planner,
@@ -12,7 +16,7 @@ from drivekit.planners import (
     lane_follow_planner,
     replay_planner,
 )
-from drivekit.scene import Lane
+from drivekit.scene import PLAN_DT, PLAN_STEPS, Lane
 from drivekit.synth import synth_scene
 
 
@@ -133,6 +137,72 @@ def test_lane_follow_extends_past_lane_end(config):
     xy = lane_follow_planner(scene, 0, config=config)
     assert np.allclose(xy[:, 1], 0.0, atol=1e-9)  # continues along the tangent
     assert xy[-1, 0] == pytest.approx(24.0)
+
+
+def oracle_tangent_heading(pts, segment_index: int) -> float:
+    dx = pts[segment_index + 1, 0] - pts[segment_index, 0]
+    dy = pts[segment_index + 1, 1] - pts[segment_index, 1]
+    return math.atan2(dy, dx)
+
+
+def oracle_point_at_arclength(polyline, s: float) -> tuple:
+    """The former per-step lane walk: the point at arc length s, extended
+    along the end tangent beyond either end."""
+    pts = np.asarray(polyline, dtype=float)
+    cum = cumulative_lengths(pts)
+    total = float(cum[-1])
+    if s <= 0.0:
+        h = oracle_tangent_heading(pts, 0)
+        return (pts[0, 0] + s * math.cos(h), pts[0, 1] + s * math.sin(h))
+    if s >= total:
+        h = oracle_tangent_heading(pts, len(pts) - 2)
+        extra = s - total
+        return (pts[-1, 0] + extra * math.cos(h), pts[-1, 1] + extra * math.sin(h))
+    i = min(int(np.searchsorted(cum, s, side="right") - 1), len(pts) - 2)
+    t = (s - float(cum[i])) / float(cum[i + 1] - cum[i])
+    return (
+        float(pts[i, 0] + t * (pts[i + 1, 0] - pts[i, 0])),
+        float(pts[i, 1] + t * (pts[i + 1, 1] - pts[i, 1])),
+    )
+
+
+def bent_lane(start, steps):
+    """A lane from `start` through (length, turn) steps."""
+    pts, heading = [start], 0.0
+    for length, turn in steps:
+        heading += turn
+        x, y = pts[-1]
+        pts.append((x + length * math.cos(heading), y + length * math.sin(heading)))
+    return Lane(id=1, centerline=tuple(pts), half_width=1.85)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    st.lists(st.tuples(st.floats(0.5, 30.0), st.floats(-2.5, 2.5)), min_size=1, max_size=7),
+    st.data(),
+    st.floats(0.0, 1.0),
+    st.floats(-40.0, 40.0),
+)
+def test_lane_walk_matches_the_per_step_walk(start, steps, data, u, speed):
+    # a negative target speed walks back past the lane start
+    lane = bent_lane(start, steps)
+    i = data.draw(st.integers(0, len(steps) - 1))
+    (x0, y0), (x1, y1) = lane.centerline[i : i + 2]
+    heading = math.atan2(y1 - y0, x1 - x0)
+    scene = scene_of([lane], [], [state(x0 + u * (x1 - x0), y0 + u * (y1 - y0), heading)] * 2)
+    ego = scene.ego.arrays[:1]
+    [assoc] = associate_lane(ego["xy"], ego["heading"], LaneIndex.build([lane]), Config())
+    assume(assoc is not None)  # a lane that crosses itself may hide the ego's segment
+    expected = to_frame(
+        [
+            oracle_point_at_arclength(lane.centerline, assoc.frenet.s + speed * PLAN_DT * (k + 1))
+            for k in range(PLAN_STEPS)
+        ],
+        scene.ego.pose(0),
+    )
+    plan = lane_follow_planner(scene, 0, target_speed=speed)
+    assert np.max(np.abs(plan - expected)) <= 1e-9
 
 
 def test_lane_follow_without_lane_errors(config):

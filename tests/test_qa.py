@@ -1,13 +1,17 @@
+import collections
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drivekit.qa
-from conftest import cruising_ego, scene_of, state, straight_lane, track
+from conftest import RigidMotion, cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import FormatError, InsufficientFutureError, SchemaError
+from drivekit.geometry import project_to_polyline
 from drivekit.interactions import critical_objects, label_interactions
 from drivekit.qa import (
     QATask,
@@ -236,6 +240,87 @@ def test_scene_qas_match_the_per_generator_loop_on_every_synth_kind(config, temp
 def test_scene_qas_match_the_per_generator_loop_with_sampled_distractors(config, templates, seed):
     records = scene_qas(crowd_scene(), config.replace(seed=seed), templates)
     assert _digest(records) == CROWD_DIGESTS[seed]
+
+
+# --------------------------------------------------------------------------
+# rigid motion
+
+MOTIONS = (
+    RigidMotion(0.0, 0.0, 512.0),
+    RigidMotion(math.pi / 2, 0.0, 0.0),
+    RigidMotion(0.83, -311.0, 99.0),
+    RigidMotion(-2.1, 123456.0, -98765.0),
+)
+
+
+def excluded_classes(scene, xy, config) -> set:
+    """Where a pose's lane association may change under a rigid motion:
+    "tie" when |d| on some lane is within 1e-9 of half_width + lane_margin
+    (the reach), "end" when it lies past a lane end by more than the reach,
+    within the reach of the end segment's line (the projection then reads
+    d = 0 exactly on that line, and d = +-distance once moved off it)."""
+    found = set()
+    for lane in scene.lanes:
+        reach = lane.half_width + config.lane_margin
+        if abs(abs(project_to_polyline(xy, lane.centerline).d) - reach) <= 1e-9:
+            found.add("tie")
+        pts = np.asarray(lane.centerline)
+        for end, inner in ((pts[-1], pts[-2]), (pts[0], pts[1])):
+            u = (end - inner) / np.hypot(*(end - inner))
+            r = np.asarray(xy) - end
+            if r @ u > reach and abs(u[0] * r[1] - u[1] * r[0]) <= reach:
+                found.add("end")
+    return found
+
+
+def same_payload(a, b) -> bool:
+    """Equal payloads, except that floats, the ego-frame coordinates, may sit
+    one 0.1 m quantization step apart."""
+    if isinstance(a, float):
+        return isinstance(b, float) and abs(a - b) <= 0.1 + 1e-9
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            same_payload(a[k], b[k]) for k in a
+        )
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(same_payload, a, b))
+    return type(a) is type(b) and a == b
+
+
+def test_labels_lane_modes_and_qa_hold_under_rigid_motion(config, templates):
+    changed = collections.Counter()  # (kind, class) -> agent-frames whose lane mode changed
+    for kind in ScenarioKind:
+        for seed in range(5):
+            base = synth_scene(kind, seed)
+            rel = compute_relations(base, config)
+            labels = label_interactions(base, rel, config)
+            records = gen_scene_qas(base, rel, labels, config, templates)
+            for motion in MOTIONS:
+                moved = motion.scene(base)
+                moved_rel = compute_relations(moved, config)
+                moved_labels = label_interactions(moved, moved_rel, config)
+                assert moved_labels == labels, (kind, seed, motion)
+                excluded = False
+                for tr in base.agents:
+                    modes = zip(rel.lane_modes[tr.id], moved_rel.lane_modes[tr.id])
+                    for f, (before, after) in enumerate(modes):
+                        if before is not after:
+                            classes = excluded_classes(base, tr.arrays["xy"][f].tolist(), config)
+                            assert len(classes) == 1, (kind, seed, motion, tr.id, f, classes)
+                            changed[kind, classes.pop()] += 1
+                            excluded = True
+                if excluded:
+                    continue
+                moved_records = gen_scene_qas(moved, moved_rel, moved_labels, config, templates)
+                assert [(r.id, r.task) for r in moved_records] == [(r.id, r.task) for r in records]
+                for before, after in zip(records, moved_records):
+                    assert same_payload(before.structured, after.structured), (motion, before.id)
+    # ties: RESUME_FROM_STOP pedestrians sit at |d| = 2.35 m exactly; ends:
+    # NOMINAL cars on the extension of their 120 m lane past its end
+    assert changed == {
+        (ScenarioKind.RESUME_FROM_STOP, "tie"): 10,
+        (ScenarioKind.NOMINAL, "end"): 27,
+    }
 
 
 # --------------------------------------------------------------------------

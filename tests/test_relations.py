@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drivekit.relations
-from conftest import cruising_ego, scene_of, state, straight_lane, track
+from conftest import RigidMotion, cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import DegenerateError, TopologyCycleError
 from drivekit.geometry import POSITION_ONLY_CATEGORIES, LaneIndex, associate_lane
 from drivekit.relations import (
@@ -27,11 +27,9 @@ from drivekit.relations import (
 )
 from drivekit.scene import (
     AgentCategory,
-    AgentTrack,
     Lane,
     LaneSemantic,
     NavigationCommand,
-    Pose2,
     ScenarioKind,
 )
 from drivekit.synth import synth_scene
@@ -545,47 +543,7 @@ def test_u_turn_without_reversal(config):
 def test_nav_invariant_under_rigid_transform(config):
     base = synth_scene("THREE_POINT_TURN", 4)
     expected = label_nav_commands(base, config, ego_assoc(base, config))
-    theta, tx, ty = 1.1, -214.0, 77.0
-    c, s = math.cos(theta), math.sin(theta)
-
-    def xf_pt(x, y):
-        return (c * x - s * y + tx, s * x + c * y + ty)
-
-    lanes = [
-        Lane(
-            id=l.id,
-            centerline=tuple(xf_pt(*p) for p in l.centerline),
-            half_width=l.half_width,
-            left_neighbor=l.left_neighbor,
-            right_neighbor=l.right_neighbor,
-            successors=l.successors,
-            predecessors=l.predecessors,
-            semantic=l.semantic,
-        )
-        for l in base.lanes
-    ]
-
-    def xf_track(tr):
-        return AgentTrack(
-            id=tr.id,
-            category=tr.category,
-            states=tuple(
-                type(st)(
-                    pose=Pose2(*xf_pt(st.pose.x, st.pose.y), st.pose.heading + theta),
-                    speed=st.speed,
-                    box=st.box,
-                    valid=st.valid,
-                )
-                for st in tr.states
-            ),
-        )
-
-    moved = scene_of(
-        lanes,
-        [xf_track(tr) for tr in base.agents],
-        xf_track(base.ego).states,
-        nav=base.nav_commands,
-    )
+    moved = RigidMotion(1.1, -214.0, 77.0).scene(base)
     assert label_nav_commands(moved, config, ego_assoc(moved, config)) == expected
 
 

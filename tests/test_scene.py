@@ -12,6 +12,7 @@ from drivekit.errors import DrivekitError, LengthError, RefError, SchemaError
 from drivekit.metrics import headings_xy
 from drivekit.scene import (
     STATE_DTYPE,
+    TWO_PI,
     AgentCategory,
     AgentState,
     AgentTrack,
@@ -26,6 +27,7 @@ from drivekit.scene import (
     save_scene,
     save_scene_file,
     wrap_angle,
+    wrap_angles,
 )
 from drivekit.synth import synth_scene
 
@@ -426,6 +428,20 @@ def test_wrap_angle_range_and_boundary():
         w = wrap_angle(float(a))
         assert -math.pi < w <= math.pi
         assert abs(math.sin(w - a)) < 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([math.pi, -math.pi, 1e300, -1e300, 0.0, -0.0])
+        | st.integers(-10**6, 10**6).map(lambda k: k * TWO_PI),
+        max_size=20,
+    )
+)
+def test_wrap_angles_is_wrap_angle_elementwise(angles):
+    wrapped = wrap_angles(np.array(angles, dtype=float)).tolist()
+    assert list(map(repr, wrapped)) == [repr(wrap_angle(a)) for a in angles]
 
 
 def test_validation_total_over_fuzzed_documents():
