@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError, as_finite, is_int, parse_json, read_text
+from .errors import ParamError, as_finite, as_int, parse_json, read_text
 
 
 def seeded_rng(*key) -> np.random.Generator:
@@ -78,10 +78,10 @@ class Config:
         report.json writes the config."""
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not isinstance(field.default, int):
+            if isinstance(field.default, int):
+                as_int(value, f"config {field.name}", ParamError)
+            else:
                 as_finite(value, f"config {field.name}", ParamError)
-            elif not is_int(value):
-                raise ParamError(f"config {field.name} must be an integer, got {value!r}")
         if self.grounding_gate < 0:
             raise ParamError(
                 f"config grounding_gate must be non-negative, got {self.grounding_gate!r}"

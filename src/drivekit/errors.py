@@ -77,6 +77,14 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def as_int(value, name: str, error=SchemaError) -> int:
+    """`value` itself if it is an int and not a bool; anything else raises
+    `error` naming `name`."""
+    if not is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def as_finite(value, name: str, error=SchemaError) -> float:
     """`value` as a float: a real number (numpy scalars included), not a bool,
     finite as a float. Anything else raises `error` naming `name`."""

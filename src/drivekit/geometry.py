@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
 from .config import Config
-from .scene import AgentCategory, Pose2, wrap_angles
+from .scene import AgentCategory, Lane, Pose2, wrap_angles
 
 # categories whose headings are unreliable; they skip the alignment test
 POSITION_ONLY_CATEGORIES = frozenset(
@@ -43,16 +42,16 @@ class LaneIndex:
     segments back to back; lane k owns segments ``first[k]`` up to
     ``first[k + 1]``. Each per-lane quantity is computed with the expression
     the one-lane projection uses, so results do not depend on which other
-    lanes share the index.
+    lanes share the index. Every ``len2`` and ``seg_len`` is positive and
+    finite, since `Lane` admits no other segment.
     """
 
     ids: tuple  # lane ids, ascending
-    by_id: dict  # lane id -> Lane (None for a bare polyline)
+    by_id: dict  # lane id -> Lane
     lengths: dict  # lane id -> centerline length (cumulative_lengths)
     half_widths: np.ndarray  # (L,)
     first: np.ndarray  # (L,) index of each lane's first segment
     lane_of: np.ndarray  # (S,) lane position of each segment
-    local: np.ndarray  # (S,) segment index within its lane
     starts: np.ndarray  # (S, 2) segment start points
     vectors: np.ndarray  # (S, 2) segment end minus start
     len2: np.ndarray  # (S,) squared segment lengths
@@ -63,47 +62,28 @@ class LaneIndex:
     @classmethod
     def build(cls, lanes) -> "LaneIndex":
         lanes = sorted(lanes, key=lambda ln: ln.id)
-        return cls._stack(
-            {ln.id: ln for ln in lanes},
-            [ln.centerline for ln in lanes],
-            [ln.half_width for ln in lanes],
-        )
-
-    @classmethod
-    def _stack(cls, by_id: dict, centerlines, half_widths) -> "LaneIndex":
-        starts, vectors, len2, seg_len, cum, tangents, counts = [], [], [], [], [], [], []
-        lengths = {}
-        for lid, centerline in zip(by_id, centerlines):
-            pts = np.asarray(centerline, dtype=float)
-            d = pts[1:] - pts[:-1]
-            l2 = np.einsum("ij,ij->i", d, d)
-            sl = np.sqrt(l2)
-            starts.append(pts[:-1])
-            vectors.append(d)
-            len2.append(l2)
-            seg_len.append(sl)
-            cum.append(np.concatenate(([0.0], np.cumsum(sl)))[:-1])
-            tangents.extend(math.atan2(dy, dx) for dx, dy in d.tolist())
-            counts.append(len(d))
-            lengths[lid] = float(cumulative_lengths(pts)[-1])
-        counts = np.asarray(counts, dtype=np.intp)
+        pts = [np.asarray(lane.centerline, dtype=float) for lane in lanes]
+        counts = np.array([len(p) - 1 for p in pts], dtype=np.intp)
         first = np.cumsum(counts) - counts
-        lane_of = np.repeat(np.arange(len(counts)), counts)
         points, values = np.empty((0, 2)), np.empty(0)  # a scene may have no lanes
+        vectors = np.concatenate([points, *(p[1:] - p[:-1] for p in pts)])
+        len2 = np.einsum("ij,ij->i", vectors, vectors)
+        seg_len = np.sqrt(len2)
+        # arc length at each segment start, summed along its own lane
+        cum = [np.cumsum(seg_len[a : a + k - 1]) for a, k in zip(first.tolist(), counts.tolist())]
         return cls(
-            ids=tuple(by_id),
-            by_id=by_id,
-            lengths=lengths,
-            half_widths=np.array(half_widths, dtype=float),
+            ids=tuple(lane.id for lane in lanes),
+            by_id={lane.id: lane for lane in lanes},
+            lengths={lane.id: float(cumulative_lengths(p)[-1]) for lane, p in zip(lanes, pts)},
+            half_widths=np.array([lane.half_width for lane in lanes], dtype=float),
             first=first,
-            lane_of=lane_of,
-            local=np.arange(len(lane_of)) - first[lane_of],
-            starts=np.concatenate([points, *starts]),
-            vectors=np.concatenate([points, *vectors]),
-            len2=np.concatenate([values, *len2]),
-            seg_len=np.concatenate([values, *seg_len]),
-            cum=np.concatenate([values, *cum]),
-            tangents=np.array(tangents, dtype=float),
+            lane_of=np.repeat(np.arange(len(lanes)), counts),
+            starts=np.concatenate([points, *(p[:-1] for p in pts)]),
+            vectors=vectors,
+            len2=len2,
+            seg_len=seg_len,
+            cum=np.concatenate([values, *(np.concatenate(([0.0], c)) for c in cum)]),
+            tangents=np.array([math.atan2(dy, dx) for dx, dy in vectors.tolist()], dtype=float),
         )
 
 
@@ -127,10 +107,7 @@ def _project(xy: np.ndarray, index: LaneIndex):
     (ax, ay), (vx, vy) = index.starts.T, index.vectors.T
     rel = np.stack((px - ax, py - ay), axis=-1).reshape(-1, 2)
     vv = np.broadcast_to(index.vectors, (n_pts, n_seg, 2)).reshape(-1, 2)
-    # a zero-length segment divides by 0 here; the fmin below never picks its NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.einsum("ij,ij->i", rel, vv).reshape(n_pts, n_seg) / index.len2
-    t = np.clip(t, 0.0, 1.0)
+    t = np.clip(np.einsum("ij,ij->i", rel, vv).reshape(n_pts, n_seg) / index.len2, 0.0, 1.0)
     dx = px - (ax + t * vx)
     dy = py - (ay + t * vy)
     flat = np.stack((dx, dy), axis=-1).reshape(-1, 2)
@@ -138,8 +115,7 @@ def _project(xy: np.ndarray, index: LaneIndex):
     s_cand = index.cum + t * index.seg_len
 
     lane_of, first = index.lane_of, index.first
-    # fmin skips the NaN of an underflowed segment, as lexsort sorts it last
-    tie = dist2 == np.fmin.reduceat(dist2, first, axis=1)[:, lane_of]
+    tie = dist2 == np.minimum.reduceat(dist2, first, axis=1)[:, lane_of]
     s_tie = np.where(tie, s_cand, np.inf)
     pick = s_tie == np.minimum.reduceat(s_tie, first, axis=1)[:, lane_of]
     seg = np.minimum.reduceat(np.where(pick, np.arange(n_seg), n_seg), first, axis=1)
@@ -153,60 +129,53 @@ def _project(xy: np.ndarray, index: LaneIndex):
 
 def project_to_polyline(point, polyline) -> FrenetCoord:
     """Global minimum-distance projection; equidistant candidates take the
-    smallest s, then the lowest segment index. A zero-length segment (a
-    repeated point) projects to NaN and is never picked over a real one."""
-    index = LaneIndex._stack({0: None}, [polyline], [0.0])
+    smallest s, then the lowest segment index. The polyline is taken as a
+    `Lane` centerline, so one that `Lane` rejects (fewer than two points, a
+    repeated point, a segment whose squared length is 0 or inf) raises
+    SchemaError."""
+    index = LaneIndex.build([Lane(0, polyline, 1.0)])
     s, d, seg = _project(np.asarray([point], dtype=float), index)
     return FrenetCoord(s=float(s[0, 0]), d=float(d[0, 0]), segment_index=int(seg[0, 0]))
 
 
-@dataclass(frozen=True)
-class LaneAssociation:
-    lane_id: int
-    frenet: FrenetCoord
-
-
-def associate_lane(
-    xy, heading, index: LaneIndex, config: Config, check_heading=True
-) -> List[Optional[LaneAssociation]]:
+def associate_lane(xy, heading, index: LaneIndex, config: Config, check_heading=True):
     """Best eligible lane for each of P poses, given as (P, 2) positions and
-    (P,) wrapped headings, or None (NOTON downstream).
+    (P,) wrapped headings.
 
-    Eligible: |d| <= half_width + margin and, where check_heading holds (one
-    bool for every pose, or one per pose), heading within theta_align of the
-    tangent of the projected segment. Minimum |d| wins; ties break by lane id
-    order.
+    Returns (lane, s, d), each of shape (P,): the lane id and the arc length
+    and signed lateral offset on it, or -1, NaN and NaN where no lane is
+    eligible (NOTON downstream). Eligible: |d| <= half_width + margin and,
+    where check_heading holds (one bool for every pose, or one per pose),
+    heading within theta_align of the tangent of the projected segment.
+    Minimum |d| wins; ties break by lane id order.
     """
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     heading = np.asarray(heading, dtype=float)
     check = np.broadcast_to(np.asarray(check_heading, dtype=bool), heading.shape)
-    out: List[Optional[LaneAssociation]] = [None] * len(xy)
+    pos = np.full(len(xy), -1)  # position of each pose's lane in the index
+    s, d = np.full(len(xy), np.nan), np.full(len(xy), np.nan)
     if not index.ids:
-        return out
+        return pos, s, d
     # bound the (pose, segment) working arrays on long tracks and large maps;
     # only per-pose results leave a chunk
     step = max(1, _PAIRS_PER_BATCH // len(index.starts))
     for lo in range(0, len(xy), step):
-        s, d, seg = _project(xy[lo : lo + step], index)
-        absd = np.abs(d)
-        misalign = np.abs(wrap_angles(heading[lo : lo + step, None] - index.tangents[seg]))
+        rows = slice(lo, lo + step)
+        s_all, d_all, seg = _project(xy[rows], index)
+        absd = np.abs(d_all)
+        misalign = np.abs(wrap_angles(heading[rows, None] - index.tangents[seg]))
         ok = (absd <= index.half_widths + config.lane_margin) & (
-            (misalign <= config.theta_align) | ~check[lo : lo + step, None]
+            (misalign <= config.theta_align) | ~check[rows, None]
         )
         best = np.argmin(np.where(ok, absd, np.inf), axis=1)
-        rows = np.flatnonzero(ok[np.arange(len(best)), best])
-        lane = best[rows]
-        picked = zip(
-            rows.tolist(),
-            lane.tolist(),
-            s[rows, lane].tolist(),
-            d[rows, lane].tolist(),
-            index.local[seg[rows, lane]].tolist(),
-        )
-        for row, k, s_k, d_k, local in picked:
-            fc = FrenetCoord(s=s_k, d=d_k, segment_index=local)
-            out[lo + row] = LaneAssociation(lane_id=index.ids[k], frenet=fc)
-    return out
+        picked = np.arange(len(best)), best
+        hit = ok[picked]
+        pos[rows] = np.where(hit, best, -1)
+        s[rows] = np.where(hit, s_all[picked], np.nan)
+        d[rows] = np.where(hit, d_all[picked], np.nan)
+    # position -1 reads the appended -1; lane ids beyond int64 stay Python ints
+    ids = np.array(index.ids + (-1,), dtype=np.int64 if index.ids[-1] < 2**63 else object)
+    return ids[pos], s, d
 
 
 # --------------------------------------------------------------------------

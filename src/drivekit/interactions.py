@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .config import Config
-from .errors import SchemaError, is_int
+from .errors import SchemaError, as_int, is_int
 from .geometry import polyline_obb_distance
 from .relations import EgoLaneDecision, LaneMode, RelationOutputs
 from .scene import AgentCategory, Scene, _member
@@ -65,8 +65,7 @@ class InteractionLabel:
     frame_span: Tuple[int, int]  # inclusive
 
     def __post_init__(self):
-        if not is_int(self.agent_id):
-            raise SchemaError(f"label agent_id must be an integer, got {self.agent_id!r}")
+        as_int(self.agent_id, "label agent_id")
         _member(self.kind, InteractionKind, "label kind")
         if self.side is not None:
             _member(self.side, Side, "label side")

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .config import Config
-from .errors import AlignError, ParamError, SchemaError, as_finite, is_int
+from .errors import AlignError, ParamError, SchemaError, as_finite, as_int
 from .geometry import from_frame, obb_corners, obb_overlap
 from .scene import PLAN_STEPS, Scene, _points, frames_per_step, wrap_angle, wrap_angles
 
@@ -158,8 +158,7 @@ class PlanSample:
     def __post_init__(self):
         if not isinstance(self.scene_id, str):
             raise SchemaError(f"plan sample scene_id must be a string, got {self.scene_id!r}")
-        if not is_int(self.frame):
-            raise SchemaError(f"plan sample frame must be an integer, got {self.frame!r}")
+        as_int(self.frame, "plan sample frame")
         wp = _points(self.waypoints, "plan sample waypoints")
         if len(wp) != PLAN_STEPS:
             raise AlignError(f"plan sample needs {PLAN_STEPS} waypoints")

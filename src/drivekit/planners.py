@@ -64,12 +64,12 @@ def lane_follow_planner(
     config = config or Config()
     index = LaneIndex.build(scene.lanes)
     ego = scene.ego.arrays[frame : frame + 1]
-    [assoc] = associate_lane(ego["xy"], ego["heading"], index, config)
-    if assoc is None:
+    lane, s, _ = associate_lane(ego["xy"], ego["heading"], index, config)
+    if lane[0] < 0:
         raise NoLaneError(f"scene {scene.id} frame {frame}: ego is not on any lane")
-    segs = np.flatnonzero(index.lane_of == index.ids.index(assoc.lane_id))
+    segs = np.flatnonzero(index.lane_of == index.ids.index(lane[0]))
     speed = target_speed if target_speed is not None else abs(float(ego["speed"][0]))
-    s = assoc.frenet.s + speed * PLAN_DT * np.arange(1, PLAN_STEPS + 1)
+    s = s[0] + speed * PLAN_DT * np.arange(1, PLAN_STEPS + 1)
     # the segment under each s; before the start or past the end it is the end
     # segment, where t < 0 or t > 1 extends it along its tangent
     seg = segs[np.clip(np.searchsorted(index.cum[segs], s, side="right") - 1, 0, len(segs) - 1)]

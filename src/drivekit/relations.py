@@ -201,37 +201,40 @@ class RelationOutputs:
     lon_gaps: dict  # agent id -> tuple[Optional[float]] per frame
 
 
-def ego_lane_decisions(scene: Scene, ego_assoc: list) -> list:
-    """Per-frame ego decision from the ego's per-frame lane association:
-    lane-change on association-switch frames, straddle while the footprint
-    crosses the divider, keep-lane otherwise."""
+def ego_lane_decisions(scene: Scene, ego_assoc: tuple) -> list:
+    """Per-frame ego decision from the ego's per-frame lane association, the
+    (lane, s, d) arrays of associate_lane: lane-change on association-switch
+    frames, straddle while the footprint crosses the divider, keep-lane
+    otherwise."""
     lanes_by_id = {ln.id: ln for ln in scene.lanes}
     ego_widths = scene.ego.arrays["box"][:, 1].tolist()
+    ego_lanes, _, ego_d = ego_assoc
     decisions = []
     prev_lane: Optional[int] = None
-    for f, la in enumerate(ego_assoc):
-        if la is None:
+    for f, (lane_id, d) in enumerate(zip(ego_lanes.tolist(), ego_d.tolist())):
+        if lane_id < 0:
             decisions.append(EgoLaneDecision.KEEP_LANE)
             continue
         decision = EgoLaneDecision.KEEP_LANE
-        lane = lanes_by_id[la.lane_id]
-        if prev_lane is not None and la.lane_id != prev_lane:
+        lane = lanes_by_id[lane_id]
+        if prev_lane is not None and lane_id != prev_lane:
             prev = lanes_by_id[prev_lane]
-            if prev.left_neighbor == la.lane_id:
+            if prev.left_neighbor == lane_id:
                 decision = EgoLaneDecision.LEFT_LANE_CHANGE
-            elif prev.right_neighbor == la.lane_id:
+            elif prev.right_neighbor == lane_id:
                 decision = EgoLaneDecision.RIGHT_LANE_CHANGE
         if decision is EgoLaneDecision.KEEP_LANE:
-            if abs(la.frenet.d) > lane.half_width - 0.5 * ego_widths[f]:
+            if abs(d) > lane.half_width - 0.5 * ego_widths[f]:
                 decision = EgoLaneDecision.STRADDLE
         decisions.append(decision)
-        prev_lane = la.lane_id
+        prev_lane = lane_id
     return decisions
 
 
-def label_nav_commands(scene: Scene, config: Config, ego_assoc: list) -> list:
+def label_nav_commands(scene: Scene, config: Config, ego_assoc: tuple) -> list:
     """Road-level navigation command per frame, labeled offline from the full
-    episode and the ego's per-frame lane association.
+    episode and the ego's per-frame lane association (the (lane, s, d) arrays
+    of associate_lane).
 
     Forward window of nav_window_s seconds: heading change beyond theta_uturn
     reads U-turn, or 3-point turn when the window contains reversing frames;
@@ -246,9 +249,8 @@ def label_nav_commands(scene: Scene, config: Config, ego_assoc: list) -> list:
     step = np.hypot(*(np.diff(ego["xy"], axis=0).T))
 
     on_intersection = [
-        la is not None
-        and lanes_by_id[la.lane_id].semantic is LaneSemantic.INTERSECTION
-        for la in ego_assoc
+        lane_id >= 0 and lanes_by_id[lane_id].semantic is LaneSemantic.INTERSECTION
+        for lane_id in ego_assoc[0].tolist()
     ]
 
     # clamped to [1, n] frames: a window past the scene end reads as one to its end
@@ -299,24 +301,27 @@ def compute_relations(scene: Scene, config: Config) -> RelationOutputs:
     check_heading = np.array(
         [track.category not in POSITION_ONLY_CATEGORIES for track in scene.agents], dtype=bool
     )
-    found = associate_lane(
+    lane, s, d = associate_lane(
         np.concatenate((ego["xy"], agents["xy"][valid])),
         np.concatenate((ego["heading"], agents["heading"][valid])),
         index,
         config,
         np.concatenate((np.ones(n, dtype=bool), check_heading[agent_of])),
     )
-    ego_assoc = found[:n]
+    ego_assoc = lane[:n], s[:n], d[:n]
 
     # an agent-frame without a lane on both sides keeps NOTON and no gap
     modes = [[LaneMode.NOTON] * n for _ in scene.agents]
     gaps: List[List[Optional[float]]] = [[None] * n for _ in scene.agents]
-    for a, f, la in zip(agent_of.tolist(), frame_of.tolist(), found[n:]):
-        ego_la = ego_assoc[f]
-        if la and ego_la:
-            modes[a][f], gaps[a][f] = agent_ego_lane_mode(
-                la.lane_id, ego_la.lane_id, index, la.frenet.s, ego_la.frenet.s, config
-            )
+    on = (lane[n:] >= 0) & (lane[:n][frame_of] >= 0)
+    ego_lane, ego_s = lane[:n].tolist(), s[:n].tolist()
+    pairs = zip(
+        agent_of[on].tolist(), frame_of[on].tolist(), lane[n:][on].tolist(), s[n:][on].tolist()
+    )
+    for a, f, agent_lane, agent_s in pairs:
+        modes[a][f], gaps[a][f] = agent_ego_lane_mode(
+            agent_lane, ego_lane[f], index, agent_s, ego_s[f], config
+        )
 
     return RelationOutputs(
         ego_decisions=tuple(ego_lane_decisions(scene, ego_assoc)),

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    LengthError, RefError, SchemaError, _at, as_finite, is_int, parse_json, read_text
+    LengthError, RefError, SchemaError, _at, as_finite, as_int, parse_json, read_text
 )
 
 TWO_PI = 2.0 * math.pi
@@ -100,12 +100,6 @@ def _member(value, enum_cls, name: str) -> None:
         raise SchemaError(f"{name} must be a {enum_cls.__name__}, got {value!r}")
 
 
-def _integer(value, name: str) -> int:
-    if not is_int(value):
-        raise SchemaError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Pose2:
     """2D pose; heading wrapped to (-pi, pi] at construction."""
@@ -149,7 +143,7 @@ class AgentTrack:
     states: tuple  # one AgentState per scene frame
 
     def __post_init__(self):
-        if _integer(self.id, "track id") < 0:
+        if as_int(self.id, "track id") < 0:
             raise SchemaError(f"track id {self.id} must be non-negative")
         _member(self.category, AgentCategory, "category")
         object.__setattr__(self, "states", tuple(self.states))
@@ -165,9 +159,8 @@ class AgentTrack:
         return arr
 
     def pose(self, frame: int) -> Pose2:
-        """The pose at `frame`, read from the state records."""
-        x, y = self.arrays["xy"][frame].tolist()
-        return Pose2(x, y, float(self.arrays["heading"][frame]))
+        """The pose at `frame`."""
+        return self.states[frame].pose
 
 
 def _point(pt, name: str) -> tuple:
@@ -199,23 +192,30 @@ class Lane:
     semantic: LaneSemantic = LaneSemantic.NORMAL
 
     def __post_init__(self):
-        if _integer(self.id, "lane id") < 0:
+        if as_int(self.id, "lane id") < 0:
             raise SchemaError(f"lane id {self.id} must be non-negative")
         pts = _points(self.centerline, "centerline")
         if len(pts) < 2:
             raise SchemaError(f"lane {self.id}: centerline needs >= 2 points")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 == x1 and y0 == y1:
-                raise SchemaError(f"lane {self.id}: zero-length centerline segment")
+        # the squared length as the lane kernels compute it: each segment
+        # must give a positive, finite one to divide by
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:])):
+            dx, dy = x1 - x0, y1 - y0
+            len2 = dx * dx + dy * dy
+            if not 0.0 < len2 < math.inf:
+                raise SchemaError(
+                    f"lane {self.id}: centerline segment {i} has squared length {len2!r}, "
+                    "not a positive finite number"
+                )
         object.__setattr__(self, "centerline", pts)
         object.__setattr__(self, "half_width", as_finite(self.half_width, "half_width"))
         if self.half_width <= 0:
             raise SchemaError(f"lane {self.id}: half_width must be > 0")
         for name in ("left_neighbor", "right_neighbor"):
             if getattr(self, name) is not None:
-                _integer(getattr(self, name), name)
+                as_int(getattr(self, name), name)
         for name in ("successors", "predecessors"):
-            object.__setattr__(self, name, tuple(_integer(r, name) for r in getattr(self, name)))
+            object.__setattr__(self, name, tuple(as_int(r, name) for r in getattr(self, name)))
         _member(self.semantic, LaneSemantic, "semantic")
 
 

@@ -60,6 +60,21 @@ def test_validate_rejects_a_frame_rate_off_the_plan_step(tmp_path, scene_files, 
     assert lines[1]["ok"] is True
 
 
+def test_label_rejects_a_lane_of_infinite_length(tmp_path, capsys):
+    # (-1e308, 0) -> (1e308, 0): both ends are finite, but the segment's
+    # length overflows to inf
+    path = tmp_path / "inf_lane.json"
+    save_scene_file(synth_scene("NOMINAL", 0), path)
+    doc = json.loads(path.read_text("utf-8"))
+    [lane] = [lane for lane in doc["lanes"] if lane["id"] == 1]
+    lane["centerline"] = [[-1e308, 0.0], [1e308, 0.0]]
+    path.write_text(json.dumps(doc), "utf-8")
+    assert main(["label", "--out", str(tmp_path / "labels.jsonl"), str(path)]) == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error["error"] == "SCHEMA_ERROR"
+    assert "lane 1: centerline segment 0 has squared length inf" in error["message"]
+
+
 def test_label_outputs_are_deterministic(tmp_path, scene_files):
     out_a = tmp_path / "labels_a.jsonl"
     out_b = tmp_path / "labels_b.jsonl"

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import RigidMotion, point_obb_distance, scene_of, state, straight_lane
 from drivekit.config import Config
+from drivekit.errors import SchemaError
 import drivekit.geometry
 from drivekit.geometry import (
     FrenetCoord,
-    LaneAssociation,
     LaneIndex,
     associate_lane,
     obb_corners,
@@ -74,14 +74,11 @@ def test_equidistant_tie_takes_smaller_s():
     assert fc.segment_index == 0
 
 
-def test_repeated_point_segment_is_never_picked():
+def test_a_repeated_point_is_a_schema_error():
+    # the polyline is taken as a Lane centerline, which has no zero-length segment
     poly = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-    with np.errstate(invalid="ignore"):
-        past = project_to_polyline((1.5, 1.0), poly)
-        at = project_to_polyline((1.0, 1.0), poly)
-    assert (past.s, past.d, past.segment_index) == (1.5, 1.0, 2)
-    # segments 0 and 2 tie on distance and s; the lower index wins
-    assert (at.s, at.d, at.segment_index) == (1.0, 1.0, 0)
+    with pytest.raises(SchemaError, match=r"^lane 0: centerline segment 1 has squared length 0\.0"):
+        project_to_polyline((1.5, 1.0), poly)
 
 
 def test_sign_convention_right_of_travel_is_negative():
@@ -130,15 +127,27 @@ def associate(poses, index, config, check_heading=True):
     return associate_lane(xy, [p.heading for p in poses], index, config, check_heading)
 
 
+def per_pose(assoc):
+    """The (lane, s, d) of each pose in an associate_lane result."""
+    return list(zip(*(a.tolist() for a in assoc)))
+
+
 def lane_of(pose, lanes, config, check_heading=True):
     """Associated lane id of one pose, or None."""
-    [assoc] = associate([pose], LaneIndex.build(lanes), config, check_heading)
-    return assoc.lane_id if assoc else None
+    [(lane, _, _)] = per_pose(associate([pose], LaneIndex.build(lanes), config, check_heading))
+    return lane if lane >= 0 else None
 
 
 def test_agent_on_centerline_associates(config):
     lanes = [straight_lane(1, y=0.0), straight_lane(2, y=3.7)]
     assert lane_of(Pose2(20.0, 0.0, 0.0), lanes, config) == 1
+
+
+def test_lane_ids_beyond_int64_come_back_whole(config):
+    lanes = [straight_lane(2**64 + 1, y=0.0), straight_lane(2**63 + 1, y=3.7)]
+    poses = [Pose2(20.0, 0.0, 0.0), Pose2(20.0, 3.7, 0.0), Pose2(20.0, 10.0, 0.0)]
+    lane, _, _ = associate(poses, LaneIndex.build(lanes), config)
+    assert lane.tolist() == [2**64 + 1, 2**63 + 1, -1]
 
 
 def test_parking_lot_agent_has_no_lane(config):
@@ -186,14 +195,15 @@ def test_association_invariant_under_rigid_transform(config):
 def test_associate_lane_returns_frenet(config):
     index = LaneIndex.build([straight_lane(1, y=0.0)])
     poses = [Pose2(12.0, 0.4, 0.0), Pose2(20.0, 10.0, 0.0), Pose2(31.0, -0.2, 0.1)]
-    first, off_lane, last = associate(poses, index, config)
-    assert first.lane_id == 1
-    assert abs(first.frenet.s - 12.0) < 1e-12
-    assert abs(first.frenet.d - 0.4) < 1e-12
-    assert off_lane is None
-    assert last.lane_id == 1 and last.frenet.segment_index == 6
-    assert associate([], index, config) == []
-    assert associate(poses, LaneIndex.build([]), config) == [None, None, None]
+    lane, s, d = associate(poses, index, config)
+    assert lane.tolist() == [1, -1, 1]
+    assert abs(s[0] - 12.0) < 1e-12 and abs(s[2] - 31.0) < 1e-12
+    assert abs(d[0] - 0.4) < 1e-12 and abs(d[2] + 0.2) < 1e-12
+    assert np.isnan(s[1]) and np.isnan(d[1])  # no lane: -1, NaN, NaN
+    assert [a.shape for a in associate([], index, config)] == [(0,)] * 3
+    assert repr(per_pose(associate(poses, LaneIndex.build([]), config))) == repr(
+        [(-1, math.nan, math.nan)] * 3
+    )
 
 
 def test_long_track_on_a_large_map_matches_per_pose_calls(config):
@@ -202,9 +212,9 @@ def test_long_track_on_a_large_map_matches_per_pose_calls(config):
     rng = np.random.default_rng(5)
     xs, ys, hs = rng.uniform(-5, 1005, 300), rng.uniform(-2, 6, 300), rng.uniform(-1, 1, 300)
     poses = [Pose2(x, y, h) for x, y, h in zip(xs, ys, hs)]
-    batched = associate(poses, index, config)
-    assert batched == [associate([p], index, config)[0] for p in poses]
-    assert sum(a is not None for a in batched) > 100
+    batched = per_pose(associate(poses, index, config))
+    assert repr(batched) == repr([per_pose(associate([p], index, config))[0] for p in poses])
+    assert sum(lane >= 0 for lane, _, _ in batched) > 100
 
 
 # --------------------------------------------------------------------------
@@ -274,11 +284,7 @@ def oracle_project(point, polyline) -> FrenetCoord:
     a = pts[:-1]
     d = pts[1:] - a
     seg_len2 = np.einsum("ij,ij->i", d, d)
-    # a segment whose squared length underflows divides by 0: +-inf clips to
-    # t = 0 or 1, and 0/0 gives NaN, which lexsort sorts last just as
-    # _project's fmin skips it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(np.einsum("ij,ij->i", p - a, d) / seg_len2, 0.0, 1.0)
+    t = np.clip(np.einsum("ij,ij->i", p - a, d) / seg_len2, 0.0, 1.0)
     diff = p - (a + t[:, None] * d)
     dist2 = np.einsum("ij,ij->i", diff, diff)
     seg_len = np.sqrt(seg_len2)
@@ -292,6 +298,7 @@ def oracle_project(point, polyline) -> FrenetCoord:
 
 
 def oracle_associate(pose, lanes, config, check_heading=True):
+    """(lane id, s, d) of the pose's lane, or (-1, nan, nan)."""
     best = None
     for lane in sorted(lanes, key=lambda l: l.id):
         fc = oracle_project((pose.x, pose.y), lane.centerline)
@@ -302,9 +309,9 @@ def oracle_associate(pose, lanes, config, check_heading=True):
             tangent = math.atan2(y1 - y0, x1 - x0)
             if abs(wrap_angle(pose.heading - tangent)) > config.theta_align:
                 continue
-        if best is None or abs(fc.d) < abs(best.frenet.d):
-            best = LaneAssociation(lane_id=lane.id, frenet=fc)
-    return best
+        if best is None or abs(fc.d) < abs(best[2]):
+            best = (lane.id, fc.s, fc.d)
+    return best or (-1, math.nan, math.nan)
 
 
 def _oracle_point_segment(p, a, b) -> float:
@@ -363,9 +370,18 @@ coord = st.one_of(
     st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False),
 )
 point = st.tuples(coord, coord)
-polyline = st.lists(point, min_size=2, max_size=7).filter(
-    lambda pts: all(a != b for a, b in zip(pts, pts[1:]))
-)
+
+
+def measurable(pts) -> bool:
+    """Every segment has a positive, finite squared length, as Lane requires:
+    a subnormal step from st.floats squares to 0."""
+    return all(
+        0.0 < (x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0) < math.inf
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:])
+    )
+
+
+polyline = st.lists(point, min_size=2, max_size=7).filter(measurable)
 heading = st.one_of(
     st.sampled_from([math.pi, -math.pi, 0.0, math.pi / 2, Config().theta_align]),
     st.floats(-10.0, 10.0, allow_nan=False),
@@ -375,26 +391,21 @@ DIFF = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCh
 
 
 @DIFF
-@given(st.lists(point, min_size=2, max_size=7), st.lists(point, min_size=1, max_size=6))
+@given(polyline, st.lists(point, min_size=1, max_size=6))
 def test_projection_matches_scalar_oracle(poly, points):
-    # repeated points are allowed: their 0/0 segment is never picked over a
-    # real one, and an all-repeated polyline projects to NaN
-    with np.errstate(invalid="ignore"):
-        for pt in points:
-            assert repr(project_to_polyline(pt, poly)) == repr(oracle_project(pt, poly))
+    for pt in points:
+        assert repr(project_to_polyline(pt, poly)) == repr(oracle_project(pt, poly))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_segment_whose_squared_length_underflows_matches_the_oracles(config):
-    # (0, 0)-(1e-200, 0) has distinct ends, so Lane accepts it, but its squared
-    # length is 0: the points below get t = 1, NaN and t = 0 on it
+def test_a_segment_whose_squared_length_underflows_is_a_schema_error():
+    # (0, 0)-(1e-200, 0) has distinct ends, but its squared length is 0, so
+    # no kernel could divide by it
     poly = [(0.0, 0.0), (1e-200, 0.0), (10.0, 0.0)]
-    lanes = [Lane(id=1, centerline=poly, half_width=1.85)]
-    poses = [Pose2(5.0, 1.0, 0.0), Pose2(0.0, 0.5, 0.0), Pose2(-1.0, 0.0, 0.0)]
-    for xy in [(p.x, p.y) for p in poses]:
-        assert repr(project_to_polyline(xy, poly)) == repr(oracle_project(xy, poly))
-    got = associate(poses, LaneIndex.build(lanes), config)
-    assert repr(got) == repr([oracle_associate(p, lanes, config) for p in poses])
+    with pytest.raises(SchemaError, match=r"^lane 1: centerline segment 0 has squared length 0\.0,"):
+        Lane(id=1, centerline=poly, half_width=1.85)
+    # project_to_polyline takes the polyline as the centerline of a lane 0
+    with pytest.raises(SchemaError, match=r"^lane 0: centerline segment 0 "):
+        project_to_polyline((5.0, 1.0), poly)
 
 
 @DIFF
@@ -412,7 +423,7 @@ def test_association_matches_scalar_oracle(lane_specs, poses, check_heading, rnd
     rnd.shuffle(lanes)  # the index orders lanes by id itself
     got = associate(poses, LaneIndex.build(lanes), config, check_heading)
     expected = [oracle_associate(p, lanes, config, check_heading) for p in poses]
-    assert repr(got) == repr(expected)
+    assert repr(per_pose(got)) == repr(expected)
 
 
 @DIFF
@@ -426,7 +437,7 @@ def test_one_batch_with_a_per_pose_heading_check_matches_single_calls(lane_specs
     config = Config()
     lanes = [Lane(id=3 * k + 1, centerline=poly, half_width=hw) for k, (poly, hw) in enumerate(lane_specs)]
     index = LaneIndex.build(lanes)
-    single = [associate([p], index, config, check)[0] for p, check in rows]
+    single = [per_pose(associate([p], index, config, check))[0] for p, check in rows]
     # with a small chunk, a few repeats of the rows span several projection
     # chunks, whose boundaries fall at varying offsets into the rows
     pairs = 37
@@ -440,7 +451,7 @@ def test_one_batch_with_a_per_pose_heading_check_matches_single_calls(lane_specs
             config,
             np.tile(checks, reps),
         )
-    assert repr(got) == repr(single * reps)
+    assert repr(per_pose(got)) == repr(single * reps)
 
 
 box = st.tuples(
@@ -466,39 +477,40 @@ def test_polyline_obb_distance_matches_scalar_oracle(pts, boxes):
 def test_association_ties_and_boundaries(config):
     # two lanes at equal |d|: the lower id wins, whatever the input order
     lanes = [straight_lane(7, y=2.0), straight_lane(4, y=0.0)]
-    [assoc] = associate([Pose2(20.0, 1.0, 0.0)], LaneIndex.build(lanes), config)
-    assert assoc.lane_id == 4 and assoc.frenet.d == 1.0
+    [(lane, _, d)] = per_pose(associate([Pose2(20.0, 1.0, 0.0)], LaneIndex.build(lanes), config))
+    assert lane == 4 and d == 1.0
 
     # |d| exactly at half_width + lane_margin is eligible; one ulp past it is not
     index = LaneIndex.build([straight_lane(1, half_width=1.5)])
     edge = [Pose2(20.0, 2.0, 0.0), Pose2(20.0, math.nextafter(2.0, math.inf), 0.0)]
-    assert [a is not None for a in associate(edge, index, config)] == [True, False]
+    assert associate(edge, index, config)[0].tolist() == [1, -1]
 
     # a point equidistant from two segments takes the smaller s
     corner = Lane(id=1, centerline=((0.0, 0.0), (2.0, 0.0), (2.0, 2.0)), half_width=1.85)
-    [assoc] = associate([Pose2(1.0, 1.0, 0.0)], LaneIndex.build([corner]), config)
-    assert assoc.frenet == FrenetCoord(s=1.0, d=1.0, segment_index=0)
+    got = per_pose(associate([Pose2(1.0, 1.0, 0.0)], LaneIndex.build([corner]), config))
+    assert got == [(1, 1.0, 1.0)]
 
     # heading exactly at theta_align is aligned; one ulp past it is not
     index = LaneIndex.build([straight_lane(1)])
     at = Pose2(20.0, 0.0, config.theta_align)
     past = Pose2(20.0, 0.0, math.nextafter(config.theta_align, math.inf))
-    assert [a is not None for a in associate([at, past], index, config)] == [True, False]
+    assert associate([at, past], index, config)[0].tolist() == [1, -1]
 
     # headings at +-pi wrap to pi: aligned only when theta_align admits pi
     flipped = [Pose2(20.0, 0.0, math.pi), Pose2(20.0, 0.0, -math.pi)]
-    assert associate(flipped, index, config) == [None, None]
+    assert associate(flipped, index, config)[0].tolist() == [-1, -1]
     wide = config.replace(theta_align=math.pi)
-    assert all(a is not None for a in associate(flipped, index, wide))
+    assert associate(flipped, index, wide)[0].tolist() == [1, 1]
 
     # poses beyond both polyline ends clamp s to [0, L]
     lanes = [straight_lane(1, length=50.0)]
     beyond = [Pose2(-1.0, 0.5, 0.0), Pose2(51.0, -0.5, 0.0)]
-    got = associate(beyond, LaneIndex.build(lanes), config)
-    assert [a.frenet.s for a in got] == [0.0, 50.0]
+    got = per_pose(associate(beyond, LaneIndex.build(lanes), config))
+    assert [s for _, s, _ in got] == [0.0, 50.0]
     assert got == [oracle_associate(p, lanes, config) for p in beyond]
     for p in beyond + flipped + [at, past]:
-        assert associate([p], LaneIndex.build(lanes), wide) == [oracle_associate(p, lanes, wide)]
+        got = per_pose(associate([p], LaneIndex.build(lanes), wide))
+        assert repr(got) == repr([oracle_associate(p, lanes, wide)])
 
 
 def test_one_point_corridor_is_point_distance():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import cruising_ego, scene_of, state, straight_lane, track
 from drivekit.config import Config
-from drivekit.errors import InsufficientFutureError, NoLaneError
+from drivekit.errors import InsufficientFutureError, NoLaneError, SchemaError
 from drivekit.geometry import LaneIndex, associate_lane, cumulative_lengths, to_frame
 from drivekit.metrics import future_complete, plan_collision_fraction, traj_l2
 from drivekit.planners import (
@@ -192,17 +192,53 @@ def test_lane_walk_matches_the_per_step_walk(start, steps, data, u, speed):
     heading = math.atan2(y1 - y0, x1 - x0)
     scene = scene_of([lane], [], [state(x0 + u * (x1 - x0), y0 + u * (y1 - y0), heading)] * 2)
     ego = scene.ego.arrays[:1]
-    [assoc] = associate_lane(ego["xy"], ego["heading"], LaneIndex.build([lane]), Config())
-    assume(assoc is not None)  # a lane that crosses itself may hide the ego's segment
+    [lane_id], [s], _ = associate_lane(ego["xy"], ego["heading"], LaneIndex.build([lane]), Config())
+    assume(lane_id >= 0)  # a lane that crosses itself may hide the ego's segment
     expected = to_frame(
         [
-            oracle_point_at_arclength(lane.centerline, assoc.frenet.s + speed * PLAN_DT * (k + 1))
+            oracle_point_at_arclength(lane.centerline, s + speed * PLAN_DT * (k + 1))
             for k in range(PLAN_STEPS)
         ],
         scene.ego.pose(0),
     )
     plan = lane_follow_planner(scene, 0, target_speed=speed)
     assert np.max(np.abs(plan - expected)) <= 1e-9
+
+
+# lane points anywhere in float range; steps that reach the extremes of a
+# measurable segment: one of 1e-160 squares to a subnormal, one of 1e154 to
+# near the top of the range
+far = st.one_of(
+    st.sampled_from([0.0, 5e-324, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+lane_step = st.one_of(
+    st.sampled_from([0.0, 1e-160, -1e-160, 1e154, -1e154, 0.5]),
+    st.floats(-1e154, 1e154),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(far, far),
+    st.lists(st.tuples(lane_step, lane_step), min_size=1, max_size=6),
+    st.floats(-40.0, 40.0),
+)
+def test_every_accepted_lane_is_measurable_and_plans_finite_waypoints(start, steps, speed):
+    pts = [start]
+    for dx, dy in steps:
+        pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+    try:
+        lane = Lane(id=1, centerline=pts, half_width=1.85)
+    except SchemaError:
+        assume(False)
+    index = LaneIndex.build([lane])
+    for values in (index.len2, index.seg_len):
+        assert np.isfinite(values).all() and (values > 0).all()
+    # the ego on the lane start, heading along the first segment
+    (x0, y0), (x1, y1) = lane.centerline[:2]
+    scene = scene_of([lane], [], [state(x0, y0, math.atan2(y1 - y0, x1 - x0))] * 2)
+    assert np.isfinite(lane_follow_planner(scene, 0, target_speed=speed)).all()
 
 
 def test_lane_follow_without_lane_errors(config):

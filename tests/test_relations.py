@@ -572,20 +572,21 @@ def per_track_relations(scene, config):
     one per agent track, each over that track's valid states."""
     index = lane_index(scene.lanes)
     ego = associate(scene.ego.states, index, config)
+    ego_lane, ego_s = ego[0].tolist(), ego[1].tolist()
     lane_modes, lon_gaps = {}, {}
     for tr in scene.agents:
         valid = [f for f, st in enumerate(tr.states) if st.valid]
         check_heading = tr.category not in POSITION_ONLY_CATEGORIES
-        found = associate([tr.states[f] for f in valid], index, config, check_heading)
+        lane, s, _ = associate([tr.states[f] for f in valid], index, config, check_heading)
         modes = [LaneMode.NOTON] * len(tr.states)
         gaps = [None] * len(tr.states)
-        for f, la in zip(valid, found):
+        for f, agent_lane, agent_s in zip(valid, lane.tolist(), s.tolist()):
             modes[f], gaps[f] = agent_ego_lane_mode(
-                la.lane_id if la else None,
-                ego[f].lane_id if ego[f] else None,
+                agent_lane if agent_lane >= 0 else None,
+                ego_lane[f] if ego_lane[f] >= 0 else None,
                 index,
-                la.frenet.s if la else None,
-                ego[f].frenet.s if ego[f] else None,
+                agent_s,
+                ego_s[f],
                 config,
             )
         lane_modes[tr.id] = tuple(modes)

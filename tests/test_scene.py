@@ -317,10 +317,12 @@ def scenes(draw):
     agents = [
         AgentTrack(i, draw(st.sampled_from(AgentCategory)), draw(_states(n, True))) for i in ids
     ]
+    # the float extremes sit on the first point; adding 10 m moves each
+    # coordinate by 0 or about 10 m, so the segment is never 0 or inf long
     lanes = [
-        Lane(i, ((x, 0.0), (x + 10.0, y)), draw(positive_float))
+        Lane(i, ((x, y), (x + 10.0, y + 10.0)), draw(positive_float))
         for i, (x, y) in enumerate(draw(st.lists(st.tuples(any_float, any_float), max_size=2)))
-        if x + 10.0 != x or y != 0.0
+        if (x + 10.0, y + 10.0) != (x, y)
     ]
     scene_id = draw(st.one_of(
         st.sampled_from(["scène-ü-東京-🚗", "plain", 'quote"back\\slash\ttab']),
@@ -488,6 +490,24 @@ def test_negative_ids_rejected():
     doc["ego"]["id"] = -1
     with pytest.raises(SchemaError):
         load_scene(doc)
+
+
+@pytest.mark.parametrize(
+    "centerline, message",
+    [
+        # the last segment's squared length underflows to 0
+        (((-10.0, 0.0), (0.0, 0.0), (1e-200, 0.0)), "segment 1 has squared length 0.0,"),
+        # the segment's length overflows to inf
+        (((-1e308, 0.0), (1e308, 0.0)), "segment 0 has squared length inf,"),
+    ],
+)
+def test_a_lane_segment_needs_a_positive_finite_squared_length(centerline, message):
+    with pytest.raises(SchemaError) as excinfo:
+        Lane(id=7, centerline=centerline, half_width=1.85)
+    assert excinfo.value.message.startswith("lane 7: centerline " + message)
+    # the extremes that still square to a positive, finite number
+    for end in [(1e-160, 0.0), (0.0, -1e154)]:
+        Lane(id=7, centerline=((0.0, 0.0), end), half_width=1.85)
 
 
 def test_optional_keys_default():
