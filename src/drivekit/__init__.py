@@ -42,11 +42,10 @@ from .interactions import (
     merge_override_labels,
 )
 from .tokens import (
-    AgentToken,
-    MapToken,
-    MotionToken,
+    AGENT_RECORD,
+    MAP_RECORD,
+    SCENE_RECORD,
     TokenBundle,
-    TrackToken,
     fixture_decode,
     fixture_encode,
     read_bundle,

@@ -1,11 +1,15 @@
-"""Object-token data contract: fixed-width token types, concatenation, the
-TOKB binary container, and a deterministic fixture encoder/decoder.
+"""Object-token data contract: a bundle as the three section arrays of its
+TOKB body, the TOKB binary container, and a deterministic fixture
+encoder/decoder.
 
-Token components are IEEE-754 single precision end to end: values quantize to
-f32 at construction so the binary round trip is bit-exact. The fixture encoder
-stands in for a trained tokenizer by planting ground-truth attributes in fixed
-slots (and seeded pseudo-noise elsewhere), which makes downstream pipeline
-correctness testable without any model.
+A bundle holds its tokens as the file does: agent tokens as one AGENT_RECORD
+array (a u64 id, then 512 f32 components: the 256-d track half, then the 256-d
+motion half), map tokens as one MAP_RECORD array (a u64 id, then 256 f32) and
+scene tokens as one (k, 256) f32 array. Components are IEEE-754 single
+precision end to end, so the binary round trip is bit-exact. The fixture
+encoder stands in for a trained tokenizer by planting ground-truth attributes
+in fixed slots (and seeded pseudo-noise elsewhere), which makes downstream
+pipeline correctness testable without any model.
 
 TOKB layout (little-endian):
 
@@ -23,16 +27,14 @@ TOKB layout (little-endian):
 """
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import seeded_rng
 from .errors import (
-    FormatError, LengthError, MagicError, TruncatedError, VersionError, is_int, read_bytes
+    FormatError, MagicError, TruncatedError, VersionError, as_finite, is_int, read_bytes
 )
 from .scene import AgentCategory, LaneSemantic, Scene
 
@@ -45,87 +47,40 @@ MAGIC = b"TOKB"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHIfIII")
 HEADER_SIZE = _HEADER.size
+_F32 = struct.Struct("<f")
 # the body: one record array per section, in this order
-_AGENT_RECORD = np.dtype([("id", "<u8"), ("values", "<f4", (AGENT_DIM,))])
-_MAP_RECORD = np.dtype([("id", "<u8"), ("values", "<f4", (MAP_DIM,))])
-_SCENE_RECORD = np.dtype(("<f4", (MAP_DIM,)))
+AGENT_RECORD = np.dtype([("id", "<u8"), ("values", "<f4", (AGENT_DIM,))])
+MAP_RECORD = np.dtype([("id", "<u8"), ("values", "<f4", (MAP_DIM,))])
+SCENE_RECORD = np.dtype(("<f4", (MAP_DIM,)))  # an array of these is (k, 256) f32
+# the record dtype of each section by its TokenBundle field, in body order
+_SECTIONS = {"agent_tokens": AGENT_RECORD, "map_tokens": MAP_RECORD, "scene_tokens": SCENE_RECORD}
 
 CATEGORY_ORDER = tuple(AgentCategory)  # one-hot order, 9 categories
 SEMANTIC_ORDER = tuple(LaneSemantic)  # one-hot order, 3 semantics
 
 
+def _no_tokens(dtype):
+    """A dataclass field defaulting to one shared read-only empty section."""
+    empty = np.empty(0, dtype)
+    empty.flags.writeable = False
+    return field(default_factory=lambda: empty)
+
+
 @dataclass(frozen=True, eq=False)
-class _Token:
-    """Token components as one read-only little-endian f32 array. Equality is
-    exact: same type, same components. Tokens are unhashable."""
-
-    values: np.ndarray
-    width = 0
-
-    def __post_init__(self):
-        arr = np.array(self.values, "<f4")
-        name = type(self).__name__
-        if arr.shape != (self.width,):
-            raise LengthError(f"{name} must have exactly {self.width} components")
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{name} components must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and np.array_equal(self.values, other.values)
-
-    __hash__ = None
-
-
-class TrackToken(_Token):
-    width = TRACK_DIM
-
-
-class MotionToken(_Token):
-    width = MOTION_DIM
-
-
-class MapToken(_Token):
-    width = MAP_DIM
-
-
-class AgentToken(_Token):
-    width = AGENT_DIM
-
-    @property
-    def track(self) -> np.ndarray:
-        return self.values[:TRACK_DIM]
-
-    @property
-    def motion(self) -> np.ndarray:
-        return self.values[TRACK_DIM:]
-
-
-@dataclass(frozen=True)
 class TokenBundle:
-    """One frame's tokens. Construction rejects, with FormatError, anything
-    write_bundle could not write or read_bundle could not read back."""
+    """One frame's tokens, each section the read-only array the TOKB body
+    holds. Construction rejects, with FormatError, anything write_bundle could
+    not write or read_bundle could not read back. Equality is exact: same
+    header fields, same section arrays. Bundles are unhashable."""
 
     scene_id: str
     frame: int
     frame_rate: float
-    agent_tokens: tuple  # ((agent_id, AgentToken), ...)
-    map_tokens: tuple  # ((lane_id, MapToken), ...)
-    scene_tokens: tuple = ()
+    agent_tokens: np.ndarray = _no_tokens(AGENT_RECORD)
+    map_tokens: np.ndarray = _no_tokens(MAP_RECORD)
+    scene_tokens: np.ndarray = _no_tokens(SCENE_RECORD)
 
     def __post_init__(self):
-        object.__setattr__(self, "agent_tokens", tuple(self.agent_tokens))
-        object.__setattr__(self, "map_tokens", tuple(self.map_tokens))
-        if any(isinstance(t, _Token) and type(t) is not MapToken for t in self.scene_tokens):
-            raise FormatError("scene tokens must be MapTokens")
-        object.__setattr__(
-            self,
-            "scene_tokens",
-            tuple(
-                t if isinstance(t, MapToken) else MapToken(t) for t in self.scene_tokens
-            ),
-        )
         try:
             sid = self.scene_id.encode("utf-8")
         except (AttributeError, UnicodeEncodeError):
@@ -134,25 +89,47 @@ class TokenBundle:
             raise FormatError("scene id too long for TOKB header")
         if not (is_int(self.frame) and 0 <= self.frame < 2**32):
             raise FormatError(f"frame {self.frame!r} is not an int in [0, 2**32)")
-        try:
-            with np.errstate(over="ignore"):
-                rate = float(np.float32(self.frame_rate))
-        except (TypeError, ValueError):
-            raise FormatError(f"frame rate {self.frame_rate!r} is not a number") from None
-        if not math.isfinite(rate):
-            raise FormatError(f"frame rate {self.frame_rate!r} is not finite as f32")
+        rate = as_finite(self.frame_rate, "frame rate", FormatError)
+        try:  # packing rounds to f32 and raises for a value that rounds past it
+            rate = _F32.unpack(_F32.pack(rate))[0]
+        except OverflowError:
+            raise FormatError(f"frame rate {self.frame_rate!r} is not finite as f32") from None
         object.__setattr__(self, "frame_rate", rate)
-        for name, pairs, cls in (
-            ("agent", self.agent_tokens, AgentToken),
-            ("map", self.map_tokens, MapToken),
+        for name, dtype in _SECTIONS.items():
+            object.__setattr__(self, name, self._section(name, dtype))
+
+    def _section(self, name: str, dtype: np.dtype) -> np.ndarray:
+        """Field `name` checked as a section of `dtype` records; a writable
+        array comes back as a read-only copy."""
+        arr, kind = getattr(self, name), name.partition("_")[0]
+        where = f"{self.scene_id} f{self.frame}"
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == dtype.base
+            and arr.ndim == 1 + len(dtype.shape)
+            and arr.shape[1:] == dtype.shape
         ):
-            for i, token in pairs:
-                if not (is_int(i) and 0 <= i < 2**64):
-                    raise FormatError(f"{name} token id {i!r} is not an int in u64 range")
-                if type(token) is not cls:
-                    raise FormatError(f"{name} token {i} is not a {cls.__name__}")
-            if len({i for i, _ in pairs}) != len(pairs):
-                raise FormatError(f"duplicate {name} token ids in bundle")
+            raise FormatError(f"{where}: {kind} tokens must be a {kind.upper()}_RECORD array")
+        values = arr["values"] if dtype.names else arr
+        ids = arr["id"].tolist() if dtype.names else range(len(arr))
+        if not np.isfinite(values).all():
+            bad = ids[np.flatnonzero(~np.isfinite(values).all(axis=1))[0]]
+            raise FormatError(f"{where}: {kind} token {bad} is not finite as f32")
+        if len(set(ids)) != len(ids):
+            raise FormatError(f"{where}: duplicate {kind} token ids")
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.flags.writeable = False
+        return arr
+
+    def __eq__(self, other):
+        if type(other) is not TokenBundle:
+            return NotImplemented
+        return (self.scene_id, self.frame, self.frame_rate) == (
+            other.scene_id, other.frame, other.frame_rate
+        ) and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _SECTIONS)
+
+    __hash__ = None
 
 
 # --------------------------------------------------------------------------
@@ -162,31 +139,45 @@ class TokenBundle:
 # the fixture slots of each token kind, by its seed tag: attribute slots from
 # slot 0, named as in the decoded attributes, then a one-hot in enum order
 _LAYOUTS = {
-    "agent": (AgentToken, ("x", "y", "heading", "speed", "length", "width"), CATEGORY_ORDER),
-    "map": (MapToken, ("x0", "y0", "x1", "y1"), SEMANTIC_ORDER),
+    "agent": (AGENT_RECORD, ("x", "y", "heading", "speed", "length", "width"), CATEGORY_ORDER),
+    "map": (MAP_RECORD, ("x0", "y0", "x1", "y1"), SEMANTIC_ORDER),
 }
 
 
-def _plant(kind: str, key: tuple, i: int, attrs, member) -> tuple:
-    """(i, a `kind` token): noise from the stream named by `key`, `kind` and
-    `i`, with `attrs` and the one-hot of `member` in the kind's fixture slots."""
-    cls, names, order = _LAYOUTS[kind]
-    values = seeded_rng(*key, kind, i).standard_normal(cls.width)
-    n = len(names)
-    values[:n] = attrs
-    values[n : n + len(order)] = 0.0
-    values[n + order.index(member)] = 1.0
-    return i, cls(values)
+def _plant(kind: str, key: tuple, ids: list, attrs, members: list) -> np.ndarray:
+    """The read-only `kind` section of `ids`: per id, noise from the stream
+    named by `key`, `kind` and the id, then its row of `attrs` and the one-hot
+    of its member in the kind's fixture slots."""
+    dtype, names, order = _LAYOUTS[kind]
+    records = np.empty(len(ids), dtype)
+    if ids:
+        if max(ids) >= 2**64:
+            _, scene_id, frame = key
+            raise FormatError(f"{scene_id} f{frame}: {kind} token id {max(ids)} is not a u64")
+        records["id"] = ids
+        values = records["values"]
+        n, width = len(names), values.shape[1]
+        for row, i in zip(values, ids):
+            row[:] = seeded_rng(*key, kind, i).standard_normal(width)
+        values[:, :n] = attrs
+        values[:, n : n + len(order)] = 0.0
+        values[range(len(ids)), [n + order.index(member) for member in members]] = 1.0
+    records.flags.writeable = False
+    return records
 
 
-def _unplant(token: _Token, kind: str, what: str) -> list:
-    """The attribute slots of a `kind` token, then the member its one-hot names."""
+def _unplant(section: np.ndarray, kind: str, what: str) -> list:
+    """Per token of a `kind` section: its id, its attribute slots, then the
+    member its one-hot names."""
     _, names, order = _LAYOUTS[kind]
-    values = token.values[: len(names) + len(order)].tolist()
-    onehot = values[len(names) :]
-    if onehot.count(1.0) != 1 or onehot.count(0.0) != len(order) - 1:
-        raise FormatError(f"{what}: malformed one-hot slots")
-    return values[: len(names)] + [order[onehot.index(1.0)]]
+    n = len(names)
+    fields = []
+    for i, values in zip(section["id"].tolist(), section["values"][:, : n + len(order)].tolist()):
+        onehot = values[n:]
+        if onehot.count(1.0) != 1 or onehot.count(0.0) != len(order) - 1:
+            raise FormatError(f"{what} {i}: malformed one-hot slots")
+        fields.append((i, *values[:n], order[onehot.index(1.0)]))
+    return fields
 
 
 def fixture_encode(scene: Scene, frame: int, seed: int) -> TokenBundle:
@@ -195,22 +186,25 @@ def fixture_encode(scene: Scene, frame: int, seed: int) -> TokenBundle:
     if not (0 <= frame < scene.n_frames):
         raise FormatError(f"frame {frame} outside scene of {scene.n_frames} frames")
     states = scene.agent_arrays[:, frame]
+    valid = states["valid"]
+    agents = [track for track, ok in zip(scene.agents, valid.tolist()) if ok]
+    states = states[valid]
     attrs = np.column_stack((states["xy"], states["heading"], states["speed"], states["box"]))
+    lanes = scene.lanes
     key = (seed, scene.id, frame)
-    return TokenBundle(
-        scene_id=scene.id,
-        frame=frame,
-        frame_rate=scene.frame_rate,
-        agent_tokens=tuple(
-            _plant("agent", key, track.id, attr, track.category)
-            for track, valid, attr in zip(scene.agents, states["valid"], attrs)
-            if valid
-        ),
-        map_tokens=tuple(
-            _plant("map", key, lane.id, lane.centerline[0] + lane.centerline[-1], lane.semantic)
-            for lane in scene.lanes
-        ),
-    )
+    # a value past f32 casts to inf, which TokenBundle then rejects by id
+    with np.errstate(over="ignore"):
+        agent_tokens = _plant(
+            "agent", key, [t.id for t in agents], attrs, [t.category for t in agents]
+        )
+        map_tokens = _plant(
+            "map",
+            key,
+            [lane.id for lane in lanes],
+            [lane.centerline[0] + lane.centerline[-1] for lane in lanes],
+            [lane.semantic for lane in lanes],
+        )
+    return TokenBundle(scene.id, frame, scene.frame_rate, agent_tokens, map_tokens)
 
 
 @dataclass(frozen=True)
@@ -235,15 +229,10 @@ class MapAttributes:
     semantic: LaneSemantic
 
 
-def fixture_decode(bundle: TokenBundle) -> Tuple[list, list]:
+def fixture_decode(bundle: TokenBundle) -> tuple[list, list]:
     """Inverse of fixture_encode on the designated slots."""
-    agents = [
-        AgentAttributes(i, *_unplant(token, "agent", f"agent {i}"))
-        for i, token in bundle.agent_tokens
-    ]
-    maps = [
-        MapAttributes(i, *_unplant(token, "map", f"lane {i}")) for i, token in bundle.map_tokens
-    ]
+    agents = [AgentAttributes(*f) for f in _unplant(bundle.agent_tokens, "agent", "agent")]
+    maps = [MapAttributes(*f) for f in _unplant(bundle.map_tokens, "map", "lane")]
     return agents, maps
 
 
@@ -262,22 +251,11 @@ def write_bundle(bundle: TokenBundle, sink) -> None:
 
 def _write_stream(bundle: TokenBundle, fh) -> None:
     sid = bundle.scene_id.encode("utf-8")
-    fh.write(
-        _HEADER.pack(
-            MAGIC,
-            VERSION,
-            len(sid),
-            bundle.frame,
-            bundle.frame_rate,
-            len(bundle.agent_tokens),
-            len(bundle.map_tokens),
-            len(bundle.scene_tokens),
-        )
-    )
+    sections = [getattr(bundle, name) for name in _SECTIONS]
+    lengths = map(len, sections)
+    fh.write(_HEADER.pack(MAGIC, VERSION, len(sid), bundle.frame, bundle.frame_rate, *lengths))
     fh.write(sid)
-    fh.write(np.array([(i, t.values) for i, t in bundle.agent_tokens], _AGENT_RECORD).tobytes())
-    fh.write(np.array([(i, t.values) for i, t in bundle.map_tokens], _MAP_RECORD).tobytes())
-    fh.write(np.array([t.values for t in bundle.scene_tokens], "<f4").tobytes())
+    fh.writelines(section.tobytes() for section in sections)
 
 
 def read_bundle(source) -> TokenBundle:
@@ -294,32 +272,21 @@ def read_bundle(source) -> TokenBundle:
 def _parse(data: bytes) -> TokenBundle:
     if len(data) < HEADER_SIZE:
         raise TruncatedError(f"need {HEADER_SIZE} header bytes, file has {len(data)}")
-    magic, version, sid_len, frame, frame_rate, n_agents, n_maps, n_scene = (
-        _HEADER.unpack_from(data)
-    )
+    magic, version, sid_len, frame, frame_rate, *counts = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise MagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise VersionError(f"unsupported version {version}")
-    sections = ((_AGENT_RECORD, n_agents), (_MAP_RECORD, n_maps), (_SCENE_RECORD, n_scene))
-    size = HEADER_SIZE + sid_len + sum(dtype.itemsize * n for dtype, n in sections)
+    pos = HEADER_SIZE + sid_len
+    size = pos + sum(dtype.itemsize * n for dtype, n in zip(_SECTIONS.values(), counts))
     if len(data) != size:
         raise TruncatedError(f"header promises {size} bytes, file has {len(data)}")
     try:
-        scene_id = data[HEADER_SIZE : HEADER_SIZE + sid_len].decode("utf-8")
+        scene_id = data[HEADER_SIZE:pos].decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError("scene id is not valid utf-8") from None
-    pos = HEADER_SIZE + sid_len
-    arrays = []
-    for dtype, n in sections:
-        arrays.append(np.frombuffer(data, dtype, count=n, offset=pos))
+    sections = []
+    for dtype, n in zip(_SECTIONS.values(), counts):
+        sections.append(np.frombuffer(data, dtype, count=n, offset=pos))  # read-only views
         pos += dtype.itemsize * n
-    agents, maps, scene = arrays
-    return TokenBundle(
-        scene_id=scene_id,
-        frame=frame,
-        frame_rate=frame_rate,
-        agent_tokens=tuple(zip(agents["id"].tolist(), map(AgentToken, agents["values"]))),
-        map_tokens=tuple(zip(maps["id"].tolist(), map(MapToken, maps["values"]))),
-        scene_tokens=tuple(map(MapToken, scene)),
-    )
+    return TokenBundle(scene_id, frame, frame_rate, *sections)

@@ -36,9 +36,9 @@ from drivekit.scene import (
 from drivekit.synth import corpus_manifest, synth_corpus, synth_scene
 from drivekit.tokens import (
     AGENT_DIM,
+    AGENT_RECORD,
     MAP_DIM,
-    AgentToken,
-    MapToken,
+    MAP_RECORD,
     TokenBundle,
     fixture_decode,
     fixture_encode,
@@ -329,19 +329,14 @@ def test_c10_round_trips():
         assert save_scene(load_scene(doc)) == doc
 
     for _ in range(1000):
-        bundle = TokenBundle(
-            scene_id=f"s{rng.integers(1e6)}",
-            frame=int(rng.integers(0, 40)),
-            frame_rate=2.0,
-            agent_tokens=tuple(
-                (int(i), AgentToken(rng.standard_normal(AGENT_DIM).astype(np.float32)))
-                for i in rng.choice(100, size=int(rng.integers(0, 4)), replace=False)
-            ),
-            map_tokens=tuple(
-                (int(i), MapToken(rng.standard_normal(MAP_DIM).astype(np.float32)))
-                for i in rng.choice(100, size=int(rng.integers(0, 3)), replace=False)
-            ),
-        )
+        scene_id, frame = f"s{rng.integers(1e6)}", int(rng.integers(0, 40))
+        sections = []
+        for dtype, width, most in ((AGENT_RECORD, AGENT_DIM, 4), (MAP_RECORD, MAP_DIM, 3)):
+            records = np.zeros(int(rng.integers(0, most)), dtype)
+            records["id"] = rng.choice(100, size=len(records), replace=False)
+            records["values"] = rng.standard_normal((len(records), width))
+            sections.append(records)
+        bundle = TokenBundle(scene_id, frame, 2.0, *sections)
         buf = io.BytesIO()
         write_bundle(bundle, buf)
         assert read_bundle(buf.getvalue()) == bundle

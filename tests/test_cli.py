@@ -208,6 +208,20 @@ def test_tokenize_rejects_a_scene_id_that_leaves_the_out_dir(tmp_path, scene_fil
     assert not [p for p in set(tmp_path.rglob("*")) - before if p.is_file()]
 
 
+def test_tokenize_names_the_token_that_is_not_finite_as_f32(tmp_path, capsys):
+    scene = synth_scene("NOMINAL", 0)
+    path = tmp_path / "huge.json"
+    save_scene_file(scene, path)
+    doc = json.loads(path.read_text("utf-8"))
+    doc["agents"][0]["states"][0]["x"] = 1e100  # finite as f64, not as f32
+    path.write_text(json.dumps(doc), "utf-8")
+    assert main(["tokenize", "--out", str(tmp_path / "tok"), str(path)]) == 1
+    assert _one_error_line(capsys.readouterr().err) == {
+        "error": "FORMAT_ERROR",
+        "message": f"{scene.id} f0: agent token {scene.agents[0].id} is not finite as f32",
+    }
+
+
 def _write_replay_plans(scene_paths, plan_path):
     lines = []
     for path in scene_paths:

@@ -14,7 +14,6 @@ from drivekit.errors import (
     DrivekitError,
     FileError,
     FormatError,
-    LengthError,
     MagicError,
     TruncatedError,
     VersionError,
@@ -23,16 +22,15 @@ from drivekit.scene import AgentCategory, LaneSemantic
 from drivekit.tokens import (
     _LAYOUTS,
     AGENT_DIM,
+    AGENT_RECORD,
     HEADER_SIZE,
     MAGIC,
     MAP_DIM,
+    MAP_RECORD,
+    SCENE_RECORD,
     AgentAttributes,
-    AgentToken,
     MapAttributes,
-    MapToken,
-    MotionToken,
     TokenBundle,
-    TrackToken,
     fixture_decode,
     fixture_encode,
     read_bundle,
@@ -41,33 +39,77 @@ from drivekit.tokens import (
 from drivekit.synth import synth_scene
 
 
-def test_concat_track_then_motion():
-    token = AgentToken([0.0] * 256 + [1.0] * 256)
-    assert np.array_equal(token.track, [0.0] * 256)
-    assert np.array_equal(token.motion, [1.0] * 256)
+def _section(dtype, ids, values=0.0) -> np.ndarray:
+    """A writable section of `dtype` records: one per id, each holding `values`."""
+    records = np.zeros(len(ids), dtype)
+    records["id"] = ids
+    records["values"] = values
+    return records
 
 
-def test_concat_wrong_lengths():
-    with pytest.raises(LengthError):
-        TrackToken([0.0] * 255)
-    with pytest.raises(LengthError):
-        MotionToken([0.0] * 257)
+def _bundle(**changes) -> TokenBundle:
+    fields = dict(scene_id="s", frame=0, frame_rate=2.0)
+    fields.update(changes)
+    return TokenBundle(**fields)
 
 
-def test_concat_preserves_slices_exactly():
-    rng = np.random.default_rng(1)
-    a = TrackToken(rng.standard_normal(256).astype(np.float32))
-    b = MotionToken(rng.standard_normal(256).astype(np.float32))
-    token = AgentToken(np.concatenate((a.values, b.values)))
-    assert np.array_equal(token.track, a.values)
-    assert np.array_equal(token.motion, b.values)
+def test_bundle_sections_default_to_empty_arrays():
+    bundle = _bundle()
+    assert bundle.agent_tokens.dtype == AGENT_RECORD and bundle.agent_tokens.shape == (0,)
+    assert bundle.map_tokens.dtype == MAP_RECORD and bundle.map_tokens.shape == (0,)
+    assert bundle.scene_tokens.dtype == np.dtype("<f4")
+    assert bundle.scene_tokens.shape == np.empty(0, SCENE_RECORD).shape == (0, MAP_DIM)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("agent_tokens", np.zeros(1, [("id", "<u8"), ("values", "<f4", (AGENT_DIM - 1,))])),
+        ("map_tokens", np.zeros(1, [("id", "<u8"), ("values", "<f4", (MAP_DIM + 1,))])),
+        ("agent_tokens", np.zeros(1, [("id", "<u8"), ("values", "<f8", (AGENT_DIM,))])),
+        ("map_tokens", np.zeros(1, [("id", ">u8"), ("values", ">f4", (MAP_DIM,))])),
+        ("agent_tokens", np.zeros((1, 1), AGENT_RECORD)),
+        ("map_tokens", np.zeros((), MAP_RECORD)),
+        ("scene_tokens", np.zeros(MAP_DIM, "<f4")),
+        ("scene_tokens", np.zeros((1, MAP_DIM - 1), "<f4")),
+        ("scene_tokens", np.zeros((1, MAP_DIM), "<f8")),
+        ("scene_tokens", [[0.0] * MAP_DIM]),
+    ],
+    ids=[
+        "agent-width-511", "map-width-257", "agent-f8", "map-big-endian", "agent-2d",
+        "map-0d", "scene-1d", "scene-width-255", "scene-f8", "scene-list",
+    ],
+)
+def test_bundle_rejects_section_of_wrong_dtype_or_shape(field, bad):
+    with pytest.raises(FormatError, match=f"^s f0: {field[:-7]} tokens must be a "):
+        _bundle(**{field: bad})
 
 
 def test_non_finite_rejected():
-    bad = [0.0] * 256
-    bad[7] = float("inf")
-    with pytest.raises(FormatError):
-        TrackToken(bad)
+    agents = _section(AGENT_RECORD, [3, 41])
+    agents["values"][1, 7] = np.inf
+    with pytest.raises(FormatError, match="^s f0: agent token 41 is not finite as f32$"):
+        _bundle(agent_tokens=agents)
+    maps = _section(MAP_RECORD, [2, 8])
+    maps["values"][0, 200] = np.nan
+    with pytest.raises(FormatError, match="^s f0: map token 2 is not finite as f32$"):
+        _bundle(map_tokens=maps)
+    scene = np.zeros((2, MAP_DIM), "<f4")
+    scene[1, 0] = -np.inf
+    with pytest.raises(FormatError, match="^s f0: scene token 1 is not finite as f32$"):
+        _bundle(scene_tokens=scene)
+
+
+def test_bundle_keeps_no_view_of_a_writable_section():
+    agents = _section(AGENT_RECORD, [1, 2], 0.5)
+    bundle = _bundle(agent_tokens=agents)
+    agents["values"][0, 0] = 5.0
+    agents["id"][1] = 9
+    assert bundle == _bundle(agent_tokens=_section(AGENT_RECORD, [1, 2], 0.5))
+    with pytest.raises(ValueError):
+        bundle.agent_tokens["values"][0, 0] = 1.0
+    agents.flags.writeable = False  # a read-only section is kept as it is
+    assert _bundle(agent_tokens=agents).agent_tokens is agents
 
 
 def test_fixture_encode_deterministic():
@@ -149,9 +191,7 @@ def test_decode_rejects_malformed_one_hot():
     values = np.zeros(AGENT_DIM)
     values[6] = 1.0
     values[7] = 1.0  # two categories set
-    bundle = TokenBundle(
-        scene_id="x", frame=0, frame_rate=2.0, agent_tokens=((1, AgentToken(values)),), map_tokens=()
-    )
+    bundle = _bundle(agent_tokens=_section(AGENT_RECORD, [1], values))
     with pytest.raises(FormatError):
         fixture_decode(bundle)
 
@@ -160,22 +200,19 @@ def random_bundle(rng) -> TokenBundle:
     n_agents = int(rng.integers(0, 4))
     n_maps = int(rng.integers(0, 3))
     n_scene = int(rng.integers(0, 2))
+    scene_id = "s" + str(rng.integers(0, 10_000))
+    frame = int(rng.integers(0, 40))
+    agent_ids = rng.choice(1000, size=n_agents, replace=False)
+    agents = _section(AGENT_RECORD, agent_ids, rng.standard_normal((n_agents, AGENT_DIM)))
+    map_ids = rng.choice(1000, size=n_maps, replace=False)
+    maps = _section(MAP_RECORD, map_ids, rng.standard_normal((n_maps, MAP_DIM)))
     return TokenBundle(
-        scene_id="s" + str(rng.integers(0, 10_000)),
-        frame=int(rng.integers(0, 40)),
+        scene_id=scene_id,
+        frame=frame,
         frame_rate=2.0,
-        agent_tokens=tuple(
-            (int(i), AgentToken(rng.standard_normal(AGENT_DIM).astype(np.float32)))
-            for i in rng.choice(1000, size=n_agents, replace=False)
-        ),
-        map_tokens=tuple(
-            (int(i), MapToken(rng.standard_normal(MAP_DIM).astype(np.float32)))
-            for i in rng.choice(1000, size=n_maps, replace=False)
-        ),
-        scene_tokens=tuple(
-            MapToken(rng.standard_normal(MAP_DIM).astype(np.float32))
-            for _ in range(n_scene)
-        ),
+        agent_tokens=agents,
+        map_tokens=maps,
+        scene_tokens=rng.standard_normal((n_scene, MAP_DIM)).astype("<f4"),
     )
 
 
@@ -194,7 +231,7 @@ def test_roundtrip_bit_exact_over_random_bundles():
 
 
 def test_empty_bundle_is_header_only():
-    bundle = TokenBundle(scene_id="", frame=0, frame_rate=2.0, agent_tokens=(), map_tokens=())
+    bundle = _bundle(scene_id="")
     buf = io.BytesIO()
     write_bundle(bundle, buf)
     assert len(buf.getvalue()) == HEADER_SIZE == 28
@@ -202,7 +239,7 @@ def test_empty_bundle_is_header_only():
 
 
 def test_corrupted_magic():
-    bundle = TokenBundle(scene_id="s", frame=0, frame_rate=2.0, agent_tokens=(), map_tokens=())
+    bundle = _bundle()
     buf = io.BytesIO()
     write_bundle(bundle, buf)
     data = bytearray(buf.getvalue())
@@ -212,7 +249,7 @@ def test_corrupted_magic():
 
 
 def test_unsupported_version():
-    bundle = TokenBundle(scene_id="s", frame=0, frame_rate=2.0, agent_tokens=(), map_tokens=())
+    bundle = _bundle()
     buf = io.BytesIO()
     write_bundle(bundle, buf)
     data = bytearray(buf.getvalue())
@@ -224,7 +261,7 @@ def test_unsupported_version():
 def test_truncated_payload():
     rng = np.random.default_rng(0)
     bundle = random_bundle(rng)
-    while not bundle.agent_tokens:
+    while not len(bundle.agent_tokens):
         bundle = random_bundle(rng)
     buf = io.BytesIO()
     write_bundle(bundle, buf)
@@ -255,15 +292,20 @@ def test_unreadable_bundle_path_is_file_error(tmp_path, name, code):
 
 
 def test_duplicate_ids_rejected():
-    token = AgentToken(np.zeros(AGENT_DIM))
-    with pytest.raises(FormatError):
-        TokenBundle(
-            scene_id="s",
-            frame=0,
-            frame_rate=2.0,
-            agent_tokens=((1, token), (1, token)),
-            map_tokens=(),
-        )
+    with pytest.raises(FormatError, match="^s f0: duplicate agent token ids$"):
+        _bundle(agent_tokens=_section(AGENT_RECORD, [1, 1]))
+    with pytest.raises(FormatError, match="^s f0: duplicate map token ids$"):
+        _bundle(map_tokens=_section(MAP_RECORD, [4, 2, 4]))
+    _bundle(agent_tokens=_section(AGENT_RECORD, [1]), map_tokens=_section(MAP_RECORD, [1]))
+
+
+def test_encode_rejects_id_outside_u64():
+    agent = track(2**64, [state(10.0, 2.0)] * 6)
+    with pytest.raises(FormatError, match="agent token id 18446744073709551616 is not a u64"):
+        fixture_encode(scene_of([straight_lane(1)], [agent], cruising_ego(6)), 0, 0)
+    scene = scene_of([straight_lane(2**64 + 1)], [], cruising_ego(6))
+    with pytest.raises(FormatError, match="map token id 18446744073709551617 is not a u64"):
+        fixture_encode(scene, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -282,48 +324,50 @@ def test_fixture_bundle_bytes_are_pinned(kind, index, frame, seed, size, sha256)
     write_bundle(bundle, buf)
     assert len(buf.getvalue()) == size
     assert hashlib.sha256(buf.getvalue()).hexdigest() == sha256
-    token = bundle.agent_tokens[0][1]
-    assert token.values.dtype == np.dtype("<f4")
+    tokens = bundle.agent_tokens
+    assert tokens.dtype == AGENT_RECORD
     with pytest.raises(ValueError):
-        token.values[0] = 1.0
+        tokens["values"][0, 0] = 1.0
     with pytest.raises(ValueError):
-        token.track[0] = 1.0
+        tokens["id"][0] = 1
 
 
 def test_token_equality_is_exact_and_typed():
-    values = np.linspace(-1.0, 1.0, 256)
-    assert TrackToken(values) == TrackToken(values.astype(np.float32))
-    assert TrackToken(values) != MapToken(values)
+    values = np.linspace(-1.0, 1.0, MAP_DIM)
+    bundle = _bundle(map_tokens=_section(MAP_RECORD, [4], values))
+    assert bundle == _bundle(map_tokens=_section(MAP_RECORD, [4], values.astype(np.float32)))
+    assert bundle != _bundle(map_tokens=_section(MAP_RECORD, [5], values))
+    assert bundle != _bundle(scene_tokens=values.astype("<f4")[None])
+    assert bundle != _bundle(frame=1, map_tokens=_section(MAP_RECORD, [4], values))
+    assert bundle != ("s", 0, 2.0)
     nudged = values.astype(np.float32)
     nudged[3] = np.nextafter(nudged[3], np.float32(2.0))
-    assert TrackToken(values) != TrackToken(nudged)
+    assert bundle != _bundle(map_tokens=_section(MAP_RECORD, [4], nudged))
     with pytest.raises(TypeError):
-        hash(TrackToken(values))
-
-
-def _bundle(**changes) -> TokenBundle:
-    fields = dict(scene_id="s", frame=0, frame_rate=2.0, agent_tokens=(), map_tokens=())
-    fields.update(changes)
-    return TokenBundle(**fields)
+        hash(bundle)
 
 
 def test_bundle_rejects_token_of_wrong_type():
-    agent, lane = AgentToken(np.zeros(AGENT_DIM)), MapToken(np.zeros(MAP_DIM))
+    agents, maps = np.zeros(1, AGENT_RECORD), np.zeros(1, MAP_RECORD)
     with pytest.raises(FormatError):
-        _bundle(agent_tokens=((1, lane),))
+        _bundle(agent_tokens=maps)
     with pytest.raises(FormatError):
-        _bundle(map_tokens=((1, agent),))
+        _bundle(map_tokens=agents)
     with pytest.raises(FormatError):
-        _bundle(scene_tokens=(agent,))
+        _bundle(scene_tokens=agents)
+    with pytest.raises(FormatError):
+        _bundle(agent_tokens=((1, np.zeros(AGENT_DIM)),))
 
 
 @pytest.mark.parametrize("bad_id", [1.5, True, -1, 2**64, "3"])
 def test_bundle_rejects_id_outside_u64_ints(bad_id):
-    with pytest.raises(FormatError):
-        _bundle(agent_tokens=((bad_id, AgentToken(np.zeros(AGENT_DIM))),))
-    with pytest.raises(FormatError):
-        _bundle(map_tokens=((bad_id, MapToken(np.zeros(MAP_DIM))),))
-    _bundle(agent_tokens=((2**64 - 1, AgentToken(np.zeros(AGENT_DIM))),))
+    # a section whose id column can hold bad_id is not one of u64 ids
+    for field, dtype in (("agent_tokens", AGENT_RECORD), ("map_tokens", MAP_RECORD)):
+        records = np.zeros(1, [("id", np.asarray(bad_id).dtype), ("values", dtype["values"])])
+        records["id"] = bad_id
+        with pytest.raises(FormatError):
+            _bundle(**{field: records})
+    _bundle(agent_tokens=_section(AGENT_RECORD, [2**64 - 1]))
 
 
 @pytest.mark.parametrize("bad_frame", [-1, 2**32, 2**33, 1.0, False])
@@ -333,7 +377,7 @@ def test_bundle_rejects_frame_outside_u32(bad_frame):
     _bundle(frame=2**32 - 1)
 
 
-@pytest.mark.parametrize("bad_rate", [1e300, -1e39, float("inf"), float("nan"), "fast"])
+@pytest.mark.parametrize("bad_rate", [1e300, -1e39, float("inf"), float("nan"), "fast", True])
 def test_bundle_rejects_frame_rate_not_finite_as_f32(bad_rate):
     with pytest.raises(FormatError):
         _bundle(frame_rate=bad_rate)
@@ -356,9 +400,9 @@ def _sample_bundle_bytes() -> bytes:
     bundle = _bundle(
         scene_id="sc\u00e8ne-7",
         frame=3,
-        agent_tokens=((9, AgentToken(rng.standard_normal(AGENT_DIM))),),
-        map_tokens=((2, MapToken(rng.standard_normal(MAP_DIM))),),
-        scene_tokens=(MapToken(rng.standard_normal(MAP_DIM)),),
+        agent_tokens=_section(AGENT_RECORD, [9], rng.standard_normal(AGENT_DIM)),
+        map_tokens=_section(MAP_RECORD, [2], rng.standard_normal(MAP_DIM)),
+        scene_tokens=rng.standard_normal((1, MAP_DIM)).astype("<f4"),
     )
     buf = io.BytesIO()
     write_bundle(bundle, buf)
@@ -369,6 +413,15 @@ SAMPLE = _sample_bundle_bytes()
 FUZZ = settings(max_examples=300, deadline=None)
 # flips land in the header and scene id half the time, in the token body otherwise
 FLIP_POS = st.integers(0, HEADER_SIZE + 12) | st.integers(0, len(SAMPLE) - 1)
+
+
+def test_read_bundle_sections_are_read_only_views():
+    bundle = read_bundle(SAMPLE)
+    assert (bundle.agent_tokens.dtype, bundle.map_tokens.dtype) == (AGENT_RECORD, MAP_RECORD)
+    assert bundle.scene_tokens.shape == (1, MAP_DIM)
+    for section in (bundle.agent_tokens, bundle.map_tokens, bundle.scene_tokens):
+        assert not section.flags.owndata
+        assert not section.flags.writeable
 
 
 def test_non_utf8_scene_id_is_format_error():
