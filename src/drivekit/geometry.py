@@ -21,6 +21,17 @@ POSITION_ONLY_CATEGORIES = frozenset(
 )
 
 
+def libm(fn, *arrays) -> np.ndarray:
+    """`fn`, a `math` function, applied to each element of float arrays of one
+    shape. Each element gets libm's bits, alone or in a batch; numpy's
+    vectorized functions do not promise libm's results."""
+    args = [np.asarray(a, dtype=float) for a in arrays]
+    if len({a.shape for a in args}) > 1:
+        raise ValueError(f"libm needs arrays of one shape, got {[a.shape for a in args]}")
+    values = list(map(fn, *(a.ravel().tolist() for a in args)))
+    return np.array(values, dtype=float).reshape(args[0].shape)
+
+
 @dataclass(frozen=True)
 class FrenetCoord:
     s: float  # meters along the polyline from its start
@@ -83,7 +94,7 @@ class LaneIndex:
             len2=len2,
             seg_len=seg_len,
             cum=np.concatenate([values, *(np.concatenate(([0.0], c)) for c in cum)]),
-            tangents=np.array([math.atan2(dy, dx) for dx, dy in vectors.tolist()], dtype=float),
+            tangents=libm(math.atan2, vectors[:, 1], vectors[:, 0]),
         )
 
 
@@ -204,16 +215,6 @@ def from_frame(xy, origin: Pose2) -> np.ndarray:
 # oriented boxes
 
 
-def _rotations(heading) -> tuple:
-    """cos and sin of each heading, from libm one value at a time, so a box
-    gets the same bits alone or in a batch; numpy's vectorized trig does not
-    promise libm's results."""
-    h = np.asarray(heading, dtype=float)
-    c = np.array([math.cos(x) for x in h.ravel().tolist()], dtype=float).reshape(h.shape)
-    s = np.array([math.sin(x) for x in h.ravel().tolist()], dtype=float).reshape(h.shape)
-    return c, s
-
-
 # corner signs of a box, counter-clockwise from front-left
 _CORNER_SIGNS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)])
 
@@ -231,7 +232,7 @@ def obb_corners(center, heading, length, width) -> np.ndarray:
     Scalars give one (4, 2) box; N headings with (N, 2) centers give
     (N, 4, 2), with lengths and widths either per box or shared.
     """
-    c, s = _rotations(heading)
+    c, s = libm(math.cos, heading), libm(math.sin, heading)
     local = _local_corners(length, width, c.shape)
     rot = np.stack((c, -s, s, c), axis=-1).reshape(c.shape + (2, 2))
     # one matmul per box, the same BLAS call a single box makes
@@ -294,13 +295,13 @@ def polyline_obb_distance(pts, center, heading, length, width):
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     scalar = np.ndim(heading) == 0
     centers = np.asarray(center, dtype=float).reshape(-1, 2)
-    headings = np.asarray(heading, dtype=float).reshape(-1)
+    # headings wrapped as Pose2 wraps them
+    headings = wrap_angles(np.asarray(heading, dtype=float).reshape(-1))
     lengths = np.asarray(length, dtype=float).reshape(-1)
     widths = np.asarray(width, dtype=float).reshape(-1)
 
-    # polyline points in each box frame, (N, K, 2), with headings wrapped as
-    # Pose2 wraps them
-    c, s = _rotations(wrap_angles(headings))
+    # polyline points in each box frame, (N, K, 2)
+    c, s = libm(math.cos, headings), libm(math.sin, headings)
     dx = pts[None, :, 0] - centers[:, 0:1]
     dy = pts[None, :, 1] - centers[:, 1:2]
     c, s = c[:, None], s[:, None]
@@ -309,7 +310,7 @@ def polyline_obb_distance(pts, center, heading, length, width):
     if len(pts) == 1:
         # one point: libm hypot of its gaps outside the box, per box
         gaps = np.maximum(np.abs(local[:, 0]) - rect[:, 0, 0], 0.0)  # corner 0 is (hl, hw)
-        out = np.array([math.hypot(gx, gy) for gx, gy in gaps.tolist()], dtype=float)
+        out = libm(math.hypot, gaps[:, 0], gaps[:, 1])
         return float(out[0]) if scalar else out
     inside = (np.abs(local) <= rect[:, :, 0, :]).all(axis=-1)
 

@@ -2,9 +2,10 @@
 weighted error, collision rate, frame masking, exact assignment, and
 grounding precision/recall.
 
-Plans are 6 waypoints at 0.5 s steps over 3 s in the anchor ego frame.
-Horizons report at 1/2/3 s plus the mean over those three (ave123) and over
-all six steps (ave_all).
+Plans are 6 waypoints at 0.5 s steps over 3 s in the anchor ego frame. Each
+metric takes one (6, 2) plan or an (N, 6, 2) stack and reports the per-step
+mean over the stack at 1/2/3 s plus the mean over those three (ave123) and
+over all six steps (ave_all).
 
 The longitudinal-weighted variant decomposes the per-step error vector in the
 ground-truth motion direction and scales the longitudinal component by w_lon;
@@ -24,38 +25,40 @@ from scipy.optimize import linear_sum_assignment
 
 from .config import Config
 from .errors import AlignError, ParamError, SchemaError, as_finite, as_int
-from .geometry import from_frame, obb_corners, obb_overlap
-from .scene import PLAN_STEPS, Scene, _points, frames_per_step, wrap_angle, wrap_angles
+from .geometry import from_frame, libm, obb_corners, obb_overlap
+from .scene import PLAN_STEPS, Scene, _points, frames_per_step, wrap_angles
 
 _HORIZON_INDEX = {1: 1, 2: 3, 3: 5}  # seconds -> step index
 
 
-def _as_plan_xy(plan) -> np.ndarray:
-    arr = np.asarray(plan, dtype=float)
-    if arr.shape != (PLAN_STEPS, 2):
-        raise AlignError(f"plan must be ({PLAN_STEPS}, 2), got {arr.shape}")
-    return arr
+def _as_plans(*plans) -> list:
+    """Each argument as floats of one shape, a (6, 2) plan or an (N, 6, 2)
+    stack of N >= 1 plans; AlignError otherwise, so a stack never broadcasts
+    against a plan."""
+    arrs = [np.asarray(plan, dtype=float) for plan in plans]
+    shape, shapes = arrs[0].shape, [arr.shape for arr in arrs]
+    if shape[-2:] != (PLAN_STEPS, 2) or len(shape) > 3 or 0 in shape or len(set(shapes)) > 1:
+        raise AlignError(f"plans must be ({PLAN_STEPS}, 2) or (N, {PLAN_STEPS}, 2), got {shapes}")
+    return arrs
 
 
-def headings_xy(xy, eps_move: float = Config.eps_move) -> list:
-    """Per-point headings of a plan's positions in the anchor ego frame.
+def headings_xy(xy, eps_move: float = Config.eps_move) -> np.ndarray:
+    """Per-point headings of (..., K, 2) positions in the anchor ego frame, as
+    a (..., K) array.
 
     heading_k points along segment k -> k+1; the final point repeats the last
     segment heading; segments shorter than eps_move carry the previous heading
     forward, starting from the anchor heading 0.
     """
-    headings = []
-    prev = 0.0
-    for k in range(len(xy) - 1):
-        dx = xy[k + 1][0] - xy[k][0]
-        dy = xy[k + 1][1] - xy[k][1]
-        if math.hypot(dx, dy) < eps_move:
-            headings.append(prev)
-        else:
-            prev = wrap_angle(math.atan2(dy, dx))
-            headings.append(prev)
-    headings.append(prev)
-    return headings
+    xy = np.asarray(xy, dtype=float)
+    # one segment per point; the final point's is empty and never moves
+    dx, dy = np.moveaxis(np.diff(xy, axis=-2, append=xy[..., -1:, :]), -1, 0)
+    moves = ~(libm(math.hypot, dx, dy) < eps_move)  # a NaN length moves
+    moves[..., -1:] = False
+    # per point, the last moving segment up to it, or -1 for the anchor
+    last = np.maximum.accumulate(np.where(moves, np.arange(xy.shape[-2]), -1), axis=-1)
+    headings = wrap_angles(libm(math.atan2, dy, dx))
+    return np.where(last < 0, 0.0, np.take_along_axis(headings, np.maximum(last, 0), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,9 @@ class HorizonValues:
 
     @classmethod
     def from_steps(cls, steps: np.ndarray) -> "HorizonValues":
+        """Horizons of one plan's (6,) per-step values, or of the per-step
+        mean of an (N, 6) stack's."""
+        steps = np.mean(steps, axis=0) if steps.ndim == 2 else steps
         at = {h: float(steps[i]) for h, i in _HORIZON_INDEX.items()}
         return cls(
             at=at,
@@ -77,72 +83,76 @@ class HorizonValues:
 
 
 def traj_l2(pred, gt) -> HorizonValues:
-    p = _as_plan_xy(pred)
-    g = _as_plan_xy(gt)
-    return HorizonValues.from_steps(np.hypot(*(p - g).T))
+    p, g = _as_plans(pred, gt)
+    return HorizonValues.from_steps(np.hypot(*np.moveaxis(p - g, -1, 0)))
 
 
 def heading_l2(pred, gt, eps_move: float = Config.eps_move) -> HorizonValues:
-    p = _as_plan_xy(pred)
-    g = _as_plan_xy(gt)
+    p, g = _as_plans(pred, gt)
     # plans sit in the anchor ego frame, whose heading is 0
-    hp = headings_xy(p, eps_move)
-    hg = headings_xy(g, eps_move)
-    err = np.abs(wrap_angles(np.subtract(hp, hg)))
+    err = np.abs(wrap_angles(headings_xy(p, eps_move) - headings_xy(g, eps_move)))
     return HorizonValues.from_steps(err)
 
 
 def lon_weighted_l2(
     pred, gt, w_lon: float = Config.w_lon, eps_move: float = Config.eps_move
 ) -> HorizonValues:
-    p = _as_plan_xy(pred)
-    g = _as_plan_xy(gt)
+    p, g = _as_plans(pred, gt)
     hg = headings_xy(g, eps_move)
-    e = p - g
-    steps = np.empty(PLAN_STEPS)
-    for k in range(PLAN_STEPS):
-        c, s = math.cos(hg[k]), math.sin(hg[k])
-        lon = e[k, 0] * c + e[k, 1] * s
-        lat = -e[k, 0] * s + e[k, 1] * c
-        steps[k] = math.hypot(w_lon * lon, lat)
-    return HorizonValues.from_steps(steps)
+    c, s = libm(math.cos, hg), libm(math.sin, hg)
+    e0, e1 = np.moveaxis(p - g, -1, 0)
+    lon = e0 * c + e1 * s
+    lat = -e0 * s + e1 * c
+    return HorizonValues.from_steps(libm(math.hypot, w_lon * lon, lat))
 
 
 # --------------------------------------------------------------------------
 # collision
 
 
-def plan_collision_fraction(
-    scene: Scene, frame: int, plan, eps_move: float = Config.eps_move
-) -> float:
-    """Fraction of the 6 steps whose ego footprint overlaps any other agent's
-    ground-truth box at that timestamp (separating-axis test)."""
-    wp = _as_plan_xy(plan)
-    spf = scene.plan_stride
-    anchor = scene.ego.pose(frame)
-    ego_len, ego_wid = scene.ego.arrays["box"][frame].tolist()
-    wp_global = from_frame(wp, anchor)
-    local_headings = headings_xy(wp, eps_move)
+# (agent, plan, step) triples per separating-axis call, each with about 1 KB of
+# working arrays: a 100-agent scene tests one plan per call, which keeps peak
+# RSS at the one-plan level, and a scene of at most 4 agents 21 or more
+_SAT_TRIPLES = 512
 
-    # steps that land inside the scene, and every (step, valid agent) pair in
-    # step-major, agent-minor order
-    n_steps = min(PLAN_STEPS, (scene.n_frames - 1 - frame) // spf)
-    steps = scene.agent_arrays[:, frame + spf * np.arange(1, n_steps + 1)].T
-    step_of = np.nonzero(steps["valid"])[0]
-    states = steps[steps["valid"]]
-    if not len(states):
-        return 0.0
-    ego_boxes = obb_corners(
-        wp_global[:n_steps],
-        wrap_angles(np.add(local_headings[:n_steps], anchor.heading)),
-        ego_len,
-        ego_wid,
+
+def plan_collision_fraction(scene: Scene, frame, plan, eps_move: float = Config.eps_move):
+    """Fraction of the 6 steps whose ego footprint overlaps any other agent's
+    ground-truth box at that timestamp (separating-axis test).
+
+    A frame and a (6, 2) plan give a float; (N,) frames and an (N, 6, 2)
+    stack give (N,) fractions, each the one-plan value. Steps past the scene's
+    last frame overlap nothing. A frame outside the scene is an AlignError.
+    """
+    (plans,) = _as_plans(plan)
+    frames = np.asarray(frame)
+    if frames.shape != plans.shape[:-2] or frames.dtype.kind not in "iu":
+        raise AlignError(f"frames must be int{plans.shape[:-2]}, got {frames.dtype}{frames.shape}")
+    bad = frames[(frames < 0) | (frames >= scene.n_frames)]
+    if bad.size:
+        raise AlignError(f"frame {bad[0]} is outside scene {scene.id} of {scene.n_frames} frames")
+    plans, frames = plans.reshape(-1, PLAN_STEPS, 2), frames.reshape(-1)
+    anchors = [scene.ego.pose(f) for f in frames.tolist()]
+    ego_boxes = obb_corners(  # (N, 6, 4, 2)
+        np.stack([from_frame(wp, anchor) for wp, anchor in zip(plans, anchors)]),
+        wrap_angles(headings_xy(plans, eps_move) + [[anchor.heading] for anchor in anchors]),
+        *scene.ego.arrays["box"][frames].T[..., None],  # (N, 1) lengths and widths
     )
-    agent_boxes = obb_corners(
-        states["xy"], states["heading"], states["box"][:, 0], states["box"][:, 1]
-    )
-    hit = obb_overlap(ego_boxes[step_of], agent_boxes)
-    return len(set(step_of[hit].tolist())) / PLAN_STEPS
+    # the scene frame of each plan step, and whether it lies inside the scene
+    at = frames[:, None] + scene.plan_stride * np.arange(1, PLAN_STEPS + 1)
+    inside = at < scene.n_frames
+    hit = np.zeros(at.shape, dtype=bool)
+    per_call = max(1, _SAT_TRIPLES // (PLAN_STEPS * max(1, len(scene.agents))))
+    for lo in range(0, len(plans), per_call):
+        rows = slice(lo, lo + per_call)
+        states = scene.agent_arrays[:, np.minimum(at[rows], scene.n_frames - 1)]
+        agent, row, step = np.nonzero(states["valid"] & inside[rows])
+        s = states[agent, row, step]
+        agent_boxes = obb_corners(s["xy"], s["heading"], s["box"][:, 0], s["box"][:, 1])
+        overlap = obb_overlap(ego_boxes[rows][row, step], agent_boxes)
+        hit[lo + row[overlap], step[overlap]] = True
+    fractions = np.count_nonzero(hit, axis=1) / PLAN_STEPS
+    return float(fractions[0]) if np.ndim(frame) == 0 else fractions
 
 
 # --------------------------------------------------------------------------
@@ -299,40 +309,30 @@ class MetricReport:
         return out
 
 
-def _mean_horizon(values: List[HorizonValues]) -> Optional[HorizonValues]:
-    if not values:
-        return None
-    steps = np.mean([hv.per_step for hv in values], axis=0)
-    return HorizonValues.from_steps(steps)
-
-
 def evaluate_plans(plans, scenes: Dict[str, Scene], config: Config) -> MetricReport:
-    """Full open-loop protocol: mask incomplete futures, score each kept plan
-    against the resampled ground-truth ego future, aggregate means."""
+    """Full open-loop protocol: mask incomplete futures, score the kept plans
+    as one stack against the resampled ground-truth ego futures, average."""
     # imported here, not at module level: planners imports this module
     from .planners import ego_future_waypoints
 
     kept, masked = apply_frame_mask(plans, scenes)
+    if not kept:
+        return MetricReport(None, None, None, None, n_samples=0, n_masked=masked)
     kept = sorted(kept, key=lambda p: (p.scene_id, p.frame))
-    l2s: List[HorizonValues] = []
-    headings: List[HorizonValues] = []
-    lonws: List[HorizonValues] = []
-    fractions: List[float] = []
-    for sample in kept:
-        scene = scenes[sample.scene_id]
-        gt = ego_future_waypoints(scene, sample.frame)
-        pred = np.asarray(sample.waypoints, dtype=float)
-        l2s.append(traj_l2(pred, gt))
-        headings.append(heading_l2(pred, gt, config.eps_move))
-        lonws.append(lon_weighted_l2(pred, gt, config.w_lon, config.eps_move))
-        fractions.append(
-            plan_collision_fraction(scene, sample.frame, pred, config.eps_move)
-        )
+    pred = np.array([sample.waypoints for sample in kept], dtype=float)
+    gt = np.array([ego_future_waypoints(scenes[s.scene_id], s.frame) for s in kept])
+    frames = np.array([sample.frame for sample in kept])
+    # one collision call per scene, on its run of the sorted stack
+    starts = [i for i, s in enumerate(kept) if i == 0 or s.scene_id != kept[i - 1].scene_id]
+    fractions = [
+        plan_collision_fraction(scenes[kept[i].scene_id], f, p, config.eps_move)
+        for i, f, p in zip(starts, np.split(frames, starts[1:]), np.split(pred, starts[1:]))
+    ]
     return MetricReport(
-        l2=_mean_horizon(l2s),
-        heading=_mean_horizon(headings),
-        lon_weighted=_mean_horizon(lonws),
-        collision_rate_ave_all=100.0 * float(np.mean(fractions)) if fractions else None,
+        l2=traj_l2(pred, gt),
+        heading=heading_l2(pred, gt, config.eps_move),
+        lon_weighted=lon_weighted_l2(pred, gt, config.w_lon, config.eps_move),
+        collision_rate_ave_all=100.0 * float(np.mean(np.concatenate(fractions))),
         n_samples=len(kept),
         n_masked=masked,
     )

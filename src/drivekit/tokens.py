@@ -59,13 +59,6 @@ CATEGORY_ORDER = tuple(AgentCategory)  # one-hot order, 9 categories
 SEMANTIC_ORDER = tuple(LaneSemantic)  # one-hot order, 3 semantics
 
 
-def _no_tokens(dtype):
-    """A dataclass field defaulting to one shared read-only empty section."""
-    empty = np.empty(0, dtype)
-    empty.flags.writeable = False
-    return field(default_factory=lambda: empty)
-
-
 @dataclass(frozen=True, eq=False)
 class TokenBundle:
     """One frame's tokens, each section the read-only array the TOKB body
@@ -76,9 +69,9 @@ class TokenBundle:
     scene_id: str
     frame: int
     frame_rate: float
-    agent_tokens: np.ndarray = _no_tokens(AGENT_RECORD)
-    map_tokens: np.ndarray = _no_tokens(MAP_RECORD)
-    scene_tokens: np.ndarray = _no_tokens(SCENE_RECORD)
+    agent_tokens: np.ndarray = field(default_factory=lambda: np.empty(0, AGENT_RECORD))
+    map_tokens: np.ndarray = field(default_factory=lambda: np.empty(0, MAP_RECORD))
+    scene_tokens: np.ndarray = field(default_factory=lambda: np.empty(0, SCENE_RECORD))
 
     def __post_init__(self):
         try:
@@ -99,8 +92,9 @@ class TokenBundle:
             object.__setattr__(self, name, self._section(name, dtype))
 
     def _section(self, name: str, dtype: np.dtype) -> np.ndarray:
-        """Field `name` checked as a section of `dtype` records; a writable
-        array comes back as a read-only copy."""
+        """Field `name` checked as a section of `dtype` records, kept as it is
+        when it views a bytes object and as a read-only copy otherwise: other
+        memory, and the writeable flag of an array that owns it, can change."""
         arr, kind = getattr(self, name), name.partition("_")[0]
         where = f"{self.scene_id} f{self.frame}"
         if not (
@@ -117,7 +111,10 @@ class TokenBundle:
             raise FormatError(f"{where}: {kind} token {bad} is not finite as f32")
         if len(set(ids)) != len(ids):
             raise FormatError(f"{where}: duplicate {kind} token ids")
-        if arr.flags.writeable:
+        base = arr
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if not isinstance(base, bytes):
             arr = arr.copy()
             arr.flags.writeable = False
         return arr
@@ -145,9 +142,9 @@ _LAYOUTS = {
 
 
 def _plant(kind: str, key: tuple, ids: list, attrs, members: list) -> np.ndarray:
-    """The read-only `kind` section of `ids`: per id, noise from the stream
-    named by `key`, `kind` and the id, then its row of `attrs` and the one-hot
-    of its member in the kind's fixture slots."""
+    """The `kind` section of `ids`: per id, noise from the stream named by
+    `key`, `kind` and the id, then its row of `attrs` and the one-hot of its
+    member in the kind's fixture slots."""
     dtype, names, order = _LAYOUTS[kind]
     records = np.empty(len(ids), dtype)
     if ids:
@@ -162,7 +159,6 @@ def _plant(kind: str, key: tuple, ids: list, attrs, members: list) -> np.ndarray
         values[:, :n] = attrs
         values[:, n : n + len(order)] = 0.0
         values[range(len(ids)), [n + order.index(member) for member in members]] = 1.0
-    records.flags.writeable = False
     return records
 
 
@@ -259,11 +255,13 @@ def _write_stream(bundle: TokenBundle, fh) -> None:
 
 
 def read_bundle(source) -> TokenBundle:
-    """Read a bundle from a path, binary file object, or bytes."""
-    if isinstance(source, (bytes, bytearray)):
+    """Read a bundle from a path, binary file object, bytes, bytearray or memoryview."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
         data = bytes(source)
     elif hasattr(source, "read"):
         data = source.read()
+        if not isinstance(data, bytes):
+            raise FormatError(f"a bundle source must read bytes, got {type(data).__name__}")
     else:
         data = read_bytes(source)
     return _parse(data)

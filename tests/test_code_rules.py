@@ -1,8 +1,9 @@
 """Code rules of the drivekit sources, checked with `ast` and line lengths.
 
 Imports sit at module level, so a module's dependencies are all stated at its
-top; the one exception breaks an import cycle. No source line is over 99
-characters.
+top; the one exception breaks an import cycle. No comprehension calls a `math`
+function: elementwise libm math goes through `geometry.libm`, its one owner.
+No source line is over 99 characters.
 """
 import ast
 from pathlib import Path
@@ -58,3 +59,25 @@ def test_no_line_is_over_99_characters(path):
         if len(line) > MAX_LINE
     ]
     assert not long, "lines over 99 characters: " + ", ".join(long)
+
+
+def _math_calls_in_comprehensions(tree):
+    """Line of each `math.*` call inside a comprehension or generator expression."""
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for comp in ast.walk(tree):
+        if isinstance(comp, comprehensions):
+            for node in ast.walk(comp):
+                func = getattr(node, "func", None)
+                if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "math":
+                    yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_comprehension_calls_a_math_function(path):
+    lines = sorted(set(_math_calls_in_comprehensions(ast.parse(path.read_text("utf-8")))))
+    assert not lines, f"{path.name}: math calls in comprehensions at lines {lines}"
+
+
+def test_the_math_rule_sees_a_comprehension():
+    tree = ast.parse("y = [math.cos(x) for x in xs]\nz = sum(math.hypot(*p) for p in ps)")
+    assert list(_math_calls_in_comprehensions(tree)) == [1, 2]

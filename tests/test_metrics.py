@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 import drivekit.metrics
 from conftest import RigidMotion, cruising_ego, scene_of, state, straight_lane, track
 from drivekit.errors import AlignError, ParamError, SchemaError
-from drivekit.geometry import obb_corners, obb_overlap
+from drivekit.geometry import from_frame, obb_corners, obb_overlap
 from drivekit.metrics import (
     GroundingReport,
+    HorizonValues,
+    MetricReport,
     PlanSample,
     apply_frame_mask,
     classification_accuracy,
@@ -22,6 +25,7 @@ from drivekit.metrics import (
     future_complete,
     grounding_prf,
     heading_l2,
+    headings_xy,
     hungarian,
     lon_weighted_l2,
     plan_collision_fraction,
@@ -29,7 +33,7 @@ from drivekit.metrics import (
     traj_l2,
 )
 from drivekit.planners import ego_future_waypoints
-from drivekit.scene import AgentCategory, AgentTrack
+from drivekit.scene import AgentCategory, AgentTrack, wrap_angle, wrap_angles
 from drivekit.synth import synth_scene
 
 
@@ -68,6 +72,21 @@ def test_l2_hand_arithmetic():
 def test_l2_alignment_error():
     with pytest.raises(AlignError):
         traj_l2(np.zeros((5, 2)), np.zeros((6, 2)))
+
+
+@pytest.mark.parametrize(
+    "pred, gt",
+    [
+        (np.zeros((3, 6, 2)), np.zeros((6, 2))),  # a stack never broadcasts against a plan
+        (np.zeros((3, 6, 2)), np.zeros((2, 6, 2))),
+        (np.zeros((0, 6, 2)), np.zeros((0, 6, 2))),
+        (np.zeros((1, 1, 6, 2)), np.zeros((1, 1, 6, 2))),
+    ],
+)
+def test_metrics_take_a_plan_or_a_stack_of_one_shape(pred, gt):
+    for metric in (traj_l2, heading_l2, lon_weighted_l2):
+        with pytest.raises(AlignError):
+            metric(pred, gt)
 
 
 def test_heading_zero_for_identical():
@@ -208,6 +227,239 @@ def test_sat_agrees_with_sampling_oracle():
             assert sat, "sampling found containment SAT missed"
         agree += sat == oracle
     assert agree / n_pairs >= 0.99
+
+
+# --------------------------------------------------------------------------
+# the stacked metrics against the per-sample code they replaced, kept here as
+# oracles
+
+
+def oracle_headings(xy, eps_move):
+    headings = []
+    prev = 0.0
+    for k in range(len(xy) - 1):
+        dx = xy[k + 1][0] - xy[k][0]
+        dy = xy[k + 1][1] - xy[k][1]
+        if math.hypot(dx, dy) < eps_move:
+            headings.append(prev)
+        else:
+            prev = wrap_angle(math.atan2(dy, dx))
+            headings.append(prev)
+    headings.append(prev)
+    return headings
+
+
+def oracle_steps(pred, gt, w_lon, eps_move):
+    """Per-step L2, heading and longitudinal-weighted errors of one plan."""
+    l2 = np.hypot(*(pred - gt).T)
+    hg = oracle_headings(gt, eps_move)
+    heading = np.abs(wrap_angles(np.subtract(oracle_headings(pred, eps_move), hg)))
+    e = pred - gt
+    lonw = np.empty(6)
+    for k in range(6):
+        c, s = math.cos(hg[k]), math.sin(hg[k])
+        lon = e[k, 0] * c + e[k, 1] * s
+        lat = -e[k, 0] * s + e[k, 1] * c
+        lonw[k] = math.hypot(w_lon * lon, lat)
+    return l2, heading, lonw
+
+
+def oracle_collision(scene, frame, wp, eps_move):
+    spf = scene.plan_stride
+    anchor = scene.ego.pose(frame)
+    ego_len, ego_wid = scene.ego.arrays["box"][frame].tolist()
+    wp_global = from_frame(wp, anchor)
+    local_headings = oracle_headings(wp, eps_move)
+    n_steps = min(6, (scene.n_frames - 1 - frame) // spf)
+    steps = scene.agent_arrays[:, frame + spf * np.arange(1, n_steps + 1)].T
+    step_of = np.nonzero(steps["valid"])[0]
+    states = steps[steps["valid"]]
+    if not len(states):
+        return 0.0
+    ego_boxes = obb_corners(
+        wp_global[:n_steps],
+        wrap_angles(np.add(local_headings[:n_steps], anchor.heading)),
+        ego_len,
+        ego_wid,
+    )
+    agent_boxes = obb_corners(
+        states["xy"], states["heading"], states["box"][:, 0], states["box"][:, 1]
+    )
+    hit = obb_overlap(ego_boxes[step_of], agent_boxes)
+    return len(set(step_of[hit].tolist())) / 6
+
+
+def oracle_mean_horizon(values):
+    if not values:
+        return None
+    return HorizonValues.from_steps(np.mean([hv.per_step for hv in values], axis=0))
+
+
+def oracle_evaluate(plans, scenes, config):
+    """evaluate_plans one sample at a time."""
+    kept, masked = apply_frame_mask(plans, scenes)
+    kept = sorted(kept, key=lambda p: (p.scene_id, p.frame))
+    families, fractions = ([], [], []), []
+    for sample in kept:
+        scene = scenes[sample.scene_id]
+        gt = ego_future_waypoints(scene, sample.frame)
+        pred = np.asarray(sample.waypoints, dtype=float)
+        for values, steps in zip(families, oracle_steps(pred, gt, config.w_lon, config.eps_move)):
+            values.append(HorizonValues.from_steps(steps))
+        fractions.append(oracle_collision(scene, sample.frame, pred, config.eps_move))
+    return MetricReport(
+        *map(oracle_mean_horizon, families),
+        collision_rate_ave_all=100.0 * float(np.mean(fractions)) if fractions else None,
+        n_samples=len(kept),
+        n_masked=masked,
+    )
+
+
+@st.composite
+def point_stacks(draw, k):
+    """An (N, k, 2) stack with repeated points, and an eps_move equal to one of
+    its segment lengths, or next to one."""
+    n = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1e-4, 1e-3, 1.0, 30.0]))
+    xy = scale * draw(arrays(float, (n, k, 2), elements=st.floats(-1, 1, width=32)))
+    repeat = draw(arrays(bool, (n, k)))
+    for j in range(1, k):  # the carry-forward rule
+        xy[repeat[:, j], j] = xy[repeat[:, j], j - 1]
+    lengths = [math.hypot(dx, dy) for dx, dy in np.diff(xy, axis=1).reshape(-1, 2).tolist()]
+    at = draw(st.sampled_from(lengths + [1e-3]))
+    eps_move = draw(st.sampled_from([at, math.nextafter(at, 0.0), math.nextafter(at, 1.0)]))
+    return xy, eps_move
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 8))
+def test_stacked_headings_equal_the_per_plan_loop(data, k):
+    xy, eps_move = data.draw(point_stacks(k))
+    out = headings_xy(xy, eps_move)
+    assert out.shape == xy.shape[:-1]
+    for row, plan in zip(out, xy):
+        assert bits(row) == bits(oracle_headings(plan, eps_move))
+
+
+def assert_stack_matches_the_oracles(pred, gt, w_lon, eps_move):
+    """Each metric's per-plan steps and its stack HorizonValues, bit for bit."""
+    metrics = (
+        traj_l2,
+        lambda p, g: heading_l2(p, g, eps_move),
+        lambda p, g: lon_weighted_l2(p, g, w_lon, eps_move),
+    )
+    per_sample = [oracle_steps(p, g, w_lon, eps_move) for p, g in zip(pred, gt)]
+    for i, metric in enumerate(metrics):
+        for (p, g), steps in zip(zip(pred, gt), per_sample):
+            assert bits(metric(p, g).per_step) == bits(steps[i])
+        expected = oracle_mean_horizon([HorizonValues.from_steps(s[i]) for s in per_sample])
+        assert repr(metric(pred, gt)) == repr(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), w_lon=st.sampled_from([1.0, 2.0, 0.3]))
+def test_stacked_metrics_equal_the_per_sample_oracles(data, w_lon):
+    gt, eps_move = data.draw(point_stacks(6))
+    noise = data.draw(arrays(float, gt.shape, elements=st.floats(-1, 1, width=32)))
+    pred = gt + noise * data.draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    assert_stack_matches_the_oracles(pred, gt, w_lon, eps_move)
+
+
+def test_stacked_metrics_equal_the_per_sample_oracles_on_random_stacks():
+    # numpy's hypot, arctan2 and trig differ from libm on a small share of
+    # inputs, which only many distinct values reach
+    rng = np.random.default_rng(9)
+    gt = np.cumsum(rng.normal(0, 3, (400, 6, 2)), axis=1)
+    pred = gt + rng.normal(0, 1, gt.shape)
+    assert_stack_matches_the_oracles(pred, gt, 2.0, 1e-3)
+
+
+@st.composite
+def collision_cases(draw):
+    """A scene whose agents are invalid at some frames, and plans at frames
+    whose steps may leave the scene."""
+    n_frames = draw(st.integers(2, 16))
+    frame_rate = draw(st.sampled_from([2.0, 4.0]))
+    ego = cruising_ego(n_frames, speed=draw(st.sampled_from([0.0, 4.0, 10.0])))
+    coords = st.floats(-2, 40, width=32)
+    agents = []
+    for agent_id in range(1, draw(st.integers(0, 6)) + 1):
+        states = [
+            state(
+                draw(coords),
+                draw(st.floats(-3, 3, width=32)),
+                draw(st.floats(-4, 4, width=32)),
+                box=(draw(st.floats(0.5, 8, width=32)), draw(st.floats(0.5, 3, width=32))),
+                valid=draw(st.booleans()),
+            )
+            for _ in range(n_frames)
+        ]
+        agents.append(track(agent_id, states))
+    scene = scene_of([straight_lane()], agents, ego, frame_rate=frame_rate)
+    n = draw(st.integers(1, 12))
+    frames = draw(arrays(np.int64, n, elements=st.integers(0, n_frames - 1)))
+    plans = np.array([straight_plan(draw(st.sampled_from([0.0, 4.0, 10.0]))) for _ in range(n)])
+    plans += draw(arrays(float, plans.shape, elements=st.floats(-2, 2, width=32)))
+    return scene, frames, plans
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=collision_cases(), budget=st.sampled_from([1, 13, 512]))
+def test_stacked_collision_equals_one_call_per_plan_and_the_oracle(case, budget):
+    scene, frames, plans = case
+    with mock.patch.object(drivekit.metrics, "_SAT_TRIPLES", budget):
+        stacked = plan_collision_fraction(scene, frames, plans)
+    one_by_one = [plan_collision_fraction(scene, f, p) for f, p in zip(frames, plans)]
+    oracle = [oracle_collision(scene, f, p, 1e-3) for f, p in zip(frames.tolist(), plans)]
+    assert stacked.shape == (len(plans),)
+    assert stacked.tolist() == one_by_one == oracle
+
+
+def test_evaluate_equals_the_per_sample_oracle(config):
+    scenes = {}
+    plans = []
+    rng = np.random.default_rng(33)
+    for kind in ("OVERTAKE_ONCOMING", "CONSTRUCTION_ZONE", "THREE_POINT_TURN", "NOMINAL"):
+        for seed in (0, 1):
+            scene = synth_scene(kind, seed)
+            scenes[scene.id] = scene
+            for frame in rng.permutation(scene.n_frames).tolist():
+                if future_complete(scene.ego, frame, scene.frame_rate):
+                    wp = ego_future_waypoints(scene, frame) + rng.normal(0, 0.5, (6, 2))
+                else:  # masked
+                    wp = rng.normal(0, 5, (6, 2))
+                plans.append(PlanSample(scene.id, frame, tuple(map(tuple, wp))))
+    report = evaluate_plans(plans, scenes, config)
+    assert report.n_masked > 0 and report.collision_rate_ave_all > 0
+    assert repr(report) == repr(oracle_evaluate(plans, scenes, config))
+    assert repr(evaluate_plans(plans[:0], scenes, config)) == repr(
+        oracle_evaluate(plans[:0], scenes, config)
+    )
+
+
+@pytest.mark.parametrize("frame", [-1, -30, 25, 26])
+def test_collision_rejects_a_frame_outside_the_scene(frame):
+    scene = synth_scene("OVERTAKE_ONCOMING", 0)
+    message = f"frame {frame} is outside scene {scene.id} of 25 frames"
+    with pytest.raises(AlignError, match=message):
+        plan_collision_fraction(scene, frame, straight_plan())
+    with pytest.raises(AlignError, match=message):
+        plan_collision_fraction(scene, [0, frame, 3], np.stack([straight_plan()] * 3))
+    assert plan_collision_fraction(scene, [0, 24], np.stack([straight_plan()] * 2)).shape == (2,)
+
+
+@pytest.mark.parametrize(
+    "frame, plan",
+    [(1.0, straight_plan()), (True, straight_plan()), ([0], straight_plan()),
+     ([0, 1], np.zeros((3, 6, 2))), (0, np.zeros((0, 6, 2)))],
+)
+def test_collision_takes_one_int_frame_per_plan(frame, plan):
+    with pytest.raises(AlignError):
+        plan_collision_fraction(synth_scene("NOMINAL", 0), frame, plan)
 
 
 # --------------------------------------------------------------------------

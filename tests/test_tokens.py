@@ -108,8 +108,21 @@ def test_bundle_keeps_no_view_of_a_writable_section():
     assert bundle == _bundle(agent_tokens=_section(AGENT_RECORD, [1, 2], 0.5))
     with pytest.raises(ValueError):
         bundle.agent_tokens["values"][0, 0] = 1.0
-    agents.flags.writeable = False  # a read-only section is kept as it is
-    assert _bundle(agent_tokens=agents).agent_tokens is agents
+    agents.flags.writeable = False  # an array that owns its memory can set it back
+    kept = _bundle(agent_tokens=agents).agent_tokens
+    assert kept is not agents and not kept.flags.writeable
+
+
+def test_bundle_keeps_no_read_only_view_of_writable_memory():
+    base = np.zeros(1, AGENT_RECORD)
+    view = base.view()
+    view.flags.writeable = False
+    bundle = TokenBundle("s", 0, 2.0, view)
+    base["values"][0, 0] = np.nan
+    assert np.isfinite(bundle.agent_tokens["values"]).all()
+    buf = io.BytesIO()
+    write_bundle(bundle, buf)
+    assert read_bundle(buf.getvalue()) == bundle
 
 
 def test_fixture_encode_deterministic():
@@ -422,6 +435,17 @@ def test_read_bundle_sections_are_read_only_views():
     for section in (bundle.agent_tokens, bundle.map_tokens, bundle.scene_tokens):
         assert not section.flags.owndata
         assert not section.flags.writeable
+
+
+def test_read_bundle_takes_a_memoryview_as_bytes():
+    assert read_bundle(memoryview(SAMPLE)) == read_bundle(SAMPLE)
+    with pytest.raises(DrivekitError):
+        read_bundle(memoryview(b"TOKB" * 10))
+
+
+def test_read_bundle_rejects_a_source_that_reads_text():
+    with pytest.raises(FormatError, match="a bundle source must read bytes, got str"):
+        read_bundle(io.StringIO("TOKB" * 10))
 
 
 def test_non_utf8_scene_id_is_format_error():
